@@ -1,7 +1,15 @@
 """Constructive bounded isolating sets: exceptional handling, every recursion
-branch (pinned by crafted configurations), and soundness sweeps."""
+branch (pinned by crafted configurations), soundness sweeps, and a golden
+corpus that pins sets and traces.
 
+Regenerate the corpus only when a construction output is meant to change:
+``PYTHONPATH=src python -m tests.test_construct``.
+"""
+
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -214,3 +222,160 @@ class TestSweeps:
                 if not is_connected(g) or classify_exception(g, k) is not ExceptionKind.NONE:
                     continue
                 assert_sound(g, k, bounded_isolating_set(g, k, check=True))
+
+
+GOLDEN = Path(__file__).with_name("golden_construct.json")
+GOLDEN_KS = (1, 2, 3, 4)
+DIGEST_N_MAX = 6
+
+
+def _golden_graphs() -> list[tuple[str, Graph]]:
+    """The fixed connected corpus: every branch case, small extremal, path and
+    cycle graphs, and seeded random graphs up to 40 vertices."""
+    out = [(f"branch_{case[0]}", Graph.from_edges(case[2], case[1])) for case in BRANCH_CASES]
+    for k in GOLDEN_KS:
+        for n in range(3, 21):
+            g = build_extremal(n, k)
+            if is_connected(g):
+                out.append((f"extremal_{n}_{k}", g))
+    out.extend((f"path_{n}", build_path(n)) for n in range(1, 21))
+    out.extend((f"cycle_{n}", build_cycle(n)) for n in range(3, 21))
+    rng = random.Random(2018)
+    for i in range(80):
+        n = rng.randint(6, 40)
+        p = round(rng.uniform(0.02, 0.3), 3)
+        seed = rng.randrange(2**32)
+        out.append((f"random_{i}_{n}_{p}_{seed}", gen_random_connected(n, p, seed)))
+    return out
+
+
+def _golden_unions() -> list[tuple[str, Graph]]:
+    """Disjoint unions mixing exceptional shapes (K_k, the 5-cycle) with
+    ordinary components, for the per-component entry point."""
+    return [
+        ("k2_c5_p4", disjoint_union([build_complete(2), build_cycle(5), build_path(4)])),
+        ("p5_k4", disjoint_union([build_path(5), build_complete(4)])),
+        ("k3_c5_ext8", disjoint_union([build_complete(3), build_cycle(5), build_extremal(8, 2)])),
+        ("k1_c6_k4_c5", disjoint_union([build_complete(1), build_cycle(6), build_complete(4),
+                                        build_cycle(5)])),
+        ("ext12_k1_p7", disjoint_union([build_extremal(12, 3), build_complete(1), build_path(7)])),
+    ]
+
+
+def _trace_record(trace) -> list:
+    return [[st.tag.value, list(st.chosen)] for st in trace]
+
+
+def _bound_record(g: Graph, k: int, check: bool = True) -> dict:
+    kind = classify_exception(g, k)
+    if kind is not ExceptionKind.NONE:
+        return {"refused": kind.value}
+    res = bounded_isolating_set(g, k, check=check)
+    return {"set": sorted(res.set), "bound": res.bound, "trace": _trace_record(res.trace)}
+
+
+def _per_component_record(g: Graph, k: int) -> list:
+    return [
+        {
+            "vertices": sorted(p.vertices),
+            "exception": p.exception.value,
+            "set": sorted(p.set),
+            "trace": None if p.result is None else _trace_record(p.result.trace),
+        }
+        for p in bounded_sets_per_component(g, k, check=True)
+    ]
+
+
+def _exhaustive_digest() -> str:
+    """SHA-256 over the construction's output on every labeled connected graph
+    with at most DIGEST_N_MAX vertices, at every k in GOLDEN_KS."""
+    h = hashlib.sha256()
+    for n in range(1, DIGEST_N_MAX + 1):
+        for index, g in enumerate(enumerate_connected(n)):
+            for k in GOLDEN_KS:
+                rec = _bound_record(g, k, check=False)
+                h.update(json.dumps([n, index, k, rec], separators=(",", ":")).encode())
+                h.update(b"\n")
+    return h.hexdigest()
+
+
+def _golden_corpus() -> dict:
+    return {
+        "instances": [
+            {
+                "name": name,
+                "n": g.n,
+                "edges": [list(e) for e in g.edges()],
+                "results": {str(k): _bound_record(g, k) for k in GOLDEN_KS},
+            }
+            for name, g in _golden_graphs()
+        ],
+        "per_component": [
+            {
+                "name": name,
+                "n": g.n,
+                "edges": [list(e) for e in g.edges()],
+                "results": {str(k): _per_component_record(g, k) for k in GOLDEN_KS},
+            }
+            for name, g in _golden_unions()
+        ],
+        "exhaustive": {
+            "n_max": DIGEST_N_MAX,
+            "ks": list(GOLDEN_KS),
+            "sha256": _exhaustive_digest(),
+        },
+    }
+
+
+class TestGolden:
+    """Sets, bounds and traces must stay exactly as recorded."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN.read_text())
+
+    def test_corpus_covers_every_branch(self, golden):
+        tags = {
+            step[0]
+            for inst in golden["instances"]
+            for rec in inst["results"].values()
+            for step in rec.get("trace", ())
+        }
+        assert tags == {tag.value for tag in BranchTag}
+        assert len(golden["instances"]) >= 200
+        kinds = {
+            part["exception"]
+            for inst in golden["per_component"]
+            for parts in inst["results"].values()
+            for part in parts
+        }
+        assert kinds == {kind.value for kind in ExceptionKind}
+
+    def test_instances_match(self, golden):
+        for inst in golden["instances"]:
+            g = Graph.from_edges(inst["n"], [tuple(e) for e in inst["edges"]])
+            for k in GOLDEN_KS:
+                assert _bound_record(g, k) == inst["results"][str(k)], (inst["name"], k)
+
+    def test_per_component_match(self, golden):
+        for inst in golden["per_component"]:
+            g = Graph.from_edges(inst["n"], [tuple(e) for e in inst["edges"]])
+            for k in GOLDEN_KS:
+                assert _per_component_record(g, k) == inst["results"][str(k)], (inst["name"], k)
+
+    def test_exhaustive_digest(self, golden):
+        recorded = golden["exhaustive"]
+        assert (recorded["n_max"], tuple(recorded["ks"])) == (DIGEST_N_MAX, GOLDEN_KS)
+        assert _exhaustive_digest() == recorded["sha256"]
+
+
+if __name__ == "__main__":
+    corpus = _golden_corpus()
+    lines = ",\n".join(
+        f"  {json.dumps(key)}: " + (
+            "[\n" + ",\n".join("    " + json.dumps(item, separators=(",", ":")) for item in value)
+            + "\n  ]" if isinstance(value, list) else json.dumps(value)
+        )
+        for key, value in corpus.items()
+    )
+    GOLDEN.write_text("{\n" + lines + "\n}\n")
