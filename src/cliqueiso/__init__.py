@@ -15,12 +15,9 @@ from .construct import (
     BranchTag,
     ComponentResult,
     ExceptionalGraphError,
-    LinkageTable,
     TraceStep,
     bounded_isolating_set,
     bounded_sets_per_component,
-    build_linkage,
-    linked_to,
 )
 from .edgelist import (
     EdgeListError,
@@ -81,7 +78,6 @@ __all__ = [
     "ExtremalParams",
     "Graph",
     "IsolationCertificate",
-    "LinkageTable",
     "OracleCapError",
     "SolveReport",
     "Subgraph",
@@ -92,7 +88,6 @@ __all__ = [
     "build_complete",
     "build_cycle",
     "build_extremal",
-    "build_linkage",
     "build_path",
     "classify_exception",
     "closed_neighborhood",
@@ -110,7 +105,6 @@ __all__ = [
     "iota_oracle",
     "iota_solve",
     "is_connected",
-    "linked_to",
     "pair_order",
     "parse_edge_list",
     "read_graph",

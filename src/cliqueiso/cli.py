@@ -90,7 +90,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     g = read_graph(args.path)
-    _bump_recursion(g.n)
     if args.per_component:
         parts = bounded_sets_per_component(g, args.k)
         _emit(

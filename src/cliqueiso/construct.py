@@ -2,15 +2,17 @@
 
 For every connected graph other than the complete graph on k vertices (and, at
 k = 2, the 5-cycle) an isolating set within that bound exists, and this module
-builds one.  The recursion picks a pivot v inside the first k-clique that has a
-neighbour outside it, removes N[v], classifies the residual components by shape
-(general, complete-on-k, 5-cycle) and by which neighbours of v they attach to,
-and dispatches:
+builds one.  The paper's induction runs on pieces of the input: masks over the
+host graph's vertices, in the host's labels, driven by one explicit work
+stack.  Each step pops a piece, picks a pivot v inside its first k-clique that
+has a neighbour outside the clique, removes N[v], classifies the residual
+components by shape (general, complete-on-k, 5-cycle) and by which neighbours
+of v they attach to, and fires one rule:
 
 * no k-clique at all, or a dominating pivot: immediate answers;
-* no exceptional residual component: keep v, recurse on every component;
+* no exceptional residual component: keep v, push every component;
 * some exceptional component attached to a single neighbour x: take x, finish
-  the 5-cycles hanging off x with one far vertex each, recurse on the rest
+  the 5-cycles hanging off x with one far vertex each, push the rest
   (tag Case2);
 * every exceptional component attached to at least two neighbours: excise one
   exceptional component together with one attachment vertex x and split on the
@@ -18,37 +20,36 @@ and dispatches:
   5-cycle shapes bottom out in small finite constructions that are verified
   before being returned.
 
+Each rule records one ``TraceStep`` and yields the child pieces, which are
+pushed in reverse, so the trace is in pre-order and the steps of every piece
+form one contiguous run.  The set is the union of the steps.
+
 Every choice (clique, pivot, attachment, cycle labeling) takes the smallest
 index available, so the output is a pure function of the input.  The final set
-is always verified; with ``check=True`` every recursive return is verified as
-well, along with the structural facts each branch relies on.
+is always verified; with ``check=True`` every piece is verified as well.  The
+structural facts each rule relies on are always checked.  No check is an
+``assert``, so all of them still run under ``python -O``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cliques import find_in_mask
 from .graph import (
     ExceptionKind,
     Graph,
-    Subgraph,
     VertexSet,
     bits,
     classify_exception,
     closed_mask,
     component_masks,
-    components,
-    induced,
     is_connected,
-    mask_of,
     require_k,
     set_of,
 )
-from .isolation import verify_isolating
-
 
 class BranchTag(Enum):
     """Which rule produced a step of the construction."""
@@ -103,35 +104,10 @@ class ExceptionalGraphError(ValueError):
         self.kind = kind
 
 
-@dataclass(frozen=True)
-class LinkageTable:
-    """How the components of G - N[pivot] attach to the pivot's neighbours.
-
-    Component i is *linked* to x when some edge joins x to the component.
-    ``exceptional[i]`` marks the complete-on-k shape and, at k = 2, the
-    5-cycle.  Components are ordered by smallest member.
-    """
-
-    pivot: int
-    components: tuple[VertexSet, ...]
-    exceptional: tuple[bool, ...]
-    links: tuple[VertexSet, ...]
-
-    def exceptional_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.exceptional) if e)
-
-    def linked_only_to(self, x: int) -> tuple[int, ...]:
-        return tuple(i for i, lk in enumerate(self.links) if lk == frozenset({x}))
-
-
-def linked_to(g: Graph, component: Iterable[int], x: int) -> bool:
-    """True iff some edge joins x to the given vertex set."""
-    if not 0 <= x < g.n:
-        raise ValueError(f"vertex {x} out of range for a graph on {g.n} vertices")
-    cm = mask_of(component, g.n)
-    if cm >> x & 1:
-        raise ValueError(f"vertex {x} lies inside the component")
-    return bool(g.adj[x] & cm)
+def _fact(ok: bool, message: str) -> None:
+    """Raise on a broken invariant; unlike ``assert``, survives ``python -O``."""
+    if not ok:
+        raise AssertionError(message)
 
 
 def _is_clique_mask(adj: Sequence[int], mask: int, k: int) -> bool:
@@ -147,34 +123,26 @@ def _is_c5_mask(adj: Sequence[int], mask: int) -> bool:
     )
 
 
-def _linkage(adj: Sequence[int], full: int, k: int, v: int) -> list[tuple[int, bool, int]]:
+def _is_exceptional_mask(adj: Sequence[int], mask: int, k: int) -> bool:
+    return _is_clique_mask(adj, mask, k) or (k == 2 and _is_c5_mask(adj, mask))
+
+
+def _isolates(adj: Sequence[int], piece: int, d: int, k: int) -> bool:
+    """True iff deleting N[d] leaves the piece without a k-clique."""
+    return find_in_mask(adj, piece & ~closed_mask(adj, d), k) is None
+
+
+def _linkage(adj: Sequence[int], piece: int, k: int, v: int) -> list[tuple[int, bool, int]]:
     """(component mask, exceptional?, link mask over N(v)) per residual component."""
-    residual = full & ~(adj[v] | (1 << v))
+    nv = adj[v] & piece
     out = []
-    for cm in component_masks(adj, residual):
-        exceptional = _is_clique_mask(adj, cm, k) or (k == 2 and _is_c5_mask(adj, cm))
+    for cm in component_masks(adj, piece & ~(nv | (1 << v))):
         links = 0
-        for x in bits(adj[v]):
+        for x in bits(nv):
             if adj[x] & cm:
                 links |= 1 << x
-        out.append((cm, exceptional, links))
+        out.append((cm, _is_exceptional_mask(adj, cm, k), links))
     return out
-
-
-def build_linkage(g: Graph, k: int, v: int) -> LinkageTable:
-    """Classify the components of G - N[v] and record their attachments."""
-    require_k(k)
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for a graph on {g.n} vertices")
-    if (g.adj[v] | (1 << v)) == g.full_mask:
-        raise ValueError("the pivot's closed neighbourhood covers the whole graph")
-    entries = _linkage(g.adj, g.full_mask, k, v)
-    return LinkageTable(
-        pivot=v,
-        components=tuple(set_of(cm) for cm, _, _ in entries),
-        exceptional=tuple(exc for _, exc, _ in entries),
-        links=tuple(set_of(lk) for _, _, lk in entries),
-    )
 
 
 def bounded_isolating_set(g: Graph, k: int, *, check: bool = False) -> BoundResult:
@@ -183,8 +151,10 @@ def bounded_isolating_set(g: Graph, k: int, *, check: bool = False) -> BoundResu
 
     Raises ``ExceptionalGraphError`` (carrying the kind) for the two excluded
     shapes and ``ValueError`` for disconnected input.  The result is verified
-    before it is returned; ``check=True`` additionally verifies every
-    recursive intermediate, which is what the test suite runs with.
+    before it is returned; ``check=True`` additionally verifies every piece
+    the work stack handled, which is what the test suite runs with.  The
+    construction uses no recursion, so input size never meets Python's
+    recursion limit.
     """
     require_k(k)
     kind = classify_exception(g, k)
@@ -196,13 +166,7 @@ def bounded_isolating_set(g: Graph, k: int, *, check: bool = False) -> BoundResu
         raise ValueError(
             "input graph must be connected; use bounded_sets_per_component instead"
         )
-    d_mask, trace = _construct(g, k, check)
-    bound = g.n // (k + 1)
-    chosen = set_of(d_mask)
-    cert = verify_isolating(g, k, chosen)
-    if not cert.valid or len(chosen) > bound:
-        raise AssertionError("construction broke its own guarantee; this is a bug")
-    return BoundResult(set=chosen, bound=bound, trace=tuple(trace))
+    return _construct(g.adj, g.full_mask, k, check)
 
 
 def bounded_sets_per_component(g: Graph, k: int, *, check: bool = False) -> list[ComponentResult]:
@@ -213,109 +177,130 @@ def bounded_sets_per_component(g: Graph, k: int, *, check: bool = False) -> list
     for the 5-cycle at k = 2.
     """
     require_k(k)
+    adj = g.adj
     out = []
-    for comp in components(g):
-        sub = induced(g, comp)
-        kind = classify_exception(sub.graph, k)
-        if kind is ExceptionKind.K_CLIQUE:
-            out.append(ComponentResult(comp, kind, frozenset({min(comp)}), None))
-        elif kind is ExceptionKind.FIVE_CYCLE_AT_K2:
-            far = sub.graph.full_mask & ~(sub.graph.adj[0] | 1)
-            partner = (far & -far).bit_length() - 1
-            out.append(ComponentResult(comp, kind, sub.lift((0, partner)), None))
+    for cm in component_masks(adj, g.full_mask):
+        comp = set_of(cm)
+        low = cm & -cm
+        if _is_clique_mask(adj, cm, k):
+            out.append(ComponentResult(comp, ExceptionKind.K_CLIQUE, set_of(low), None))
+        elif k == 2 and _is_c5_mask(adj, cm):
+            far = cm & ~(adj[low.bit_length() - 1] | low)
+            pair = set_of(low | (far & -far))
+            out.append(ComponentResult(comp, ExceptionKind.FIVE_CYCLE_AT_K2, pair, None))
         else:
-            res = bounded_isolating_set(sub.graph, k, check=check)
-            lifted = sub.lift(res.set)
-            trace = tuple(
-                TraceStep(st.tag, tuple(sub.to_parent[u] for u in st.chosen))
-                for st in res.trace
-            )
-            out.append(
-                ComponentResult(comp, kind, lifted, BoundResult(lifted, res.bound, trace))
-            )
+            res = _construct(adj, cm, k, check)
+            out.append(ComponentResult(comp, ExceptionKind.NONE, res.set, res))
     return out
 
 
-def _recurse(g: Graph, k: int, comp_mask: int, check: bool) -> tuple[int, list[TraceStep]]:
-    """Run the construction on an induced piece and lift the outcome back."""
-    sub = induced(g, set_of(comp_mask))
+def _construct(adj: Sequence[int], root: int, k: int, check: bool) -> BoundResult:
+    """Run the work stack on a connected, non-exceptional piece and verify the
+    union of its steps."""
+    d = 0
+    trace: list[TraceStep] = []
+    records: list[tuple[int, int]] = []  # (piece, depth) of each step, with check
+    stack = [(root, 0)]
+    while stack:
+        piece, depth = stack.pop()
+        if check:
+            if len(component_masks(adj, piece)) != 1 or _is_exceptional_mask(adj, piece, k):
+                raise AssertionError(
+                    f"the piece {_describe(piece)} must be connected and non-exceptional"
+                )
+            records.append((piece, depth))
+        step, children = _step(adj, piece, k)
+        trace.append(step)
+        for u in step.chosen:
+            d |= 1 << u
+        for child in reversed(children):
+            stack.append((child, depth + 1))
     if check:
-        assert is_connected(sub.graph), "recursion needs a connected piece"
-        assert classify_exception(sub.graph, k) is ExceptionKind.NONE, (
-            "recursion needs a non-exceptional piece"
-        )
-    d_mask, trace = _construct(sub.graph, k, check)
-    if check:
-        cert = verify_isolating(sub.graph, k, set_of(d_mask))
-        assert cert.valid, "recursive return must isolate its piece"
-        assert d_mask.bit_count() <= sub.graph.n // (k + 1), "recursive return must respect the bound"
-    lifted = 0
-    for i in bits(d_mask):
-        lifted |= 1 << sub.to_parent[i]
-    lifted_trace = [
-        TraceStep(st.tag, tuple(sub.to_parent[u] for u in st.chosen)) for st in trace
-    ]
-    return lifted, lifted_trace
+        _check_piece_sets(adj, k, records, trace)
+    bound = root.bit_count() // (k + 1)
+    if d & ~root or d.bit_count() > bound or not _isolates(adj, root, d, k):
+        raise AssertionError("construction broke its own guarantee; this is a bug")
+    return BoundResult(set=set_of(d), bound=bound, trace=tuple(trace))
 
 
-def _construct(g: Graph, k: int, check: bool) -> tuple[int, list[TraceStep]]:
-    n, adj, full = g.n, g.adj, g.full_mask
+def _describe(piece: int) -> str:
+    low = (piece & -piece).bit_length() - 1
+    return f"of {piece.bit_count()} vertices from vertex {low}"
 
-    if n <= 2:
-        if find_in_mask(adj, full, k) is None:
-            return 0, [TraceStep(BranchTag.BASE_SMALL, ())]
+
+def _check_piece_sets(
+    adj: Sequence[int], k: int, records: list[tuple[int, int]], trace: list[TraceStep]
+) -> None:
+    """Each piece's steps form a contiguous pre-order run; walking the trace
+    backwards folds every finished run into its parent's, deepest first, and
+    checks that each piece's set lies inside it, isolates it and keeps
+    within floor(|piece|/(k+1))."""
+    done: list[tuple[int, int]] = []  # (depth, set) of runs not yet folded
+    for (piece, depth), step in zip(reversed(records), reversed(trace)):
+        d = 0
+        for u in step.chosen:
+            d |= 1 << u
+        while done and done[-1][0] > depth:
+            d |= done.pop()[1]
+        if (
+            d & ~piece
+            or d.bit_count() > piece.bit_count() // (k + 1)
+            or not _isolates(adj, piece, d, k)
+        ):
+            raise AssertionError(
+                f"the set built for the piece {_describe(piece)} must isolate it "
+                "within floor(n/(k+1))"
+            )
+        done.append((depth, d))
+
+
+def _step(adj: Sequence[int], piece: int, k: int) -> tuple[TraceStep, list[int]]:
+    """Fire the rule that applies to one piece."""
+    if piece.bit_count() <= 2:
+        if find_in_mask(adj, piece, k) is None:
+            return TraceStep(BranchTag.BASE_SMALL, ()), []
         # connected, non-exceptional, n <= 2 with a k-clique forces k = 1 on an edge
-        assert k == 1 and n == 2
-        return 1, [TraceStep(BranchTag.BASE_SMALL, (0,))]
+        _fact(k == 1 and piece.bit_count() == 2, "a small piece with a k-clique is an edge")
+        return TraceStep(BranchTag.BASE_SMALL, ((piece & -piece).bit_length() - 1,)), []
 
-    clique = find_in_mask(adj, full, k)
+    clique = find_in_mask(adj, piece, k)
     if clique is None:
-        return 0, [TraceStep(BranchTag.NO_CLIQUE, ())]
+        return TraceStep(BranchTag.NO_CLIQUE, ()), []
 
     pivot = -1
     for u in bits(clique):
-        if adj[u] & ~clique:
+        if adj[u] & piece & ~clique:
             pivot = u
             break
-    assert pivot >= 0, "a connected non-complete host has a clique vertex with an outside neighbour"
+    _fact(pivot >= 0, "a connected non-complete piece has a clique vertex with an outer neighbour")
     vb = 1 << pivot
-    nv_closed = adj[pivot] | vb
 
-    if nv_closed == full:
-        return vb, [TraceStep(BranchTag.DOMINATING_VERTEX, (pivot,))]
+    if (adj[pivot] & piece) | vb == piece:
+        return TraceStep(BranchTag.DOMINATING_VERTEX, (pivot,)), []
 
-    entries = _linkage(adj, full, k, pivot)
-    assert all(lk for _, _, lk in entries), "every residual component touches N(pivot) in a connected host"
+    entries = _linkage(adj, piece, k, pivot)
+    _fact(all(lk for _, _, lk in entries), "every residual component touches N(pivot)")
 
     if not any(exc for _, exc, _ in entries):
-        d = vb
-        trace = [TraceStep(BranchTag.NO_EXCEPTIONAL, (pivot,))]
-        for cm, _, _ in entries:
-            dm, tr = _recurse(g, k, cm, check)
-            d |= dm
-            trace.extend(tr)
-        return d, trace
+        return TraceStep(BranchTag.NO_EXCEPTIONAL, (pivot,)), [cm for cm, _, _ in entries]
 
-    singles = [(cm, lk) for cm, exc, lk in entries if exc and lk.bit_count() == 1]
+    singles = [lk for _, exc, lk in entries if exc and lk.bit_count() == 1]
     if singles:
-        return _case_single_link(g, k, pivot, entries, singles[0], check)
+        return _case_single_link(adj, piece, k, pivot, entries, singles[0].bit_length() - 1)
     exceptional = [(cm, lk) for cm, exc, lk in entries if exc]
-    return _case_multi_link(g, k, pivot, entries, exceptional[0], check)
+    return _case_multi_link(adj, piece, k, pivot, entries, exceptional[0])
 
 
 def _case_single_link(
-    g: Graph,
+    adj: Sequence[int],
+    piece: int,
     k: int,
     pivot: int,
     entries: list[tuple[int, bool, int]],
-    picked: tuple[int, int],
-    check: bool,
-) -> tuple[int, list[TraceStep]]:
-    """Some exceptional residual component hangs on a single neighbour x."""
-    adj, full = g.adj, g.full_mask
+    x: int,
+) -> tuple[TraceStep, list[int]]:
+    """Some exceptional residual component hangs on the single neighbour x."""
     vb = 1 << pivot
-    _, link = picked
-    x = link.bit_length() - 1
     xb = 1 << x
 
     hang_exceptional = [cm for cm, exc, lk in entries if exc and lk == xb]
@@ -333,101 +318,82 @@ def _case_single_link(
     excised = xb
     for cm in hang_exceptional:
         excised |= cm
-    star_comps = component_masks(adj, full & ~excised)
+    star_comps = component_masks(adj, piece & ~excised)
     gv = next(cm for cm in star_comps if cm & vb)
-    assert (adj[pivot] | vb) & ~xb & ~gv == 0, "N[pivot] minus x stays in one piece"
+    nv_closed = (adj[pivot] & piece) | vb
+    _fact(nv_closed & ~xb & ~gv == 0, "N[pivot] minus x stays in one piece")
     rest = [cm for cm in star_comps if not cm & vb]
-    assert sorted(rest) == sorted(hang_general), (
-        "after the excision only the x-only general components remain apart"
+    _fact(
+        sorted(rest) == sorted(hang_general),
+        "after the excision only the x-only general components remain apart",
     )
 
-    tails: list[TraceStep] = []
-    d = direct
+    children = []
     if _is_clique_mask(adj, gv, k):
         # x alone breaks it: the piece is exactly N[pivot] minus x
-        assert gv == (adj[pivot] | vb) & ~xb
+        _fact(gv == nv_closed & ~xb, "a complete pivot side is N[pivot] minus x")
     elif k == 2 and _is_c5_mask(adj, gv):
         far = gv & ~((adj[pivot] & gv) | vb)
-        pick = far & -far
-        direct |= pick
-        d |= pick
+        direct |= far & -far
     else:
-        dm, tr = _recurse(g, k, gv, check)
-        d |= dm
-        tails.extend(tr)
-    for cm in hang_general:
-        dm, tr = _recurse(g, k, cm, check)
-        d |= dm
-        tails.extend(tr)
-
-    head = TraceStep(BranchTag.CASE2, tuple(bits(direct)))
-    return d, [head] + tails
+        children.append(gv)
+    children.extend(hang_general)
+    return TraceStep(BranchTag.CASE2, tuple(bits(direct))), children
 
 
 def _case_multi_link(
-    g: Graph,
+    adj: Sequence[int],
+    piece: int,
     k: int,
     pivot: int,
     entries: list[tuple[int, bool, int]],
     picked: tuple[int, int],
-    check: bool,
-) -> tuple[int, list[TraceStep]]:
+) -> tuple[TraceStep, list[int]]:
     """Every exceptional residual component attaches to at least two
     neighbours of the pivot; excise the first one plus one attachment."""
-    adj, full = g.adj, g.full_mask
     vb = 1 << pivot
     h_mask, h_links = picked
-    assert h_links.bit_count() >= 2
+    _fact(h_links.bit_count() >= 2, "the excised component has two attachments")
 
     x = (h_links & -h_links).bit_length() - 1
     xb = 1 << x
     x_only = [cm for cm, exc, lk in entries if lk == xb]
-    assert all(not exc for cm, exc, lk in entries if lk == xb), (
-        "components hanging only on x are general here"
+    _fact(
+        all(not exc for cm, exc, lk in entries if lk == xb),
+        "components hanging only on x are general here",
     )
 
     contact = adj[x] & h_mask
-    assert contact, "x is linked to the excised component"
+    _fact(contact != 0, "x is linked to the excised component")
     y = (contact & -contact).bit_length() - 1
     h_is_clique = _is_clique_mask(adj, h_mask, k)
     if h_is_clique:
         d_prime = 1 << y
         y2b = 0
     else:
-        assert k == 2 and h_mask.bit_count() == 5
+        _fact(k == 2 and h_mask.bit_count() == 5, "a non-complete exceptional part is a 5-cycle")
         far = h_mask & ~((adj[y] & h_mask) | (1 << y))
         y2b = far & -far
         d_prime = (1 << y) | y2b
 
-    star_comps = component_masks(adj, full & ~(xb | h_mask))
+    star_comps = component_masks(adj, piece & ~(xb | h_mask))
     gv = next(cm for cm in star_comps if cm & vb)
-    assert (adj[pivot] | vb) & ~xb & ~gv == 0
+    _fact(((adj[pivot] & piece) | vb) & ~xb & ~gv == 0, "N[pivot] minus x stays in one piece")
     rest = [cm for cm in star_comps if not cm & vb]
-    assert sorted(rest) == sorted(x_only)
+    _fact(sorted(rest) == sorted(x_only), "after the excision only x-only components remain apart")
 
-    if not (_is_clique_mask(adj, gv, k) or (k == 2 and _is_c5_mask(adj, gv))):
-        # Subcase 1: the pivot-side piece recurses as-is
-        d = d_prime
-        tails: list[TraceStep] = []
-        dm, tr = _recurse(g, k, gv, check)
-        d |= dm
-        tails.extend(tr)
-        for cm in x_only:
-            dm, tr = _recurse(g, k, cm, check)
-            d |= dm
-            tails.extend(tr)
-        head = TraceStep(BranchTag.CASE1_SUB1, tuple(bits(d_prime)))
-        return d, [head] + tails
+    if not _is_exceptional_mask(adj, gv, k):
+        # Subcase 1: the pivot-side piece is pushed as-is
+        return TraceStep(BranchTag.CASE1_SUB1, tuple(bits(d_prime))), [gv] + x_only
 
     if _is_clique_mask(adj, gv, k):
-        return _pivot_side_clique(
-            g, k, pivot, x, h_mask, h_is_clique, y, y2b, gv, x_only, check
-        )
-    return _pivot_side_cycle(g, k, pivot, x, h_mask, y, gv, x_only, check)
+        return _pivot_side_clique(adj, piece, k, pivot, x, h_mask, h_is_clique, y, y2b, gv, x_only)
+    return _pivot_side_cycle(adj, piece, k, pivot, h_mask, y, gv, x_only)
 
 
 def _pivot_side_clique(
-    g: Graph,
+    adj: Sequence[int],
+    piece: int,
     k: int,
     pivot: int,
     x: int,
@@ -437,14 +403,13 @@ def _pivot_side_clique(
     y2b: int,
     gv: int,
     x_only: list[int],
-    check: bool,
-) -> tuple[int, list[TraceStep]]:
+) -> tuple[TraceStep, list[int]]:
     """The piece containing the pivot is itself a k-clique, so it equals
     N[pivot] minus x and the construction bottoms out in finite patterns."""
-    adj, full, n = g.adj, g.full_mask, g.n
+    n = piece.bit_count()
     vb = 1 << pivot
     xb = 1 << x
-    assert gv == (adj[pivot] | vb) & ~xb
+    _fact(gv == ((adj[pivot] & piece) | vb) & ~xb, "a complete pivot side is N[pivot] minus x")
 
     if h_is_clique:
         shield = 1 << y
@@ -459,108 +424,89 @@ def _pivot_side_clique(
     c_y = find_in_mask(adj, leftover, k)
 
     if c_y is None:
-        d = d_pp
-        tails: list[TraceStep] = []
-        for cm in x_only:
-            dm, tr = _recurse(g, k, cm, check)
-            d |= dm
-            tails.extend(tr)
-        head = TraceStep(BranchTag.CASE1_SUB2, tuple(bits(d_pp)))
-        return d, [head] + tails
+        return TraceStep(BranchTag.CASE1_SUB2, tuple(bits(d_pp))), x_only
 
     cy_gv = c_y & gv
     cy_h = c_y & h_mask
-    assert cy_gv and cy_h, "a clique inside the leftover must straddle both sides"
+    _fact(cy_gv != 0 and cy_h != 0, "a clique inside the leftover must straddle both sides")
     zb = cy_gv & -cy_gv
     z = zb.bit_length() - 1
     zone = gv | c_y  # within N[z]: z sees all of gv and all of c_y
 
     if x_only:
-        gz_mask = full & ~zone
-        assert len(component_masks(adj, gz_mask)) == 1, "the remainder is connected"
-        assert not _is_clique_mask(adj, gz_mask, k)
-        assert not (k == 2 and _is_c5_mask(adj, gz_mask))
-        dm, tr = _recurse(g, k, gz_mask, check)
-        head = TraceStep(BranchTag.CASE1_SUB2, (z,))
-        return zb | dm, [head] + tr
+        gz_mask = piece & ~zone
+        _fact(len(component_masks(adj, gz_mask)) == 1, "the remainder is connected")
+        _fact(not _is_exceptional_mask(adj, gz_mask, k), "the remainder is not exceptional")
+        return TraceStep(BranchTag.CASE1_SUB2, (z,)), [gz_mask]
 
-    # No x-only pieces: the whole graph is gv + x + the excised component.
+    # No x-only pieces: the whole piece is gv + x + the excised component.
     if h_is_clique:
-        assert n == 2 * k + 1
+        _fact(n == 2 * k + 1, "two k-cliques and x make up the piece")
         if zone.bit_count() >= k + 2:
             d = zb
         else:
-            assert zone.bit_count() == k + 1 and cy_h.bit_count() == 1
+            _fact(zone.bit_count() == k + 1 and cy_h.bit_count() == 1, "the overlap is one vertex")
             if k >= 3:
                 d = cy_h
             else:
                 # five vertices around a cycle with a chord somewhere
                 w = -1
-                for u in range(n):
-                    if adj[u].bit_count() >= 3:
+                for u in bits(piece):
+                    if (adj[u] & piece).bit_count() >= 3:
                         w = u
                         break
-                assert w >= 0, "a non-cycle on five vertices has a degree-3 vertex"
+                _fact(w >= 0, "a non-cycle on five vertices has a degree-3 vertex")
                 d = 1 << w
     else:
-        assert k == 2 and n == 8
-        assert cy_h.bit_count() == 1
+        _fact(k == 2 and n == 8, "an edge, x and a 5-cycle make up the piece")
+        _fact(cy_h.bit_count() == 1, "the leftover edge meets the 5-cycle once")
         d = (1 << y) | cy_h
 
-    assert find_in_mask(adj, full & ~closed_mask(adj, d), k) is None, (
-        "terminal pattern must isolate"
-    )
-    return d, [TraceStep(BranchTag.CASE1_SUB2, tuple(bits(d)))]
+    _fact(_isolates(adj, piece, d, k), "terminal pattern must isolate")
+    return TraceStep(BranchTag.CASE1_SUB2, tuple(bits(d))), []
 
 
 def _pivot_side_cycle(
-    g: Graph,
+    adj: Sequence[int],
+    piece: int,
     k: int,
     pivot: int,
-    x: int,
     h_mask: int,
     y: int,
     gv: int,
     x_only: list[int],
-    check: bool,
-) -> tuple[int, list[TraceStep]]:
+) -> tuple[TraceStep, list[int]]:
     """k = 2 and the piece containing the pivot is a 5-cycle: cut out the
-    three far cycle vertices and recurse on what is left, unless what is left
-    is itself a 5-cycle, which bottoms out in a two-vertex pattern."""
-    adj, full, n = g.adj, g.full_mask, g.n
-    assert k == 2
+    three far cycle vertices and push what is left, unless what is left is
+    itself a 5-cycle, which bottoms out in a two-vertex pattern."""
+    _fact(k == 2, "a 5-cycle pivot side needs k = 2")
     vb = 1 << pivot
 
     around = adj[pivot] & gv
-    assert around.bit_count() == 2
+    _fact(around.bit_count() == 2, "the pivot has two cycle neighbours")
     v1b = around & -around
     v1 = v1b.bit_length() - 1
     v2b = (adj[v1] & gv) & ~vb
-    assert v2b.bit_count() == 1
+    _fact(v2b.bit_count() == 1, "the cycle continues past v1")
     v2 = v2b.bit_length() - 1
     v3b = (adj[v2] & gv) & ~v1b
-    assert v3b.bit_count() == 1
+    _fact(v3b.bit_count() == 1, "the cycle continues past v2")
     v3 = v3b.bit_length() - 1
     v4b = around ^ v1b
-    assert (adj[v3] & gv) == v2b | v4b, "the cycle closes"
+    _fact((adj[v3] & gv) == v2b | v4b, "the cycle closes")
 
-    cut = v2b | v3b | v4b
-    rest_mask = full & ~cut
-    assert len(component_masks(adj, rest_mask)) == 1, "removing the far arc keeps one piece"
+    rest_mask = piece & ~(v2b | v3b | v4b)
+    _fact(len(component_masks(adj, rest_mask)) == 1, "removing the far arc keeps one piece")
 
     if _is_c5_mask(adj, rest_mask):
         # Only possible when the excised component is a single edge and
         # nothing hangs on x, leaving eight vertices in total.
-        assert n == 8 and h_mask.bit_count() == 2 and not x_only
-        if adj[v3] >> y & 1:
-            d = vb | v3b
-        else:
-            d = vb | v1b
-        assert find_in_mask(adj, full & ~closed_mask(adj, d), k) is None, (
-            "terminal pattern must isolate"
+        _fact(
+            piece.bit_count() == 8 and h_mask.bit_count() == 2 and not x_only,
+            "a 5-cycle remainder leaves eight vertices",
         )
-        return d, [TraceStep(BranchTag.CASE1_SUB3, tuple(bits(d)))]
+        d = vb | v3b if adj[v3] >> y & 1 else vb | v1b
+        _fact(_isolates(adj, piece, d, k), "terminal pattern must isolate")
+        return TraceStep(BranchTag.CASE1_SUB3, tuple(bits(d))), []
 
-    dm, tr = _recurse(g, k, rest_mask, check)
-    head = TraceStep(BranchTag.CASE1_SUB3, (v3,))
-    return v3b | dm, [head] + tr
+    return TraceStep(BranchTag.CASE1_SUB3, (v3,)), [rest_mask]

@@ -1,9 +1,9 @@
 """The plain-text edge-list format the CLI reads and writes.
 
 A file is a header line ``n m`` followed by exactly m lines ``u v`` with
-0 <= u < v < n.  Blank lines and ``#`` comments are ignored.  Writing is
-canonical (edges sorted ascending), so parse/write round-trips are bit-exact
-on canonical files.
+0 <= u < v < n, where n is at most ``MAX_VERTICES``.  Blank lines and ``#``
+comments are ignored.  Writing is canonical (edges sorted ascending), so
+parse/write round-trips are bit-exact on canonical files.
 """
 
 from __future__ import annotations
@@ -11,6 +11,11 @@ from __future__ import annotations
 from pathlib import Path
 
 from .graph import Graph
+
+# Largest vertex count a header may declare.  A graph costs memory in n before
+# a single edge line is read, so a short file could otherwise ask for any
+# amount of it.
+MAX_VERTICES = 1_000_000
 
 
 class EdgeListError(ValueError):
@@ -40,6 +45,10 @@ def parse_edge_list(text: str) -> Graph:
                 raise EdgeListError("header must be two integers 'n m'", lineno) from None
             if n < 0 or m < 0:
                 raise EdgeListError("header counts must be non-negative", lineno)
+            if n > MAX_VERTICES:
+                raise EdgeListError(
+                    f"header declares {n} vertices, above the limit of {MAX_VERTICES}", lineno
+                )
             header = (n, m)
             continue
         n, m = header

@@ -7,10 +7,13 @@ checked against straightforward code that shares none of their machinery.
 
 from __future__ import annotations
 
+import os
 from itertools import combinations
+from pathlib import Path
 
 import hypothesis.strategies as st
 
+import cliqueiso
 from cliqueiso import Graph
 
 
@@ -85,6 +88,12 @@ def naive_components(g: Graph) -> list[set[int]]:
         seen |= comp
         out.append(comp)
     return out
+
+
+def package_env() -> dict[str, str]:
+    """The environment for a fresh interpreter that imports this checkout's
+    package."""
+    return {**os.environ, "PYTHONPATH": str(Path(cliqueiso.__file__).resolve().parents[1])}
 
 
 def disjoint_union(parts: list[Graph]) -> Graph:

@@ -17,6 +17,8 @@ from cliqueiso import (
 )
 from cliqueiso.cli import main
 
+from .support import package_env
+
 
 @pytest.fixture
 def c5_file(tmp_path):
@@ -70,6 +72,16 @@ class TestSolve:
     def test_bad_k_is_input_error(self, capsys, c5_file):
         code, _, err = run(capsys, ["solve", c5_file, "--k", "0"])
         assert code == 2
+
+    def test_huge_vertex_count_is_input_error(self, capsys, tmp_path):
+        # Rejected from the header alone, before any memory is spent on n.
+        huge = tmp_path / "huge.edges"
+        huge.write_text("100000000 0\n")
+        for verb in ("solve", "bound"):
+            code, reports, err = run(capsys, [verb, str(huge), "--k", "2"])
+            assert code == 2
+            assert not reports
+            assert "limit" in err
 
 
 class TestBound:
@@ -236,6 +248,26 @@ class TestCheckTheorem:
 
 
 class TestProcessLevel:
+    def test_bound_on_long_path_keeps_default_recursion_limit(self, tmp_path):
+        path = tmp_path / "p2000.edges"
+        write_graph(path, build_path(2000))
+        script = (
+            "import sys\n"
+            "from cliqueiso.cli import main\n"
+            "limit = sys.getrecursionlimit()\n"
+            f"code = main(['bound', {str(path)!r}, '--k', '2'])\n"
+            "print(limit, sys.getrecursionlimit(), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, env=package_env(), timeout=300)
+        assert out.returncode == 0, out.stderr
+        before, after = map(int, out.stderr.split())
+        assert before == after <= 1000
+        rep = json.loads(out.stdout)
+        assert rep["size"] == rep["bound"] == 666
+        assert verify_isolating(read_graph(path), 2, rep["set"]).valid
+
     def test_installed_entry_point_round_trip(self, tmp_path):
         out = tmp_path / "g.edges"
         args = [sys.executable, "-m", "cliqueiso.cli", "gen", "random", "--n", "9",

@@ -1,4 +1,4 @@
-"""Constructive bounded isolating sets: exceptional handling, every recursion
+"""Constructive bounded isolating sets: exceptional handling, every construction
 branch (pinned by crafted configurations), soundness sweeps, and a golden
 corpus that pins sets and traces.
 
@@ -9,6 +9,8 @@ Regenerate the corpus only when a construction output is meant to change:
 import hashlib
 import json
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,18 +27,16 @@ from cliqueiso import (
     build_complete,
     build_cycle,
     build_extremal,
-    build_linkage,
     build_path,
     classify_exception,
     enumerate_connected,
     gen_random_connected,
     iota_oracle,
     is_connected,
-    linked_to,
     verify_isolating,
 )
 
-from .support import connected_graphs, disjoint_union
+from .support import connected_graphs, disjoint_union, package_env
 
 
 def assert_sound(g: Graph, k: int, res) -> None:
@@ -93,29 +93,6 @@ class TestPerComponent:
         results = bounded_sets_per_component(g, k, check=True)
         union = frozenset().union(*(p.set for p in results)) if results else frozenset()
         assert verify_isolating(g, k, union).valid
-
-
-class TestLinkage:
-    def test_residual_components_and_links(self):
-        # Star of the pivot plus one pendant triangle reachable through vertex 1.
-        g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 3), (3, 4), (3, 5), (4, 5)])
-        table = build_linkage(g, 3, 0)
-        assert table.pivot == 0
-        assert table.components == (frozenset({3, 4, 5}),)
-        assert table.exceptional == (True,)
-        assert table.links == (frozenset({1}),)
-        assert table.exceptional_indices() == (0,)
-        assert table.linked_only_to(1) == (0,)
-
-    def test_dominating_pivot_rejected(self):
-        with pytest.raises(ValueError):
-            build_linkage(build_complete(4), 2, 0)
-
-    def test_linked_to_rejects_inside_vertex(self):
-        g = build_path(4)
-        assert linked_to(g, [2, 3], 1)
-        with pytest.raises(ValueError):
-            linked_to(g, [2, 3], 3)
 
 
 # Crafted configurations reaching each recursion branch, with the hand-traced
@@ -222,6 +199,62 @@ class TestSweeps:
                 if not is_connected(g) or classify_exception(g, k) is not ExceptionKind.NONE:
                     continue
                 assert_sound(g, k, bounded_isolating_set(g, k, check=True))
+
+
+class TestNoRecursion:
+    """The construction runs on one explicit work stack, so a deep piece tree
+    never meets Python's recursion limit."""
+
+    @pytest.mark.parametrize("n,k", [(1000, 1), (2000, 2)])
+    def test_long_path_at_default_limit(self, n, k):
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            res = bounded_isolating_set(build_path(n), k, check=True)
+        finally:
+            sys.setrecursionlimit(saved)
+        assert len(res.set) == res.bound == n // (k + 1)
+        assert_sound(build_path(n), k, res)
+
+
+# Runs under ``python -O``: one step of the piece {6, 7, 8} of the 9-vertex path
+# loses its vertex, so that piece's set no longer isolates it at k = 1.
+CORRUPT_ONE_STEP = """
+import cliqueiso.construct as construct
+from cliqueiso import build_path, bounded_isolating_set
+
+real_step = construct._step
+
+def dropping(adj, piece, k):
+    step, children = real_step(adj, piece, k)
+    if piece == 0b111000000:
+        step = construct.TraceStep(step.tag, ())
+    return step, children
+
+construct._step = dropping
+assert False, "asserts must be stripped for this check to mean anything"
+for check in (True, False):
+    try:
+        bounded_isolating_set(build_path(9), 1, check=check)
+    except AssertionError as exc:
+        print(check, exc)
+    else:
+        print(check, "no error")
+"""
+
+
+class TestChecksUnderOptimize:
+    def test_corrupted_piece_raises_under_dash_o(self):
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", CORRUPT_ONE_STEP],
+            capture_output=True, text=True, env=package_env(), timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "True the set built for the piece of 3 vertices from vertex 6 must "
+            "isolate it within floor(n/(k+1))",
+            "False construction broke its own guarantee; this is a bug",
+        ]
 
 
 GOLDEN = Path(__file__).with_name("golden_construct.json")

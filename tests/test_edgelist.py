@@ -13,6 +13,8 @@ from cliqueiso import (
     write_graph,
 )
 
+from cliqueiso.edgelist import MAX_VERTICES
+
 from .support import graphs
 
 
@@ -53,6 +55,13 @@ class TestParse:
         if line is not None:
             assert info.value.line == line
             assert f"line {line}" in str(info.value)
+
+    @pytest.mark.parametrize("n", [MAX_VERTICES + 1, 100_000_000])
+    def test_vertex_count_above_cap_is_refused(self, n):
+        with pytest.raises(EdgeListError) as info:
+            parse_edge_list(f"# huge\n{n} 0\n")
+        assert info.value.line == 2
+        assert str(MAX_VERTICES) in str(info.value)
 
 
 class TestFormat:
