@@ -9,7 +9,7 @@ with random and exhaustive corpora, and exposes the lot through a CLI speaking
 a plain edge-list format.
 """
 
-from .cliques import CliqueQuery, enumerate_k_cliques, find_k_clique, has_k_clique
+from .cliques import find_k_clique, has_k_clique
 from .construct import (
     BoundResult,
     BranchTag,
@@ -28,7 +28,6 @@ from .edgelist import (
 )
 from .generators import (
     EnumerationCapError,
-    EnumerationCursor,
     ExtremalParams,
     build_complete,
     build_cycle,
@@ -67,12 +66,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundResult",
     "BranchTag",
-    "CliqueQuery",
     "ComponentResult",
     "DEFAULT_ORACLE_CAP",
     "EdgeListError",
     "EnumerationCapError",
-    "EnumerationCursor",
     "ExceptionKind",
     "ExceptionalGraphError",
     "ExtremalParams",
@@ -94,7 +91,6 @@ __all__ = [
     "components",
     "delete",
     "enumerate_connected",
-    "enumerate_k_cliques",
     "find_k_clique",
     "format_edge_list",
     "gen_random_connected",

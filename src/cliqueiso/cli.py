@@ -5,8 +5,9 @@ floor(n/(k+1))), ``verify`` (check a candidate set), ``gen`` (write graph
 files) and ``check-theorem`` (sweep a corpus and assert the bound plus solver
 agreement).  Reports are line-delimited JSON objects with sorted keys so a run
 with fixed inputs and seeds is byte-identical; timings are therefore kept out
-of the reports.  Exit status: 0 success or valid, 1 invalid verification,
-2 input error, 3 bound violation found.
+of the reports, and ``check-theorem`` writes its stats to stderr.  Exit
+status: 0 success or valid, 1 invalid verification, 2 input error, 3 bound
+violation found.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import argparse
 import json
 import random
 import sys
-from typing import Iterable
+import time
+from typing import Iterable, Iterator
 
 from .construct import (
     ExceptionalGraphError,
@@ -24,6 +26,7 @@ from .construct import (
 )
 from .edgelist import EdgeListError, format_edge_list, read_graph, write_graph
 from .generators import (
+    DEFAULT_ENUMERATION_CAP,
     build_complete,
     build_cycle,
     build_extremal,
@@ -38,6 +41,8 @@ _EXIT_OK = 0
 _EXIT_INVALID = 1
 _EXIT_INPUT = 2
 _EXIT_VIOLATION = 3
+
+PROGRESS_EVERY = 100_000  # graphs of a batch between stderr progress lines
 
 
 def _emit(obj: dict) -> None:
@@ -194,10 +199,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _check_instance(g: Graph, k: int, oracle_cap: int) -> tuple[bool, bool, dict | None]:
-    """Returns (exceptional, ok, violation-detail)."""
+def _check_instance(g: Graph, k: int, oracle_cap: int) -> tuple[int | None, dict | None]:
+    """Returns (iota, violation-detail); iota is None for an excluded shape,
+    which is not solved."""
     if classify_exception(g, k) is not ExceptionKind.NONE:
-        return True, True, None
+        return None, None
     bound = g.n // (k + 1)
     problems: list[str] = []
     rep = iota_solve(g, k)
@@ -217,8 +223,8 @@ def _check_instance(g: Graph, k: int, oracle_cap: int) -> tuple[bool, bool, dict
         if orep.iota != rep.iota:
             problems.append(f"solver {rep.iota} disagrees with oracle {orep.iota}")
     if not problems:
-        return False, True, None
-    return False, False, {
+        return rep.iota, None
+    return rep.iota, {
         "command": "check-theorem",
         "violation": True,
         "n": g.n,
@@ -228,65 +234,94 @@ def _check_instance(g: Graph, k: int, oracle_cap: int) -> tuple[bool, bool, dict
     }
 
 
+def _random_graphs(seed: int, count: int, n_max: int) -> Iterator[Graph]:
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, n_max)
+        p = rng.uniform(0.05, 0.95)
+        yield gen_random_connected(n, p, rng.randrange(2**32))
+
+
+def _throughput(checked: int, start: float) -> str:
+    elapsed = max(time.perf_counter() - start, 1e-9)
+    return f"elapsed_s={elapsed:.2f} instances_per_s={checked / elapsed:.0f}"
+
+
 def cmd_check_theorem(args: argparse.Namespace) -> int:
-    ks = range(1, args.k_max + 1)
-    violations = 0
+    """Check the theorem on every (graph, k) instance of one corpus.
+
+    The corpus is a list of batches, each a summary-row head and a graph
+    iterator: one batch per n in exhaustive mode, one seeded batch in random
+    mode.  Violation records are emitted as they are found, then one summary
+    row per (batch, k); ``violations`` in a summary row is the running total
+    over every row so far, not the count for that row.  Timing-dependent
+    stats go to stderr: per summary row the largest iota of a non-excluded
+    instance, the floor at the largest n of the batch, the elapsed seconds
+    and the instances per second, plus a progress line every
+    ``PROGRESS_EVERY`` graphs of a batch.
+    """
+    for flag, value, low in (
+        ("--n-max", args.n_max, 1),
+        ("--k-max", args.k_max, 1),
+        ("--count", args.count, 0),
+    ):
+        if value is not None and value < low:
+            return _fail(f"check-theorem {flag} must be at least {low}, got {value}")
     if args.mode == "exhaustive":
-        for n in range(1, args.n_max + 1):
-            stats = {k: {"graphs": 0, "exceptional": 0} for k in ks}
-            for g in enumerate_connected(n, cap=max(args.n_max, 8)):
-                for k in ks:
-                    stats[k]["graphs"] += 1
-                    exceptional, ok, detail = _check_instance(g, k, args.oracle_cap)
-                    if exceptional:
-                        stats[k]["exceptional"] += 1
-                    if not ok:
-                        violations += 1
-                        _emit(detail)
-            for k in ks:
-                _emit(
-                    {
-                        "command": "check-theorem",
-                        "mode": "exhaustive",
-                        "n": n,
-                        "k": k,
-                        "graphs": stats[k]["graphs"],
-                        "exceptional": stats[k]["exceptional"],
-                        "violations": violations,
-                    }
-                )
+        if args.n_max > DEFAULT_ENUMERATION_CAP:
+            return _fail(
+                f"check-theorem --mode exhaustive caps --n-max at "
+                f"{DEFAULT_ENUMERATION_CAP} vertices, got {args.n_max}"
+            )
+        batches = [
+            ({"mode": "exhaustive", "n": n}, enumerate_connected(n))
+            for n in range(1, args.n_max + 1)
+        ]
     else:
         if args.seed is None:
             return _fail("check-theorem --mode random requires an explicit --seed")
         if args.count is None:
             return _fail("check-theorem --mode random requires --count")
-        rng = random.Random(args.seed)
-        stats = {k: {"graphs": 0, "exceptional": 0} for k in ks}
-        for _ in range(args.count):
-            n = rng.randint(1, args.n_max)
-            p = rng.uniform(0.05, 0.95)
-            g = gen_random_connected(n, p, rng.randrange(2**32))
+        head = {"mode": "random", "count": args.count, "seed": args.seed, "n_max": args.n_max}
+        batches = [(head, _random_graphs(args.seed, args.count, args.n_max))]
+    ks = range(1, args.k_max + 1)
+    violations = checked = 0
+    start = time.perf_counter()
+    for head, graphs in batches:
+        label = "check-theorem " + " ".join(f"{key}={value}" for key, value in head.items())
+        exceptional = dict.fromkeys(ks, 0)
+        max_iota = dict.fromkeys(ks, 0)
+        seen = n_seen = 0
+        for g in graphs:
+            seen += 1
+            n_seen = max(n_seen, g.n)
             for k in ks:
-                stats[k]["graphs"] += 1
-                exceptional, ok, detail = _check_instance(g, k, args.oracle_cap)
-                if exceptional:
-                    stats[k]["exceptional"] += 1
-                if not ok:
+                iota, detail = _check_instance(g, k, args.oracle_cap)
+                if iota is None:
+                    exceptional[k] += 1
+                elif iota > max_iota[k]:
+                    max_iota[k] = iota
+                if detail is not None:
                     violations += 1
                     _emit(detail)
+            checked += len(ks)
+            if seen % PROGRESS_EVERY == 0:
+                print(f"{label}: {seen} graphs {_throughput(checked, start)}", file=sys.stderr)
         for k in ks:
             _emit(
                 {
                     "command": "check-theorem",
-                    "mode": "random",
-                    "count": args.count,
-                    "seed": args.seed,
-                    "n_max": args.n_max,
+                    **head,
                     "k": k,
-                    "graphs": stats[k]["graphs"],
-                    "exceptional": stats[k]["exceptional"],
+                    "graphs": seen,
+                    "exceptional": exceptional[k],
                     "violations": violations,
                 }
+            )
+            print(
+                f"{label} k={k}: max_iota={max_iota[k]} floor={n_seen // (k + 1)} "
+                f"{_throughput(checked, start)}",
+                file=sys.stderr,
             )
     return _EXIT_VIOLATION if violations else _EXIT_OK
 
@@ -334,8 +369,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--mode", choices=["exhaustive", "random"], default="exhaustive"
     )
-    p_check.add_argument("--n-max", type=int, default=5)
-    p_check.add_argument("--k-max", type=int, default=3)
+    p_check.add_argument(
+        "--n-max",
+        type=int,
+        default=5,
+        help=f"largest vertex count (exhaustive mode: at most {DEFAULT_ENUMERATION_CAP})",
+    )
+    p_check.add_argument("--k-max", type=int, default=3, help="largest clique size")
     p_check.add_argument("--count", type=int, help="instances (random mode)")
     p_check.add_argument("--seed", type=int, help="RNG seed (random mode; required)")
     p_check.add_argument(

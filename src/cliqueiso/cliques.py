@@ -1,31 +1,16 @@
-"""k-clique detection and enumeration over bitmask adjacency.
+"""k-clique detection over bitmask adjacency.
 
 The search extends partial cliques one vertex at a time in increasing vertex
-order, so the first completion is the lexicographically smallest witness and
-full enumeration emits cliques in lexicographic order of their sorted vertex
-tuples.  A candidate is descended into only if enough mutual neighbours remain
+order, so the first completion is the lexicographically smallest witness.  A
+candidate is descended into only if enough mutual neighbours remain
 to finish a clique, which is the whole of the pruning story.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import Graph, VertexSet, require_k, set_of
-
-
-@dataclass(frozen=True)
-class CliqueQuery:
-    """What to enumerate: clique size k, optionally capped at ``limit`` hits."""
-
-    k: int
-    limit: int | None = None
-
-    def __post_init__(self) -> None:
-        require_k(self.k)
-        if self.limit is not None and self.limit < 0:
-            raise ValueError("limit must be non-negative")
 
 
 def find_in_mask(adj: Sequence[int], pool: int, k: int) -> int | None:
@@ -55,33 +40,6 @@ def find_in_mask(adj: Sequence[int], pool: int, k: int) -> int | None:
     return descend(pool, k, 0)
 
 
-def enumerate_in_mask(adj: Sequence[int], pool: int, k: int, limit: int | None) -> list[int]:
-    """All k-cliques inside ``pool`` in lexicographic order, as masks."""
-    out: list[int] = []
-    if limit == 0 or k == 0:
-        if k == 0 and limit != 0:
-            out.append(0)
-        return out
-
-    def descend(cand: int, need: int, acc: int) -> bool:
-        if need == 0:
-            out.append(acc)
-            return limit is not None and len(out) >= limit
-        while cand:
-            if cand.bit_count() < need:
-                return False
-            low = cand & -cand
-            cand ^= low
-            sub = adj[low.bit_length() - 1] & cand
-            if sub.bit_count() >= need - 1:
-                if descend(sub, need - 1, acc | low):
-                    return True
-        return False
-
-    descend(pool, k, 0)
-    return out
-
-
 def has_k_clique(g: Graph, k: int) -> bool:
     """True iff the graph contains a complete subgraph on k vertices."""
     require_k(k)
@@ -96,10 +54,3 @@ def find_k_clique(g: Graph, k: int) -> VertexSet | None:
     hit = find_in_mask(g.adj, g.full_mask, k)
     return None if hit is None else set_of(hit)
 
-
-def enumerate_k_cliques(g: Graph, query: CliqueQuery | int) -> list[VertexSet]:
-    """All k-cliques in lexicographic order, truncated at ``query.limit``."""
-    if isinstance(query, int):
-        query = CliqueQuery(query)
-    masks = enumerate_in_mask(g.adj, g.full_mask, query.k, query.limit)
-    return [set_of(m) for m in masks]

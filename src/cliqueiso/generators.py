@@ -157,48 +157,18 @@ def graph_from_edge_bits(n: int, edge_bits: int, pairs: Sequence[tuple[int, int]
     return Graph(n, tuple(adj))
 
 
-class EnumerationCursor(Iterator[Graph]):
-    """Iterator over all labeled n-vertex graphs in increasing edge-mask order.
+def enumerate_connected(n: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Graph]:
+    """Every labeled connected graph on n vertices, in increasing edge-mask order.
 
-    With ``connected_only`` (the default) disconnected graphs are skipped.
-    ``start``/``stop`` carve out a mask range so independent cursors can split
-    the space; the full range is exhaustive and duplicate-free either way.
+    ``n`` is checked against ``cap`` here, at the call, not on the first
+    ``next()``.
     """
-
-    def __init__(
-        self,
-        n: int,
-        *,
-        connected_only: bool = True,
-        start: int = 0,
-        stop: int | None = None,
-        cap: int = DEFAULT_ENUMERATION_CAP,
-    ) -> None:
-        if n < 1:
-            raise ValueError("n must be at least 1")
-        if n > cap:
-            raise EnumerationCapError(
-                f"enumeration cap is {cap} vertices, got {n}; raise cap= to override"
-            )
-        self.n = n
-        self.pairs = pair_order(n)
-        self.connected_only = connected_only
-        space = 1 << len(self.pairs)
-        self.mask = start
-        self.stop = space if stop is None else min(stop, space)
-
-    def __iter__(self) -> "EnumerationCursor":
-        return self
-
-    def __next__(self) -> Graph:
-        while self.mask < self.stop:
-            g = graph_from_edge_bits(self.n, self.mask, self.pairs)
-            self.mask += 1
-            if not self.connected_only or is_connected(g):
-                return g
-        raise StopIteration
-
-
-def enumerate_connected(n: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> EnumerationCursor:
-    """Every labeled connected graph on n vertices, in edge-mask order."""
-    return EnumerationCursor(n, connected_only=True, cap=cap)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > cap:
+        raise EnumerationCapError(
+            f"enumeration cap is {cap} vertices, got {n}; raise cap= to override"
+        )
+    pairs = pair_order(n)
+    graphs = (graph_from_edge_bits(n, mask, pairs) for mask in range(1 << len(pairs)))
+    return (g for g in graphs if is_connected(g))

@@ -1,16 +1,21 @@
 """Command-line front end: verbs, exit statuses, report contents, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+import cliqueiso.cli as cli
 from cliqueiso import (
+    BoundResult,
     build_complete,
     build_cycle,
     build_extremal,
     build_path,
+    format_edge_list,
+    parse_edge_list,
     read_graph,
     verify_isolating,
     write_graph,
@@ -18,6 +23,10 @@ from cliqueiso import (
 from cliqueiso.cli import main
 
 from .support import package_env
+
+# SHA-256 of the stdout of `check-theorem --mode exhaustive --n-max 5 --k-max 3`.
+# The reports are promised byte-identical, so a change here must be deliberate.
+CHECK_THEOREM_N5_K3_SHA256 = "fe4b5d21dc64f7ba50682c6c7ec0f6b5a4c670c85645c6faa47659acf54a799e"
 
 
 @pytest.fixture
@@ -246,6 +255,88 @@ class TestCheckTheorem:
         code, _, err = run(capsys, ["check-theorem", "--mode", "random", "--seed", "5"])
         assert code == 2 and "--count" in err
 
+    def test_exhaustive_n_max_above_cap_is_refused(self, capsys, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(cli, "enumerate_connected", no_enumeration)
+        code, reports, err = run(capsys, ["check-theorem", "--mode", "exhaustive",
+                                          "--n-max", "9", "--k-max", "1"])
+        assert code == 2
+        assert not reports
+        assert "--n-max" in err and "8" in err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["--k-max", "0"], "--k-max"),
+        (["--n-max", "0"], "--n-max"),
+        (["--mode", "random", "--seed", "1", "--count", "5", "--n-max", "0"], "--n-max"),
+        (["--mode", "random", "--seed", "1", "--count", "5", "--k-max", "-1"], "--k-max"),
+        (["--mode", "random", "--seed", "1", "--count", "-1"], "--count"),
+    ])
+    def test_out_of_range_counts_name_the_flag(self, capsys, argv, flag):
+        code, reports, err = run(capsys, ["check-theorem", *argv])
+        assert code == 2
+        assert not reports
+        assert flag in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "exhaustive", "--n-max", "5", "--k-max", "1"],
+        ["--mode", "random", "--count", "30", "--n-max", "8", "--k-max", "2", "--seed", "3"],
+    ])
+    def test_violations_are_reported_and_counted(self, capsys, monkeypatch, argv):
+        # A broken construction: one vertex over the bound, the lowest labels,
+        # which fail to isolate wherever a k-clique survives outside them.
+        def oversized(g, k):
+            bound = g.n // (k + 1)
+            return BoundResult(frozenset(range(bound + 1)), bound, ())
+
+        monkeypatch.setattr(cli, "bounded_isolating_set", oversized)
+        code, reports, _ = run(capsys, ["check-theorem", *argv])
+        assert code == 3
+        records = 0
+        non_exceptional = 0
+        for rep in reports:
+            if "graphs" in rep:
+                non_exceptional += rep["graphs"] - rep["exceptional"]
+                assert rep["violations"] == records
+                continue
+            records += 1
+            assert rep["violation"] is True
+            g = parse_edge_list(rep["graph"])
+            assert rep["n"] == g.n
+            bound = g.n // (rep["k"] + 1)
+            problems = [f"constructed set size {bound + 1} exceeds bound {bound}"]
+            if not verify_isolating(g, rep["k"], range(bound + 1)).valid:
+                problems.insert(0, "constructed set does not isolate")
+            assert rep["problems"] == problems
+        assert records == non_exceptional > 0
+        if "exhaustive" in argv:
+            # {0, 1, 2} leaves vertex 4 of the path 0-1-2-3-4 undominated.
+            path = format_edge_list(build_path(5))
+            (rec,) = [r for r in reports if r.get("graph") == path]
+            assert (rec["n"], rec["k"]) == (5, 1)
+            assert rec["problems"] == [
+                "constructed set does not isolate",
+                "constructed set size 3 exceeds bound 2",
+            ]
+
+    def test_stats_and_progress_go_to_stderr(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "PROGRESS_EVERY", 10)
+        code, reports, err = run(capsys, ["check-theorem", "--mode", "exhaustive",
+                                          "--n-max", "4", "--k-max", "1"])
+        assert code == 0
+        assert len(reports) == 4
+        lines = err.splitlines()
+        # 38 connected graphs at n = 4: progress after 10, 20 and 30 of them.
+        progress = [line for line in lines if "graphs elapsed_s=" in line]
+        assert [line.split(": ")[1].split()[0] for line in progress] == ["10", "20", "30"]
+        (row,) = [line for line in lines if line.startswith("check-theorem mode=exhaustive n=4 k=1:")]
+        fields = dict(field.split("=") for field in row.split(": ")[1].split())
+        # Ore: a connected graph on n >= 2 vertices has a dominating set of size n/2.
+        assert fields["max_iota"] == fields["floor"] == "2"
+        assert float(fields["elapsed_s"]) >= 0
+        assert float(fields["instances_per_s"]) > 0
+
 
 class TestProcessLevel:
     def test_bound_on_long_path_keeps_default_recursion_limit(self, tmp_path):
@@ -302,3 +393,12 @@ class TestProcessLevel:
             files.add(out.read_bytes())
         assert len(outputs) == 1
         assert len(files) == 1
+
+    def test_check_theorem_bytes_are_pinned(self):
+        out = subprocess.run(
+            [sys.executable, "-m", "cliqueiso.cli", "check-theorem", "--mode", "exhaustive",
+             "--n-max", "5", "--k-max", "3"],
+            capture_output=True, env=package_env(), timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        assert hashlib.sha256(out.stdout).hexdigest() == CHECK_THEOREM_N5_K3_SHA256

@@ -1,4 +1,4 @@
-"""Clique detection and enumeration against naive combination scans."""
+"""Clique detection against naive combination scans."""
 
 from itertools import combinations
 
@@ -7,12 +7,9 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from cliqueiso import (
-    CliqueQuery,
     Graph,
     build_complete,
-    build_cycle,
     build_path,
-    enumerate_k_cliques,
     find_k_clique,
     has_k_clique,
 )
@@ -74,32 +71,3 @@ class TestFind:
         else:
             assert got == min(naive, key=sorted)
 
-
-class TestEnumerate:
-    def test_cycle_edges_enumerate_in_order(self):
-        got = enumerate_k_cliques(build_cycle(4), 2)
-        assert got == [
-            frozenset({0, 1}),
-            frozenset({0, 3}),
-            frozenset({1, 2}),
-            frozenset({2, 3}),
-        ]
-
-    def test_complete_graph_triangle_count(self):
-        assert len(enumerate_k_cliques(build_complete(6), 3)) == 20
-
-    def test_limit_truncates(self):
-        got = enumerate_k_cliques(build_complete(6), CliqueQuery(k=3, limit=7))
-        assert len(got) == 7
-        assert got == enumerate_k_cliques(build_complete(6), 3)[:7]
-
-    def test_query_object_and_plain_k_agree(self):
-        g = build_cycle(5)
-        assert enumerate_k_cliques(g, CliqueQuery(k=2)) == enumerate_k_cliques(g, 2)
-
-    @given(graphs(max_n=7), st.integers(min_value=1, max_value=4))
-    def test_enumeration_is_exactly_the_naive_set(self, g, k):
-        got = enumerate_k_cliques(g, k)
-        assert len(set(got)) == len(got)
-        assert set(got) == set(naive_all_cliques(g, k))
-        assert got == sorted(got, key=sorted)

@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 
 from cliqueiso import (
     EnumerationCapError,
-    EnumerationCursor,
     ExtremalParams,
     Graph,
     build_complete,
@@ -158,23 +157,22 @@ class TestEnumeration:
     def test_connected_counts(self, n, count):
         assert sum(1 for _ in enumerate_connected(n, cap=5)) == count
 
-    def test_unfiltered_counts_all_masks(self):
-        assert sum(1 for _ in EnumerationCursor(4, connected_only=False)) == 64
-
     def test_connectivity_filter_matches_naive_check(self):
-        for g in EnumerationCursor(4, connected_only=False):
-            naive = len(naive_components(g)) == 1
-            assert is_connected(g) == naive
-
-    def test_windowing(self):
-        full = list(EnumerationCursor(4, connected_only=False))
-        window = list(EnumerationCursor(4, connected_only=False, start=10, stop=20))
-        assert [g.edges() for g in window] == [g.edges() for g in full[10:20]]
+        expected = [
+            mask
+            for mask in range(64)
+            if len(naive_components(graph_from_edge_bits(4, mask))) == 1
+        ]
+        got = list(enumerate_connected(4))
+        assert len(got) == len(expected) == CONNECTED_COUNTS[4]
+        assert [g.adj for g in got] == [graph_from_edge_bits(4, m).adj for m in expected]
 
     def test_deterministic_ascending_edge_masks(self):
-        sizes = [g.edge_count for g in EnumerationCursor(3, connected_only=False)]
-        assert sizes == [0, 1, 1, 2, 1, 2, 2, 3]
+        # Connected masks on 3 vertices are 3, 5, 6 and 7 over pair_order(3).
+        sizes = [g.edge_count for g in enumerate_connected(3)]
+        assert sizes == [2, 2, 2, 3]
+        assert next(enumerate_connected(3)).edges() == [(0, 1), (0, 2)]
 
     def test_cap_refusal_names_the_cap(self):
         with pytest.raises(EnumerationCapError, match="6"):
-            list(enumerate_connected(7, cap=6))
+            enumerate_connected(7, cap=6)
