@@ -24,7 +24,7 @@ from .construct import (
     bounded_isolating_set,
     bounded_sets_per_component,
 )
-from .edgelist import EdgeListError, format_edge_list, read_graph, write_graph
+from .edgelist import MAX_VERTICES, EdgeListError, format_edge_list, read_graph, write_graph
 from .generators import (
     DEFAULT_ENUMERATION_CAP,
     build_complete,
@@ -35,7 +35,7 @@ from .generators import (
     gen_random_connected,
 )
 from .graph import ExceptionKind, Graph, classify_exception, is_connected
-from .isolation import iota_oracle, iota_solve, verify_isolating
+from .isolation import DEFAULT_ORACLE_CAP, iota_oracle, iota_solve, verify_isolating
 
 _EXIT_OK = 0
 _EXIT_INVALID = 1
@@ -166,6 +166,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.n > MAX_VERTICES:
+        return _fail(f"gen --n is capped at {MAX_VERTICES} vertices, got {args.n}")
     params: dict = {}
     if args.kind == "extremal":
         if args.k is None:
@@ -381,8 +383,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--oracle-cap",
         type=int,
-        default=20,
-        help="cross-check the solver against the subset oracle up to this size",
+        default=DEFAULT_ORACLE_CAP,
+        help="cross-check the solver against the subset oracle up to this size "
+        f"(default {DEFAULT_ORACLE_CAP})",
     )
     p_check.set_defaults(func=cmd_check_theorem)
     return parser

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graph import Graph, VertexSet, require_k, set_of
-
 
 def find_in_mask(adj: Sequence[int], pool: int, k: int) -> int | None:
     """Lexicographically smallest k-clique inside ``pool``, as a mask, or None.
@@ -38,19 +36,4 @@ def find_in_mask(adj: Sequence[int], pool: int, k: int) -> int | None:
         return None
 
     return descend(pool, k, 0)
-
-
-def has_k_clique(g: Graph, k: int) -> bool:
-    """True iff the graph contains a complete subgraph on k vertices."""
-    require_k(k)
-    if k > g.n:
-        return False
-    return find_in_mask(g.adj, g.full_mask, k) is not None
-
-
-def find_k_clique(g: Graph, k: int) -> VertexSet | None:
-    """The lexicographically smallest k-clique, or None if there is none."""
-    require_k(k)
-    hit = find_in_mask(g.adj, g.full_mask, k)
-    return None if hit is None else set_of(hit)
 

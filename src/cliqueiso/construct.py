@@ -46,6 +46,8 @@ from .graph import (
     classify_exception,
     closed_mask,
     component_masks,
+    is_c5_mask,
+    is_clique_mask,
     is_connected,
     require_k,
     set_of,
@@ -110,21 +112,8 @@ def _fact(ok: bool, message: str) -> None:
         raise AssertionError(message)
 
 
-def _is_clique_mask(adj: Sequence[int], mask: int, k: int) -> bool:
-    return mask.bit_count() == k and all(
-        (adj[v] & mask).bit_count() == k - 1 for v in bits(mask)
-    )
-
-
-def _is_c5_mask(adj: Sequence[int], mask: int) -> bool:
-    # Only meaningful for masks already known to be connected (components).
-    return mask.bit_count() == 5 and all(
-        (adj[v] & mask).bit_count() == 2 for v in bits(mask)
-    )
-
-
 def _is_exceptional_mask(adj: Sequence[int], mask: int, k: int) -> bool:
-    return _is_clique_mask(adj, mask, k) or (k == 2 and _is_c5_mask(adj, mask))
+    return is_clique_mask(adj, mask, k) or (k == 2 and is_c5_mask(adj, mask))
 
 
 def _isolates(adj: Sequence[int], piece: int, d: int, k: int) -> bool:
@@ -182,9 +171,9 @@ def bounded_sets_per_component(g: Graph, k: int, *, check: bool = False) -> list
     for cm in component_masks(adj, g.full_mask):
         comp = set_of(cm)
         low = cm & -cm
-        if _is_clique_mask(adj, cm, k):
+        if is_clique_mask(adj, cm, k):
             out.append(ComponentResult(comp, ExceptionKind.K_CLIQUE, set_of(low), None))
-        elif k == 2 and _is_c5_mask(adj, cm):
+        elif k == 2 and is_c5_mask(adj, cm):
             far = cm & ~(adj[low.bit_length() - 1] | low)
             pair = set_of(low | (far & -far))
             out.append(ComponentResult(comp, ExceptionKind.FIVE_CYCLE_AT_K2, pair, None))
@@ -329,10 +318,10 @@ def _case_single_link(
     )
 
     children = []
-    if _is_clique_mask(adj, gv, k):
+    if is_clique_mask(adj, gv, k):
         # x alone breaks it: the piece is exactly N[pivot] minus x
         _fact(gv == nv_closed & ~xb, "a complete pivot side is N[pivot] minus x")
-    elif k == 2 and _is_c5_mask(adj, gv):
+    elif k == 2 and is_c5_mask(adj, gv):
         far = gv & ~((adj[pivot] & gv) | vb)
         direct |= far & -far
     else:
@@ -366,7 +355,7 @@ def _case_multi_link(
     contact = adj[x] & h_mask
     _fact(contact != 0, "x is linked to the excised component")
     y = (contact & -contact).bit_length() - 1
-    h_is_clique = _is_clique_mask(adj, h_mask, k)
+    h_is_clique = is_clique_mask(adj, h_mask, k)
     if h_is_clique:
         d_prime = 1 << y
         y2b = 0
@@ -386,7 +375,7 @@ def _case_multi_link(
         # Subcase 1: the pivot-side piece is pushed as-is
         return TraceStep(BranchTag.CASE1_SUB1, tuple(bits(d_prime))), [gv] + x_only
 
-    if _is_clique_mask(adj, gv, k):
+    if is_clique_mask(adj, gv, k):
         return _pivot_side_clique(adj, piece, k, pivot, x, h_mask, h_is_clique, y, y2b, gv, x_only)
     return _pivot_side_cycle(adj, piece, k, pivot, h_mask, y, gv, x_only)
 
@@ -498,7 +487,7 @@ def _pivot_side_cycle(
     rest_mask = piece & ~(v2b | v3b | v4b)
     _fact(len(component_masks(adj, rest_mask)) == 1, "removing the far arc keeps one piece")
 
-    if _is_c5_mask(adj, rest_mask):
+    if is_c5_mask(adj, rest_mask):
         # Only possible when the excised component is a single edge and
         # nothing hangs on x, leaving eight vertices in total.
         _fact(

@@ -12,10 +12,12 @@ from pathlib import Path
 
 from .graph import Graph
 
-# Largest vertex count a header may declare.  A graph costs memory in n before
-# a single edge line is read, so a short file could otherwise ask for any
-# amount of it.
-MAX_VERTICES = 1_000_000
+# Largest vertex count a header may declare.  Vertex v's adjacency row is an int
+# as wide as its highest neighbour's label, so memory grows with n^2 even for
+# sparse graphs: a path at this cap takes about n^2/16 bytes (0.6 GB), a star
+# centred on the last vertex about n^2/8 (1.25 GB).  Without the cap a short
+# file could ask for any amount of memory.
+MAX_VERTICES = 100_000
 
 
 class EdgeListError(ValueError):

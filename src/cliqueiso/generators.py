@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .graph import Graph, is_connected
@@ -41,49 +40,23 @@ def build_complete(n: int) -> Graph:
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
-@dataclass(frozen=True)
-class ExtremalParams:
-    """Shape of the extremal construction for a given (n, k).
-
-    ``blocks`` complete graphs on k vertices hang off the first ``blocks``
-    vertices of a ``path_len``-vertex path; blocks*k + path_len = n and
-    blocks <= path_len <= blocks + k.
-    """
-
-    n: int
-    k: int
-    blocks: int
-    path_len: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if self.blocks * self.k + self.path_len != self.n:
-            raise ValueError("blocks and path_len do not partition the vertices")
-        if not self.blocks <= self.path_len <= self.blocks + self.k:
-            raise ValueError("path length out of range for the construction")
-
-    @classmethod
-    def of(cls, n: int, k: int) -> "ExtremalParams":
-        if n < 1 or k < 1:
-            raise ValueError("n and k must be at least 1")
-        blocks = n // (k + 1)
-        return cls(n=n, k=k, blocks=blocks, path_len=n - k * blocks)
-
-
 def build_extremal(n: int, k: int) -> Graph:
     """The tight construction: isolation number exactly floor(n/(k+1)).
 
-    Path vertices come first (0..path_len-1), then the blocks in order; block
-    i occupies k consecutive labels and is fully joined to path vertex i.
-    For n <= k this degenerates to a bare path.
+    ``blocks`` = floor(n/(k+1)) complete graphs on k vertices hang off the
+    first ``blocks`` vertices of a ``path_len``-vertex path, so that
+    blocks*k + path_len = n and blocks <= path_len <= blocks + k.  Path
+    vertices come first (0..path_len-1), then the blocks in order; block i
+    occupies k consecutive labels and is fully joined to path vertex i.  For
+    n <= k this degenerates to a bare path.
     """
-    params = ExtremalParams.of(n, k)
-    edges = [(i, i + 1) for i in range(params.path_len - 1)]
-    for i in range(params.blocks):
-        base = params.path_len + i * k
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be at least 1")
+    blocks = n // (k + 1)
+    path_len = n - k * blocks
+    edges = [(i, i + 1) for i in range(path_len - 1)]
+    for i in range(blocks):
+        base = path_len + i * k
         block = range(base, base + k)
         edges.extend((u, v) for u in block for v in block if u < v)
         edges.extend((i, u) for u in block)

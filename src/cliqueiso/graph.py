@@ -93,9 +93,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def vertex_set(self) -> VertexSet:
-        return frozenset(range(self.n))
-
     def neighbors(self, v: int) -> VertexSet:
         self._check_vertex(v)
         return set_of(self.adj[v])
@@ -175,11 +172,6 @@ def component_masks(adj: Sequence[int], within: int) -> list[int]:
     return comps
 
 
-def closed_neighborhood(g: Graph, s: Iterable[int]) -> VertexSet:
-    """N[S]: S together with every vertex adjacent to S."""
-    return set_of(closed_mask(g.adj, mask_of(s, g.n)))
-
-
 def induced(g: Graph, s: Iterable[int]) -> Subgraph:
     """The subgraph induced on S, with survivors relabeled 0..|S|-1 in order."""
     keep = mask_of(s, g.n)
@@ -194,17 +186,6 @@ def induced(g: Graph, s: Iterable[int]) -> Subgraph:
     return Subgraph(Graph(len(order), tuple(adj)), tuple(order))
 
 
-def delete(g: Graph, s: Iterable[int]) -> Subgraph:
-    """The graph with S removed; equivalent to inducing on the complement of S."""
-    drop = mask_of(s, g.n)
-    return induced(g, set_of(g.full_mask & ~drop))
-
-
-def components(g: Graph) -> list[VertexSet]:
-    """Connected components as vertex sets, ordered by smallest member."""
-    return [set_of(m) for m in component_masks(g.adj, g.full_mask)]
-
-
 def is_connected(g: Graph) -> bool:
     """True iff the graph has exactly one component.  The empty graph is not
     connected; the one-vertex graph is."""
@@ -213,16 +194,33 @@ def is_connected(g: Graph) -> bool:
     return len(component_masks(g.adj, g.full_mask)) == 1
 
 
+def is_clique_mask(adj: Sequence[int], mask: int, k: int) -> bool:
+    """True iff ``mask`` induces a complete graph on exactly k vertices."""
+    return mask.bit_count() == k and all(
+        (adj[v] & mask).bit_count() == k - 1 for v in bits(mask)
+    )
+
+
+def is_c5_mask(adj: Sequence[int], mask: int) -> bool:
+    """True iff ``mask`` induces a 5-cycle.
+
+    A 2-regular simple graph is a union of cycles of length at least three,
+    so on five vertices it is one 5-cycle; no connectivity test is needed.
+    """
+    return mask.bit_count() == 5 and all(
+        (adj[v] & mask).bit_count() == 2 for v in bits(mask)
+    )
+
+
 def classify_exception(g: Graph, k: int) -> ExceptionKind:
     """Recognize the two shapes excluded from the n/(k+1) bound.
 
-    The 5-cycle is recognized structurally (connected, 5 vertices, all degrees
-    two) and only matters at k = 2.
+    The 5-cycle only matters at k = 2.
     """
     require_k(k)
-    if g.n == k and all(m.bit_count() == k - 1 for m in g.adj):
+    if is_clique_mask(g.adj, g.full_mask, k):
         return ExceptionKind.K_CLIQUE
-    if k == 2 and g.n == 5 and all(m.bit_count() == 2 for m in g.adj) and is_connected(g):
+    if k == 2 and is_c5_mask(g.adj, g.full_mask):
         return ExceptionKind.FIVE_CYCLE_AT_K2
     return ExceptionKind.NONE
 

@@ -104,18 +104,13 @@ def iota_oracle(g: Graph, k: int, *, cap: int = DEFAULT_ORACLE_CAP) -> SolveRepo
     raise AssertionError("unreachable: the full vertex set always isolates")
 
 
-def greedy_upper_bound(g: Graph, k: int) -> VertexSet:
-    """A valid (not necessarily minimum) isolating set, built greedily.
+def greedy_mask(adj: Sequence[int], within: int, k: int) -> int:
+    """A valid (not necessarily minimum) isolating set of ``within``, built
+    greedily.
 
     Repeatedly find a k-clique in the residual and add the clique vertex of
-    maximum residual degree (ties to the smallest index).  The result always
-    verifies.
+    maximum residual degree (ties to the smallest index).
     """
-    require_k(k)
-    return set_of(greedy_mask(g.adj, g.full_mask, k))
-
-
-def greedy_mask(adj: Sequence[int], within: int, k: int) -> int:
     chosen = 0
     residual = within
     while True:

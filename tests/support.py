@@ -43,6 +43,14 @@ def naive_closed_neighborhood(g: Graph, subset) -> set[int]:
     return closed
 
 
+def naive_delete(g: Graph, removed) -> Graph:
+    """G - removed, with the survivors relabeled 0.. in increasing order."""
+    index = {u: i for i, u in enumerate(u for u in range(g.n) if u not in removed)}
+    return Graph.from_edges(
+        len(index), [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    )
+
+
 def naive_is_isolating(g: Graph, k: int, subset) -> bool:
     return not naive_has_clique(g, k, naive_closed_neighborhood(g, subset))
 

@@ -85,12 +85,13 @@ class TestSolve:
     def test_huge_vertex_count_is_input_error(self, capsys, tmp_path):
         # Rejected from the header alone, before any memory is spent on n.
         huge = tmp_path / "huge.edges"
-        huge.write_text("100000000 0\n")
-        for verb in ("solve", "bound"):
-            code, reports, err = run(capsys, [verb, str(huge), "--k", "2"])
-            assert code == 2
-            assert not reports
-            assert "limit" in err
+        for header in ("100001 0\n", "100000000 0\n"):
+            huge.write_text(header)
+            for verb in ("solve", "bound"):
+                code, reports, err = run(capsys, [verb, str(huge), "--k", "2"])
+                assert code == 2
+                assert not reports
+                assert "limit" in err
 
 
 class TestBound:
@@ -217,6 +218,19 @@ class TestGen:
         out = str(tmp_path / "cyc.edges")
         run(capsys, ["gen", "cycle", "--n", "9", "--out", out])
         assert read_graph(out).edges() == build_cycle(9).edges()
+
+    def test_vertex_count_above_cap_is_refused(self, capsys, monkeypatch, tmp_path):
+        # gen never writes a file that read_graph would refuse, and refuses
+        # before building anything: a graph at the cap is not cheap.
+        for name in ("build_path", "build_cycle", "build_complete", "build_extremal",
+                     "gen_random_connected"):
+            monkeypatch.setattr(cli, name, lambda *a: pytest.fail("a graph was built"))
+        out = tmp_path / "p.edges"
+        code, reports, err = run(capsys, ["gen", "path", "--n", "100001", "--out", str(out)])
+        assert code == 2
+        assert not reports
+        assert "100000" in err
+        assert not out.exists()
 
 
 class TestCheckTheorem:

@@ -56,7 +56,7 @@ class TestParse:
             assert info.value.line == line
             assert f"line {line}" in str(info.value)
 
-    @pytest.mark.parametrize("n", [MAX_VERTICES + 1, 100_000_000])
+    @pytest.mark.parametrize("n", [MAX_VERTICES + 1, 1_000_001, 100_000_000])
     def test_vertex_count_above_cap_is_refused(self, n):
         with pytest.raises(EdgeListError) as info:
             parse_edge_list(f"# huge\n{n} 0\n")

@@ -7,19 +7,16 @@ import hypothesis.strategies as st
 
 from cliqueiso import (
     EnumerationCapError,
-    ExtremalParams,
-    Graph,
     build_complete,
     build_cycle,
     build_extremal,
     build_path,
     enumerate_connected,
     gen_random_connected,
-    graph_from_edge_bits,
     iota_solve,
     is_connected,
-    pair_order,
 )
+from cliqueiso.generators import graph_from_edge_bits, pair_order
 
 from .support import naive_components
 
@@ -52,43 +49,56 @@ class TestFixedFamilies:
 
 class TestExtremalFamily:
     def test_parameter_arithmetic(self):
-        p = ExtremalParams.of(12, 3)
-        assert (p.blocks, p.path_len) == (3, 3)
-        q = ExtremalParams.of(14, 3)
-        assert (q.blocks, q.path_len) == (3, 5)
+        # n = 12, k = 3: three blocks on a 3-vertex path (labels 0..2).
+        g = build_extremal(12, 3)
+        assert g.neighbors(2) == frozenset({1, 9, 10, 11})
+        assert g.neighbors(3) == frozenset({0, 4, 5})
+        # n = 14, k = 3: three blocks on a 5-vertex path; path vertices 3, 4 carry none.
+        g = build_extremal(14, 3)
+        assert g.neighbors(3) == frozenset({2, 4})
+        assert g.neighbors(4) == frozenset({3})
+        assert g.neighbors(5) == frozenset({0, 6, 7})
 
     @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=6))
     def test_parameter_invariants(self, n, k):
-        p = ExtremalParams.of(n, k)
-        assert p.path_len + k * p.blocks == n
-        assert p.blocks == n // (k + 1)
-        assert p.blocks <= p.path_len <= p.blocks + k
+        blocks = n // (k + 1)
+        path_len = n - k * blocks
+        assert blocks <= path_len <= blocks + k
+        g = build_extremal(n, k)
+        assert g.n == n
+        for u in range(n):
+            if u < path_len:
+                want = (u > 0) + (u < path_len - 1) + (k if u < blocks else 0)
+            else:
+                want = k  # k - 1 block mates and one path vertex
+            assert g.degree(u) == want, (n, k, u)
 
     def test_bad_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            ExtremalParams.of(0, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 1"):
+            build_extremal(0, 2)
+        with pytest.raises(ValueError, match="at least 1"):
             build_extremal(5, 0)
 
     def test_small_n_degenerates_to_path(self):
         assert build_extremal(3, 4).edges() == build_path(3).edges()
 
     def test_seven_two_structure(self):
-        # ExtremalParams.of(7, 2): 2 blocks on a 3-path; 2 path edges plus two
-        # blocks of (1 internal + 2 join) edges = 8 edges total.
+        # n = 7, k = 2: 2 blocks on a 3-path; 2 path edges plus two blocks of
+        # (1 internal + 2 join) edges = 8 edges total.
         g = build_extremal(7, 2)
         assert g.n == 7
         assert g.edge_count == 8
         assert is_connected(g)
 
     def test_block_structure(self):
-        p = ExtremalParams.of(11, 3)
-        g = build_extremal(11, 3)
-        path = list(range(p.path_len))
-        for i in range(p.path_len - 1):
+        # n = 11, k = 3: two blocks on a 5-vertex path.
+        k, blocks, path_len = 3, 2, 5
+        g = build_extremal(11, k)
+        path = list(range(path_len))
+        for i in range(path_len - 1):
             assert g.has_edge(path[i], path[i + 1])
-        for b in range(p.blocks):
-            block = [p.path_len + b * p.k + j for j in range(p.k)]
+        for b in range(blocks):
+            block = [path_len + b * k + j for j in range(k)]
             for idx, u in enumerate(block):
                 for w in block[idx + 1 :]:
                     assert g.has_edge(u, w)

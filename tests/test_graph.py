@@ -11,15 +11,20 @@ from cliqueiso import (
     build_cycle,
     build_path,
     classify_exception,
-    closed_neighborhood,
-    components,
-    delete,
     induced,
     is_connected,
 )
-from cliqueiso.graph import bits, mask_of, require_k, set_of
+from cliqueiso.generators import graph_from_edge_bits, pair_order
+from cliqueiso.graph import (
+    bits,
+    closed_mask,
+    component_masks,
+    mask_of,
+    require_k,
+    set_of,
+)
 
-from .support import connected_graphs, graphs, naive_components
+from .support import adjacency_sets, connected_graphs, graphs, naive_components
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
 
@@ -77,9 +82,6 @@ class TestAccessors:
         assert g.has_edge(0, 2)
         assert not g.has_edge(1, 2)
 
-    def test_vertex_set(self):
-        assert Graph.from_edges(3, []).vertex_set() == frozenset({0, 1, 2})
-
     def test_out_of_range_access_rejected(self):
         g = Graph.from_edges(2, [(0, 1)])
         with pytest.raises(ValueError):
@@ -105,9 +107,9 @@ class TestMasks:
 class TestNeighborhoodsAndSubgraphs:
     def test_closed_neighborhood(self):
         g = Graph.from_edges(5, C5_EDGES)
-        assert closed_neighborhood(g, [0]) == frozenset({0, 1, 4})
-        assert closed_neighborhood(g, [0, 2]) == frozenset({0, 1, 2, 3, 4})
-        assert closed_neighborhood(g, []) == frozenset()
+        assert set_of(closed_mask(g.adj, mask_of([0], 5))) == frozenset({0, 1, 4})
+        assert set_of(closed_mask(g.adj, mask_of([0, 2], 5))) == frozenset({0, 1, 2, 3, 4})
+        assert closed_mask(g.adj, 0) == 0
 
     def test_induced_keeps_internal_edges_only(self):
         g = Graph.from_edges(5, C5_EDGES)
@@ -117,13 +119,9 @@ class TestNeighborhoodsAndSubgraphs:
         assert sub.to_parent == (1, 2, 4)
         assert sub.lift(frozenset({0, 2})) == frozenset({1, 4})
 
-    def test_delete_is_induced_complement(self):
-        g = Graph.from_edges(5, C5_EDGES)
-        assert delete(g, [0]).to_parent == induced(g, [1, 2, 3, 4]).to_parent
-
     def test_components_ordered_by_smallest_member(self):
         g = Graph.from_edges(6, [(3, 4), (0, 5)])
-        assert components(g) == [
+        assert [set_of(m) for m in component_masks(g.adj, g.full_mask)] == [
             frozenset({0, 5}),
             frozenset({1}),
             frozenset({2}),
@@ -132,7 +130,7 @@ class TestNeighborhoodsAndSubgraphs:
 
     @given(graphs(max_n=8))
     def test_components_partition_vertices(self, g):
-        comps = components(g)
+        comps = [set_of(m) for m in component_masks(g.adj, g.full_mask)]
         assert sorted(u for c in comps for u in c) == list(range(g.n))
         assert {frozenset(c) for c in naive_components(g)} == set(comps)
 
@@ -190,6 +188,22 @@ class TestExceptionRecognizer:
 
     def test_k2_means_single_edge(self):
         assert classify_exception(Graph.from_edges(2, [(0, 1)]), 2) is ExceptionKind.K_CLIQUE
+
+    def test_matches_naive_definition_on_every_small_graph(self):
+        # Every labeled graph, connected or not, with n <= 6 at k = 1..4.
+        for n in range(7):
+            pairs = pair_order(n)
+            for mask in range(1 << len(pairs)):
+                g = graph_from_edge_bits(n, mask, pairs)
+                degrees = [len(nbrs) for nbrs in adjacency_sets(g)]
+                for k in range(1, 5):
+                    if n == k and degrees == [k - 1] * n:
+                        want = ExceptionKind.K_CLIQUE
+                    elif (k, n) == (2, 5) and degrees == [2] * 5 and len(naive_components(g)) == 1:
+                        want = ExceptionKind.FIVE_CYCLE_AT_K2
+                    else:
+                        want = ExceptionKind.NONE
+                    assert classify_exception(g, k) is want, (g, k)
 
 
 class TestRequireK:

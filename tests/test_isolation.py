@@ -10,19 +10,19 @@ from cliqueiso import (
     build_complete,
     build_cycle,
     build_path,
-    closed_neighborhood,
-    delete,
     enumerate_connected,
-    greedy_upper_bound,
     iota_oracle,
     iota_solve,
     verify_isolating,
 )
-from cliqueiso.isolation import packing_bound
+from cliqueiso.graph import set_of
+from cliqueiso.isolation import greedy_mask, packing_bound
 
 from .support import (
     disjoint_union,
     graphs,
+    naive_closed_neighborhood,
+    naive_delete,
     naive_iota,
     naive_is_isolating,
 )
@@ -65,7 +65,7 @@ class TestVerify:
         cert = verify_isolating(g, k, subset)
         assert cert.valid == naive_is_isolating(g, k, subset)
         if cert.witness is not None:
-            residual = set(range(g.n)) - closed_neighborhood(g, subset)
+            residual = set(range(g.n)) - naive_closed_neighborhood(g, subset)
             assert cert.witness <= residual
             assert all(g.has_edge(a, b) for a in cert.witness for b in cert.witness if a < b)
             assert len(cert.witness) == k
@@ -131,7 +131,7 @@ class TestSolver:
     @settings(max_examples=40)
     def test_vertex_deletion_costs_at_most_one(self, g, k, data):
         v = data.draw(st.integers(min_value=0, max_value=g.n - 1))
-        rest = delete(g, closed_neighborhood(g, [v])).graph
+        rest = naive_delete(g, naive_closed_neighborhood(g, [v]))
         assert iota_solve(g, k).iota <= 1 + iota_solve(rest, k).iota
 
     @given(st.lists(graphs(min_n=1, max_n=5), min_size=2, max_size=4))
@@ -146,7 +146,7 @@ class TestBounds:
     @given(graphs(max_n=9), st.integers(min_value=1, max_value=3))
     @settings(max_examples=60)
     def test_greedy_is_isolating_and_solver_never_beats_bounds(self, g, k):
-        greedy = greedy_upper_bound(g, k)
+        greedy = set_of(greedy_mask(g.adj, g.full_mask, k))
         assert verify_isolating(g, k, greedy).valid
         lower = packing_bound(g.adj, g.full_mask, k)
         exact = iota_solve(g, k).iota
