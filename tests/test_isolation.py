@@ -1,4 +1,13 @@
-"""Isolation predicate, subset-scan oracle, and the exact branch-and-bound solver."""
+"""Isolation predicate, subset-scan oracle, the exact branch-and-bound solver,
+and a golden corpus that pins the solver's sets and search-tree sizes.
+
+Regenerate the corpus only when a solver output is meant to change:
+``PYTHONPATH=src python -m tests.test_isolation``.
+"""
+
+import json
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +18,10 @@ from cliqueiso import (
     OracleCapError,
     build_complete,
     build_cycle,
+    build_extremal,
     build_path,
     enumerate_connected,
+    gen_random_connected,
     iota_oracle,
     iota_solve,
     verify_isolating,
@@ -160,3 +171,74 @@ class TestBounds:
         )
         assert packing_bound(g.adj, g.full_mask, 3) == 2
         assert iota_solve(g, 3).iota == 2
+
+
+GOLDEN = Path(__file__).with_name("golden_solve.json")
+GOLDEN_KS = (1, 2, 3)
+
+
+def _golden_graphs() -> list[tuple[str, Graph]]:
+    """The fixed corpus: a few paths, cycles and extremal graphs with at most
+    20 vertices, and seeded random connected graphs with 10 to 40 vertices."""
+    out = [(f"path_{n}", build_path(n)) for n in (3, 8, 13, 20)]
+    out.extend((f"cycle_{n}", build_cycle(n)) for n in (5, 11, 20))
+    out.extend(
+        (f"extremal_{n}_{k}", build_extremal(n, k)) for k in GOLDEN_KS for n in (12, 20)
+    )
+    rng = random.Random(1802)
+    for i in range(25):
+        n = rng.randint(10, 40)
+        p = round(rng.uniform(0.05, 0.25), 3)
+        seed = rng.randrange(2**32)
+        out.append((f"random_{i}_{n}_{p}_{seed}", gen_random_connected(n, p, seed)))
+    return out
+
+
+def _solve_record(g: Graph, k: int) -> dict:
+    rep = iota_solve(g, k)
+    return {"iota": rep.iota, "set": sorted(rep.optimal_set), "nodes": rep.nodes_expanded}
+
+
+def _golden_corpus() -> dict:
+    return {
+        "instances": [
+            {
+                "name": name,
+                "n": g.n,
+                "edges": [list(e) for e in g.edges()],
+                "results": {str(k): _solve_record(g, k) for k in GOLDEN_KS},
+            }
+            for name, g in _golden_graphs()
+        ],
+    }
+
+
+class TestGolden:
+    """Optimal sets and search-node counts must stay exactly as recorded: equal
+    node counts on the same inputs mean the search visited the same tree."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN.read_text())
+
+    def test_corpus_is_the_generated_one(self, golden):
+        names = [inst["name"] for inst in golden["instances"]]
+        assert names == [name for name, _ in _golden_graphs()]
+        assert len(names) * len(GOLDEN_KS) >= 100
+
+    def test_instances_match(self, golden):
+        for inst in golden["instances"]:
+            g = Graph.from_edges(inst["n"], [tuple(e) for e in inst["edges"]])
+            for k in GOLDEN_KS:
+                assert _solve_record(g, k) == inst["results"][str(k)], (inst["name"], k)
+
+
+if __name__ == "__main__":
+    corpus = _golden_corpus()
+    GOLDEN.write_text(
+        "{\n  \"instances\": [\n"
+        + ",\n".join(
+            "    " + json.dumps(item, separators=(",", ":")) for item in corpus["instances"]
+        )
+        + "\n  ]\n}\n"
+    )
