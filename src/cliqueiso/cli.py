@@ -5,7 +5,9 @@ floor(n/(k+1))), ``verify`` (check a candidate set), ``gen`` (write graph
 files) and ``check-theorem`` (sweep a corpus and assert the bound plus solver
 agreement).  Reports are line-delimited JSON objects with sorted keys so a run
 with fixed inputs and seeds is byte-identical; timings are therefore kept out
-of the reports, and ``check-theorem`` writes its stats to stderr.  Exit
+of the reports and go to stderr: ``solve`` writes one line of search counters,
+``bound`` one line with the construction's branch-tag histogram, and
+``check-theorem`` per-row stats and progress.  Exit
 status: 0 success or valid, 1 invalid verification, 2 input error, 3 bound
 violation found.
 """
@@ -17,9 +19,11 @@ import json
 import random
 import sys
 import time
+from collections import Counter
 from typing import Iterable, Iterator
 
 from .construct import (
+    BranchTag,
     ExceptionalGraphError,
     bounded_isolating_set,
     bounded_sets_per_component,
@@ -72,6 +76,18 @@ def _trace_json(trace: Iterable) -> list[dict]:
     return [{"tag": st.tag.value, "chosen": list(st.chosen)} for st in trace]
 
 
+def _bound_stats(traces: Iterable[Iterable], start: float) -> None:
+    """One stderr line: the number of construction steps over ``traces`` and
+    how many of them each rule produced, in ``BranchTag`` order."""
+    counts = Counter(st.tag for trace in traces for st in trace)
+    tags = " ".join(f"{tag.value}={counts[tag]}" for tag in BranchTag)
+    print(
+        f"bound: trace_steps={counts.total()} {tags} "
+        f"elapsed_s={time.perf_counter() - start:.3f}",
+        file=sys.stderr,
+    )
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     g = read_graph(args.path)
     _bump_recursion(g.n)
@@ -90,11 +106,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "nodes": rep.nodes_expanded,
         }
     )
+    print(
+        f"solve: nodes={rep.nodes_expanded} bound_prunes={rep.bound_prunes} "
+        f"incumbent_updates={rep.incumbent_updates} elapsed_s={rep.elapsed:.3f}",
+        file=sys.stderr,
+    )
     return _EXIT_OK
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
     g = read_graph(args.path)
+    start = time.perf_counter()
     if args.per_component:
         parts = bounded_sets_per_component(g, args.k)
         _emit(
@@ -118,6 +140,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
                 ],
             }
         )
+        _bound_stats((c.result.trace for c in parts if c.result), start)
         return _EXIT_OK
     if not is_connected(g):
         return _fail("graph is disconnected; rerun with --per-component")
@@ -142,6 +165,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
             "trace": _trace_json(res.trace),
         }
     )
+    _bound_stats([res.trace], start)
     return _EXIT_OK
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .cliques import find_in_mask
 from .graph import (
@@ -52,13 +52,18 @@ class IsolationCertificate:
 class SolveReport:
     """An exact answer plus how much work it took.
 
-    ``nodes_expanded`` and ``elapsed`` are informative only; correctness never
-    depends on them.
+    ``nodes_expanded`` counts search nodes (subsets tested, for the oracle).
+    ``bound_prunes`` counts the nodes the packing bound cut off, and
+    ``incumbent_updates`` the times the search beat its best set so far,
+    starting from the greedy set; both are 0 for the oracle.  The counters
+    and ``elapsed`` are informative only; correctness never depends on them.
     """
 
     iota: int
     optimal_set: VertexSet
     nodes_expanded: int
+    bound_prunes: int
+    incumbent_updates: int
     elapsed: float
 
 
@@ -100,7 +105,9 @@ def iota_oracle(g: Graph, k: int, *, cap: int = DEFAULT_ORACLE_CAP) -> SolveRepo
             for v in combo:
                 covered |= closed[v]
             if find_in_mask(adj, full & ~covered, k) is None:
-                return SolveReport(size, frozenset(combo), tested, time.perf_counter() - start)
+                return SolveReport(
+                    size, frozenset(combo), tested, 0, 0, time.perf_counter() - start
+                )
     raise AssertionError("unreachable: the full vertex set always isolates")
 
 
@@ -127,55 +134,73 @@ def greedy_mask(adj: Sequence[int], within: int, k: int) -> int:
         residual &= ~(adj[best_v] | (1 << best_v))
 
 
-def packing_bound(adj: Sequence[int], pool: int, k: int) -> int:
-    """Lower bound on how many more vertices any isolating set needs.
+def packing_bound(
+    adj: Sequence[int], ball: Mapping[int, int], pool: int, k: int, clique: int
+) -> int:
+    """Lower bound on how many more vertices any isolating set of ``pool``
+    needs, given ``clique``, the first k-clique of ``pool``.
 
-    Greedily packs k-cliques whose closed neighbourhoods are pairwise disjoint
-    (after taking a clique, everything within distance two of it leaves the
-    pool).  Any vertex that kills one packed clique lies in that clique's
-    closed neighbourhood, so distinct packed cliques need distinct vertices.
+    Greedily packs k-cliques whose closed neighbourhoods are pairwise disjoint:
+    after taking a clique C, everything within distance two of it, N[N[C]],
+    leaves the pool.  Any vertex that kills one packed clique lies in that
+    clique's closed neighbourhood, so distinct packed cliques need distinct
+    vertices.  ``ball[v]`` is the precomputed N[N[v]] of each vertex v of the
+    pool, and N[N[C]] is the union of ``ball[v]`` over v in C.
     """
     count = 0
     while True:
+        count += 1
+        while clique:
+            low = clique & -clique
+            clique ^= low
+            pool &= ~ball[low.bit_length() - 1]
         clique = find_in_mask(adj, pool, k)
         if clique is None:
             return count
-        count += 1
-        pool &= ~closed_mask(adj, closed_mask(adj, clique))
 
 
 def iota_solve(g: Graph, k: int) -> SolveReport:
     """Exact isolation number by branch and bound.
 
     The problem splits over connected components (isolation is additive across
-    them).  Within a component the search keeps a valid incumbent, branches on
-    the closed neighbourhood of the first residual k-clique (smallest vertex
-    first, with chosen-vertex exclusion so no subset is visited twice) and
-    prunes with the disjoint-clique packing bound.
+    them).  Within a component the search starts from the greedy set as its
+    incumbent, branches on the closed neighbourhood of the first residual
+    k-clique (smallest vertex first, with chosen-vertex exclusion so no subset
+    is visited twice) and prunes with the disjoint-clique packing bound, which
+    reuses that clique and each vertex's precomputed distance-two ball.  The
+    report counts nodes, bound prunes and incumbent updates over all
+    components.
     """
     require_k(k)
     start = time.perf_counter()
     total = 0
     iota = 0
-    nodes = 0
+    nodes = prunes = updates = 0
     for comp in component_masks(g.adj, g.full_mask):
-        best, comp_nodes = _solve_component(g.adj, comp, k)
+        best, comp_nodes, comp_prunes, comp_updates = _solve_component(g.adj, comp, k)
         total |= best
         iota += best.bit_count()
         nodes += comp_nodes
-    return SolveReport(iota, set_of(total), nodes, time.perf_counter() - start)
+        prunes += comp_prunes
+        updates += comp_updates
+    return SolveReport(
+        iota, set_of(total), nodes, prunes, updates, time.perf_counter() - start
+    )
 
 
-def _solve_component(adj: Sequence[int], comp: int, k: int) -> tuple[int, int]:
+def _solve_component(adj: Sequence[int], comp: int, k: int) -> tuple[int, int, int, int]:
+    """Minimum isolating set of component ``comp``, plus its node, prune and
+    update counts."""
     incumbent = greedy_mask(adj, comp, k)
     if incumbent == 0:
-        return 0, 1
+        return 0, 1, 0, 0
+    ball = {v: closed_mask(adj, adj[v] | 1 << v) for v in bits(comp)}
     best_mask = incumbent
     best_size = incumbent.bit_count()
-    nodes = 0
+    nodes = prunes = updates = 0
 
     def search(chosen: int, covered: int, forbidden: int, size: int) -> None:
-        nonlocal best_mask, best_size, nodes
+        nonlocal best_mask, best_size, nodes, prunes, updates
         nodes += 1
         residual = comp & ~covered
         clique = find_in_mask(adj, residual, k)
@@ -183,8 +208,10 @@ def _solve_component(adj: Sequence[int], comp: int, k: int) -> tuple[int, int]:
             if size < best_size:
                 best_mask = chosen
                 best_size = size
+                updates += 1
             return
-        if size + packing_bound(adj, residual, k) >= best_size:
+        if size + packing_bound(adj, ball, residual, k, clique) >= best_size:
+            prunes += 1
             return
         candidates = closed_mask(adj, clique) & ~forbidden & ~chosen
         barred = forbidden
@@ -196,4 +223,4 @@ def _solve_component(adj: Sequence[int], comp: int, k: int) -> tuple[int, int]:
             barred |= low
 
     search(0, 0, 0, 0)
-    return best_mask, nodes
+    return best_mask, nodes, prunes, updates

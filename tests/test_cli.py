@@ -4,29 +4,35 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import cliqueiso.cli as cli
 from cliqueiso import (
     BoundResult,
+    BranchTag,
     build_complete,
     build_cycle,
     build_extremal,
     build_path,
     format_edge_list,
+    gen_random_connected,
     parse_edge_list,
     read_graph,
     verify_isolating,
     write_graph,
 )
 from cliqueiso.cli import main
+from cliqueiso.isolation import greedy_mask
 
 from .support import package_env
 
 # SHA-256 of the stdout of `check-theorem --mode exhaustive --n-max 5 --k-max 3`.
 # The reports are promised byte-identical, so a change here must be deliberate.
 CHECK_THEOREM_N5_K3_SHA256 = "fe4b5d21dc64f7ba50682c6c7ec0f6b5a4c670c85645c6faa47659acf54a799e"
+# SHA-256 of the stdout of `solve g.edges --k 2` on gen_random_connected(30, 0.15, 3).
+SOLVE_R30_K2_SHA256 = "d70267bf1a0c18a2a5f8e53b658e2ddf27848ec7a934ff372ce4a5a0eedba5ec"
 
 
 @pytest.fixture
@@ -48,6 +54,14 @@ def run(capsys, argv):
     out = capsys.readouterr()
     reports = [json.loads(line) for line in out.out.splitlines() if line]
     return code, reports, out.err
+
+
+def stats_line(err: str, verb: str) -> list[tuple[str, str]]:
+    """The ``key=value`` fields of the one stderr stats line of ``verb``."""
+    (line,) = err.splitlines()
+    head, _, rest = line.partition(": ")
+    assert head == verb
+    return [tuple(field.split("=")) for field in rest.split()]
 
 
 class TestSolve:
@@ -78,6 +92,34 @@ class TestSolve:
         assert code == 2
         assert "error:" in err
 
+    def test_counters_on_stderr_and_stdout_pinned(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)  # a relative input path keeps the report's bytes fixed
+        g = gen_random_connected(30, 0.15, 3)
+        write_graph("g.edges", g)
+        code = main(["solve", "g.edges", "--k", "2"])
+        out = capsys.readouterr()
+        assert code == 0
+        assert hashlib.sha256(out.out.encode()).hexdigest() == SOLVE_R30_K2_SHA256
+        fields = stats_line(out.err, "solve")
+        assert [key for key, _ in fields] == [
+            "nodes", "bound_prunes", "incumbent_updates", "elapsed_s",
+        ]
+        stats = {key: float(value) for key, value in fields}
+        rep = json.loads(out.out)
+        assert stats["nodes"] == rep["nodes"]
+        # The search beat the greedy incumbent here, so it updated it at least once.
+        assert rep["iota"] < greedy_mask(g.adj, g.full_mask, 2).bit_count()
+        assert stats["incumbent_updates"] >= 1
+        assert 0 < stats["bound_prunes"] < stats["nodes"]
+        assert stats["elapsed_s"] >= 0
+
+    def test_no_update_when_greedy_is_optimal(self, capsys, k5_file):
+        code, reports, err = run(capsys, ["solve", k5_file, "--k", "5"])
+        assert code == 0
+        stats = dict(stats_line(err, "solve"))
+        assert stats["incumbent_updates"] == "0"
+        assert reports[0]["nodes"] == int(stats["nodes"]) == 1
+
     def test_bad_k_is_input_error(self, capsys, c5_file):
         code, _, err = run(capsys, ["solve", c5_file, "--k", "0"])
         assert code == 2
@@ -106,6 +148,23 @@ class TestBound:
         assert [step["tag"] for step in rep["trace"]]
         assert verify_isolating(read_graph(path), 3, rep["set"]).valid
 
+    def test_branch_histogram_on_stderr(self, capsys, tmp_path):
+        path = tmp_path / "b12.edges"
+        write_graph(path, build_extremal(12, 3))
+        code, reports, err = run(capsys, ["bound", str(path), "--k", "3"])
+        assert code == 0
+        fields = stats_line(err, "bound")
+        assert [key for key, _ in fields] == (
+            ["trace_steps"] + [tag.value for tag in BranchTag] + ["elapsed_s"]
+        )
+        stats = dict(fields)
+        trace = reports[0]["trace"]
+        assert int(stats["trace_steps"]) == len(trace)
+        tags = Counter(step["tag"] for step in trace)
+        assert {tag.value: int(stats[tag.value]) for tag in BranchTag} == {
+            tag.value: tags[tag.value] for tag in BranchTag
+        }
+
     def test_triangle_free_at_k3_gives_empty_set(self, capsys, tmp_path):
         path = tmp_path / "p6.edges"
         write_graph(path, build_path(6))
@@ -131,9 +190,13 @@ class TestBound:
     def test_per_component_covers_exceptional_parts(self, capsys, tmp_path):
         path = tmp_path / "mixed.edges"
         path.write_text("7 6\n0 1\n1 2\n2 3\n4 5\n4 6\n5 6\n")
-        code, reports, _ = run(capsys, ["bound", str(path), "--k", "3", "--per-component"])
+        code, reports, err = run(capsys, ["bound", str(path), "--k", "3", "--per-component"])
         assert code == 0
         comps = reports[0]["components"]
+        # The K_3 part is forced, not constructed, so only the path's steps count.
+        stats = dict(stats_line(err, "bound"))
+        assert int(stats["trace_steps"]) == len(comps[0]["trace"]) >= 1
+        assert comps[1]["trace"] is None
         assert [c["vertices"] for c in comps] == [[0, 1, 2, 3], [4, 5, 6]]
         assert comps[0]["exception"] == "none"
         assert comps[1]["exception"] == "k-clique"
@@ -367,7 +430,8 @@ class TestProcessLevel:
         out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, env=package_env(), timeout=300)
         assert out.returncode == 0, out.stderr
-        before, after = map(int, out.stderr.split())
+        # The last stderr line is the script's; the one before it is bound's stats line.
+        before, after = map(int, out.stderr.splitlines()[-1].split())
         assert before == after <= 1000
         rep = json.loads(out.stdout)
         assert rep["size"] == rep["bound"] == 666

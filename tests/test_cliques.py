@@ -13,7 +13,7 @@ from cliqueiso import (
     verify_isolating,
 )
 from cliqueiso.cliques import find_in_mask
-from cliqueiso.graph import set_of
+from cliqueiso.graph import mask_of, set_of
 
 from .support import adjacency_sets, graphs
 
@@ -79,3 +79,23 @@ class TestFind:
         else:
             assert got == min(naive, key=sorted)
 
+    @given(graphs(max_n=8), st.integers(min_value=1, max_value=4), st.data())
+    def test_sub_pools_match_naive_minimum(self, g, k, data):
+        pool = data.draw(st.sets(st.integers(min_value=0, max_value=max(g.n - 1, 0))))
+        pool = {u for u in pool if u < g.n}
+        naive = [c for c in naive_all_cliques(g, k) if c <= pool]
+        got = find_in_mask(g.adj, mask_of(pool, g.n), k)
+        if not naive:
+            assert got is None
+        else:
+            assert set_of(got) == min(naive, key=sorted)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_empty_and_too_small_pools(self, k):
+        g = build_complete(6)
+        assert find_in_mask(g.adj, 0, k) is None
+        for size in range(k):
+            # The top `size` vertices: a clique, but too few of them.
+            assert find_in_mask(g.adj, mask_of(range(6 - size, 6), 6), k) is None
+        top = mask_of(range(6 - k, 6), 6)
+        assert find_in_mask(g.adj, top, k) == top

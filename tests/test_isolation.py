@@ -7,6 +7,7 @@ Regenerate the corpus only when a solver output is meant to change:
 
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -26,10 +27,12 @@ from cliqueiso import (
     iota_solve,
     verify_isolating,
 )
-from cliqueiso.graph import set_of
+from cliqueiso.cliques import find_in_mask
+from cliqueiso.graph import mask_of, set_of
 from cliqueiso.isolation import greedy_mask, packing_bound
 
 from .support import (
+    adjacency_sets,
     disjoint_union,
     graphs,
     naive_closed_neighborhood,
@@ -37,6 +40,38 @@ from .support import (
     naive_iota,
     naive_is_isolating,
 )
+
+
+def distance_two_rows(g: Graph) -> dict[int, int]:
+    """N[N[v]] of every vertex, rebuilt from the naive neighbourhood helper."""
+    return {
+        v: mask_of(naive_closed_neighborhood(g, naive_closed_neighborhood(g, [v])), g.n)
+        for v in range(g.n)
+    }
+
+
+def packing(g: Graph, pool: int, k: int) -> int:
+    """``packing_bound`` on ``pool``, started from its first k-clique."""
+    first = find_in_mask(g.adj, pool, k)
+    return 0 if first is None else packing_bound(g.adj, distance_two_rows(g), pool, k, first)
+
+
+def naive_packing(g: Graph, pool: set[int], k: int) -> int:
+    """Take the lexicographically first k-clique left in ``pool``, delete its
+    distance-two ball from ``pool``, and count how often that can be done."""
+    nbrs = adjacency_sets(g)
+    pool = set(pool)
+    count = 0
+    while True:
+        first = next(
+            (c for c in combinations(sorted(pool), k)
+             if all(b in nbrs[a] for a, b in combinations(c, 2))),
+            None,
+        )
+        if first is None:
+            return count
+        count += 1
+        pool -= naive_closed_neighborhood(g, naive_closed_neighborhood(g, first))
 
 
 class TestVerify:
@@ -108,6 +143,7 @@ class TestOracle:
     def test_agrees_with_subset_scan(self, g, k):
         rep = iota_oracle(g, k)
         assert rep.iota == naive_iota(g, k)
+        assert (rep.bound_prunes, rep.incumbent_updates) == (0, 0)
         assert len(rep.optimal_set) == rep.iota
         assert verify_isolating(g, k, rep.optimal_set).valid
 
@@ -145,6 +181,17 @@ class TestSolver:
         rest = naive_delete(g, naive_closed_neighborhood(g, [v]))
         assert iota_solve(g, k).iota <= 1 + iota_solve(rest, k).iota
 
+    @given(graphs(max_n=9), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=60)
+    def test_counters_are_consistent(self, g, k):
+        rep = iota_solve(g, k)
+        greedy = greedy_mask(g.adj, g.full_mask, k).bit_count()
+        # The search starts from the greedy set and only ever records improvements.
+        assert (rep.incumbent_updates >= 1) == (rep.iota < greedy)
+        assert rep.incumbent_updates <= greedy - rep.iota
+        # Pruned nodes and improving leaves are distinct nodes.
+        assert rep.bound_prunes + rep.incumbent_updates <= rep.nodes_expanded
+
     @given(st.lists(graphs(min_n=1, max_n=5), min_size=2, max_size=4))
     @settings(max_examples=40)
     def test_additive_over_disjoint_parts(self, parts):
@@ -159,7 +206,7 @@ class TestBounds:
     def test_greedy_is_isolating_and_solver_never_beats_bounds(self, g, k):
         greedy = set_of(greedy_mask(g.adj, g.full_mask, k))
         assert verify_isolating(g, k, greedy).valid
-        lower = packing_bound(g.adj, g.full_mask, k)
+        lower = packing(g, g.full_mask, k)
         exact = iota_solve(g, k).iota
         assert lower <= exact <= len(greedy)
 
@@ -169,8 +216,23 @@ class TestBounds:
             9,
             [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (6, 8), (7, 8)],
         )
-        assert packing_bound(g.adj, g.full_mask, 3) == 2
+        assert packing(g, g.full_mask, 3) == 2
         assert iota_solve(g, 3).iota == 2
+
+    def test_packing_bound_removes_the_whole_clique_ball(self):
+        # On 0-1-2-3-4 at k = 2 the first edge {0, 1} has N[N[{0, 1}]] = {0..3}.
+        # N[N[0]] alone is {0, 1, 2} and would leave the edge {3, 4} to pack,
+        # a bound of 2 against iota = 1 (vertex 2).
+        p5 = build_path(5)
+        assert packing(p5, p5.full_mask, 2) == naive_packing(p5, set(range(5)), 2) == 1
+        assert iota_solve(p5, 2).iota == 1
+
+    @given(graphs(max_n=9), st.integers(min_value=1, max_value=3), st.data())
+    @settings(max_examples=60)
+    def test_packing_bound_matches_naive_packing(self, g, k, data):
+        pool = data.draw(st.sets(st.integers(min_value=0, max_value=max(g.n - 1, 0))))
+        pool = {u for u in pool if u < g.n}
+        assert packing(g, mask_of(pool, g.n), k) == naive_packing(g, pool, k)
 
 
 GOLDEN = Path(__file__).with_name("golden_solve.json")
