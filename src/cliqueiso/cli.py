@@ -6,8 +6,8 @@ files) and ``check-theorem`` (sweep a corpus and assert the bound plus solver
 agreement).  Reports are line-delimited JSON objects with sorted keys so a run
 with fixed inputs and seeds is byte-identical; timings are therefore kept out
 of the reports and go to stderr: ``solve`` writes one line of search counters,
-``bound`` one line with the construction's branch-tag histogram, and
-``check-theorem`` per-row stats and progress.  Exit
+``bound`` one line with the construction's step count, piece-tree depth and
+branch-tag histogram, and ``check-theorem`` per-row stats and progress.  Exit
 status: 0 success or valid, 1 invalid verification, 2 input error, 3 bound
 violation found.
 """
@@ -23,6 +23,7 @@ from collections import Counter
 from typing import Iterable, Iterator
 
 from .construct import (
+    BoundResult,
     BranchTag,
     ExceptionalGraphError,
     bounded_isolating_set,
@@ -76,13 +77,15 @@ def _trace_json(trace: Iterable) -> list[dict]:
     return [{"tag": st.tag.value, "chosen": list(st.chosen)} for st in trace]
 
 
-def _bound_stats(traces: Iterable[Iterable], start: float) -> None:
-    """One stderr line: the number of construction steps over ``traces`` and
-    how many of them each rule produced, in ``BranchTag`` order."""
-    counts = Counter(st.tag for trace in traces for st in trace)
+def _bound_stats(results: list[BoundResult], start: float) -> None:
+    """One stderr line: the number of construction steps over ``results``,
+    the deepest piece tree among them, and how many steps each rule produced,
+    in ``BranchTag`` order."""
+    counts = Counter(st.tag for res in results for st in res.trace)
+    depth = max((res.depth for res in results), default=0)
     tags = " ".join(f"{tag.value}={counts[tag]}" for tag in BranchTag)
     print(
-        f"bound: trace_steps={counts.total()} {tags} "
+        f"bound: trace_steps={counts.total()} depth={depth} {tags} "
         f"elapsed_s={time.perf_counter() - start:.3f}",
         file=sys.stderr,
     )
@@ -140,7 +143,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
                 ],
             }
         )
-        _bound_stats((c.result.trace for c in parts if c.result), start)
+        _bound_stats([c.result for c in parts if c.result], start)
         return _EXIT_OK
     if not is_connected(g):
         return _fail("graph is disconnected; rerun with --per-component")
@@ -165,7 +168,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
             "trace": _trace_json(res.trace),
         }
     )
-    _bound_stats([res.trace], start)
+    _bound_stats([res], start)
     return _EXIT_OK
 
 

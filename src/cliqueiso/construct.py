@@ -79,11 +79,16 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class BoundResult:
-    """A verified isolating set together with its size guarantee and trace."""
+    """A verified isolating set together with its size guarantee and trace.
+
+    ``depth`` is the depth of the piece tree the work stack walked: the most
+    pieces above any step, 0 when the root piece is the only one.
+    """
 
     set: VertexSet
     bound: int
     trace: tuple[TraceStep, ...]
+    depth: int
 
 
 @dataclass(frozen=True)
@@ -187,11 +192,13 @@ def _construct(adj: Sequence[int], root: int, k: int, check: bool) -> BoundResul
     """Run the work stack on a connected, non-exceptional piece and verify the
     union of its steps."""
     d = 0
+    deepest = 0
     trace: list[TraceStep] = []
     records: list[tuple[int, int]] = []  # (piece, depth) of each step, with check
     stack = [(root, 0)]
     while stack:
         piece, depth = stack.pop()
+        deepest = max(deepest, depth)
         if check:
             if len(component_masks(adj, piece)) != 1 or _is_exceptional_mask(adj, piece, k):
                 raise AssertionError(
@@ -209,7 +216,7 @@ def _construct(adj: Sequence[int], root: int, k: int, check: bool) -> BoundResul
     bound = root.bit_count() // (k + 1)
     if d & ~root or d.bit_count() > bound or not _isolates(adj, root, d, k):
         raise AssertionError("construction broke its own guarantee; this is a bug")
-    return BoundResult(set=set_of(d), bound=bound, trace=tuple(trace))
+    return BoundResult(set=set_of(d), bound=bound, trace=tuple(trace), depth=deepest)
 
 
 def _describe(piece: int) -> str:

@@ -135,25 +135,55 @@ def greedy_mask(adj: Sequence[int], within: int, k: int) -> int:
 
 
 def packing_bound(
-    adj: Sequence[int], ball: Mapping[int, int], pool: int, k: int, clique: int
+    adj: Sequence[int],
+    ball: Mapping[int, int],
+    pool: int,
+    k: int,
+    clique: int,
+    forbidden: int,
+    limit: int,
 ) -> int:
     """Lower bound on how many more vertices any isolating set of ``pool``
-    needs, given ``clique``, the first k-clique of ``pool``.
+    needs when no vertex of ``forbidden`` may be chosen, given ``clique``, the
+    first k-clique of ``pool``; a return value of at least ``limit`` means
+    only that the bound reaches ``limit``.
 
-    Greedily packs k-cliques whose closed neighbourhoods are pairwise disjoint:
-    after taking a clique C, everything within distance two of it, N[N[C]],
-    leaves the pool.  Any vertex that kills one packed clique lies in that
-    clique's closed neighbourhood, so distinct packed cliques need distinct
-    vertices.  ``ball[v]`` is the precomputed N[N[v]] of each vertex v of the
-    pool, and N[N[C]] is the union of ``ball[v]`` over v in C.
+    Greedily packs k-cliques whose hitter sets are pairwise disjoint.  A
+    vertex kills a clique C exactly when it lies in N[C], so C needs a chosen
+    vertex in its hitter set H = N[C] minus ``forbidden``, and distinct packed
+    cliques need distinct vertices.  After C is packed, N[H] leaves the pool:
+    a later clique outside N[H] has a hitter set disjoint from H.  When N[C]
+    misses ``forbidden``, N[H] is N[N[C]], the union of the precomputed
+    distance-two balls ``ball[v]`` over v in C.  An empty H means no allowed
+    set isolates the pool, and the bound returns ``limit`` at once; so does
+    reaching ``limit`` packed cliques, since the caller prunes either way.
     """
     count = 0
     while True:
         count += 1
-        while clique:
-            low = clique & -clique
-            clique ^= low
-            pool &= ~ball[low.bit_length() - 1]
+        if count >= limit:
+            return count
+        hood = clique
+        rest = clique
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            hood |= adj[low.bit_length() - 1]
+        if hood & forbidden:
+            hitters = hood & ~forbidden
+            if not hitters:
+                return limit
+            reach = hitters
+            while hitters:
+                low = hitters & -hitters
+                hitters ^= low
+                reach |= adj[low.bit_length() - 1]
+            pool &= ~reach
+        else:
+            while clique:
+                low = clique & -clique
+                clique ^= low
+                pool &= ~ball[low.bit_length() - 1]
         clique = find_in_mask(adj, pool, k)
         if clique is None:
             return count
@@ -165,11 +195,15 @@ def iota_solve(g: Graph, k: int) -> SolveReport:
     The problem splits over connected components (isolation is additive across
     them).  Within a component the search starts from the greedy set as its
     incumbent, branches on the closed neighbourhood of the first residual
-    k-clique (smallest vertex first, with chosen-vertex exclusion so no subset
-    is visited twice) and prunes with the disjoint-clique packing bound, which
-    reuses that clique and each vertex's precomputed distance-two ball.  The
-    report counts nodes, bound prunes and incumbent updates over all
-    components.
+    k-clique (smallest vertex first; each tried vertex is forbidden in the
+    later branches, so no subset is visited twice) and prunes with
+    ``packing_bound``.  That bound packs cliques with disjoint sets of
+    still-allowed hitters, starting from the branching clique; it prunes at
+    once when some clique has no allowed hitter and stops packing when the
+    count reaches the slack ``best size - size``.  A valid bound never prunes
+    an ancestor of the first optimal leaf, so the bound decides how many
+    nodes are visited, never which set is returned.  The report counts nodes,
+    bound prunes and incumbent updates over all components.
     """
     require_k(k)
     start = time.perf_counter()
@@ -210,7 +244,8 @@ def _solve_component(adj: Sequence[int], comp: int, k: int) -> tuple[int, int, i
                 best_size = size
                 updates += 1
             return
-        if size + packing_bound(adj, ball, residual, k, clique) >= best_size:
+        limit = best_size - size
+        if packing_bound(adj, ball, residual, k, clique, forbidden, limit) >= limit:
             prunes += 1
             return
         candidates = closed_mask(adj, clique) & ~forbidden & ~chosen

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 from itertools import combinations
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import hypothesis.strategies as st
 
@@ -26,13 +27,21 @@ def adjacency_sets(g: Graph) -> list[set[int]]:
     return nbrs
 
 
-def naive_has_clique(g: Graph, k: int, removed: set[int] | frozenset[int] = frozenset()) -> bool:
+def naive_k_cliques(
+    g: Graph, k: int, within: Iterable[int] | None = None
+) -> Iterator[tuple[int, ...]]:
+    """The k-cliques of ``g``, or of its subgraph on ``within``, in
+    lexicographic order, found by testing every k-subset."""
     nbrs = adjacency_sets(g)
-    alive = [u for u in range(g.n) if u not in removed]
+    alive = range(g.n) if within is None else sorted(within)
     for combo in combinations(alive, k):
         if all(b in nbrs[a] for a, b in combinations(combo, 2)):
-            return True
-    return False
+            yield combo
+
+
+def naive_has_clique(g: Graph, k: int, removed: set[int] | frozenset[int] = frozenset()) -> bool:
+    alive = [u for u in range(g.n) if u not in removed]
+    return next(naive_k_cliques(g, k, alive), None) is not None
 
 
 def naive_closed_neighborhood(g: Graph, subset) -> set[int]:

@@ -32,7 +32,7 @@ from .support import package_env
 # The reports are promised byte-identical, so a change here must be deliberate.
 CHECK_THEOREM_N5_K3_SHA256 = "fe4b5d21dc64f7ba50682c6c7ec0f6b5a4c670c85645c6faa47659acf54a799e"
 # SHA-256 of the stdout of `solve g.edges --k 2` on gen_random_connected(30, 0.15, 3).
-SOLVE_R30_K2_SHA256 = "d70267bf1a0c18a2a5f8e53b658e2ddf27848ec7a934ff372ce4a5a0eedba5ec"
+SOLVE_R30_K2_SHA256 = "504f22373574d85ef44544eff52c0c062e1cc774bda1f3787db6ca657481f7c2"
 
 
 @pytest.fixture
@@ -155,7 +155,7 @@ class TestBound:
         assert code == 0
         fields = stats_line(err, "bound")
         assert [key for key, _ in fields] == (
-            ["trace_steps"] + [tag.value for tag in BranchTag] + ["elapsed_s"]
+            ["trace_steps", "depth"] + [tag.value for tag in BranchTag] + ["elapsed_s"]
         )
         stats = dict(fields)
         trace = reports[0]["trace"]
@@ -164,6 +164,16 @@ class TestBound:
         assert {tag.value: int(stats[tag.value]) for tag in BranchTag} == {
             tag.value: tags[tag.value] for tag in BranchTag
         }
+
+    def test_piece_tree_depth_on_stderr(self, capsys, tmp_path):
+        # Each step on a path leaves one child piece, so the piece tree is a
+        # chain with one level per step.
+        path = tmp_path / "p30.edges"
+        write_graph(path, build_path(30))
+        code, _, err = run(capsys, ["bound", str(path), "--k", "1"])
+        assert code == 0
+        stats = dict(stats_line(err, "bound"))
+        assert int(stats["depth"]) == int(stats["trace_steps"]) - 1 == 14
 
     def test_triangle_free_at_k3_gives_empty_set(self, capsys, tmp_path):
         path = tmp_path / "p6.edges"
@@ -365,7 +375,7 @@ class TestCheckTheorem:
         # which fail to isolate wherever a k-clique survives outside them.
         def oversized(g, k):
             bound = g.n // (k + 1)
-            return BoundResult(frozenset(range(bound + 1)), bound, ())
+            return BoundResult(frozenset(range(bound + 1)), bound, (), 0)
 
         monkeypatch.setattr(cli, "bounded_isolating_set", oversized)
         code, reports, _ = run(capsys, ["check-theorem", *argv])

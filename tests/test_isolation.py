@@ -1,8 +1,11 @@
 """Isolation predicate, subset-scan oracle, the exact branch-and-bound solver,
-and a golden corpus that pins the solver's sets and search-tree sizes.
+a hitting-set ILP cross-check, and a golden corpus that pins the solver's sets
+and search-tree sizes.
 
 Regenerate the corpus only when a solver output is meant to change:
-``PYTHONPATH=src python -m tests.test_isolation``.
+``PYTHONPATH=src python -m tests.test_isolation``.  It prints how many entries
+changed iota or set, the total node count before and after, and how many
+entries grew, before it writes.
 """
 
 import json
@@ -27,6 +30,7 @@ from cliqueiso import (
     iota_solve,
     verify_isolating,
 )
+from cliqueiso import isolation
 from cliqueiso.cliques import find_in_mask
 from cliqueiso.graph import mask_of, set_of
 from cliqueiso.isolation import greedy_mask, packing_bound
@@ -39,6 +43,13 @@ from .support import (
     naive_delete,
     naive_iota,
     naive_is_isolating,
+    naive_k_cliques,
+)
+
+
+# Two triangles, {0, 1, 2} and {6, 7, 8}, joined by the path 2-3-4-5-6.
+TWO_TRIANGLES = Graph.from_edges(
+    9, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (6, 8), (7, 8)]
 )
 
 
@@ -50,28 +61,48 @@ def distance_two_rows(g: Graph) -> dict[int, int]:
     }
 
 
-def packing(g: Graph, pool: int, k: int) -> int:
-    """``packing_bound`` on ``pool``, started from its first k-clique."""
+def packing(g: Graph, pool: int, k: int, forbidden: int = 0, limit: int | None = None) -> int:
+    """``packing_bound`` on ``pool``, started from its first k-clique; with no
+    ``limit``, one that no packing reaches."""
     first = find_in_mask(g.adj, pool, k)
-    return 0 if first is None else packing_bound(g.adj, distance_two_rows(g), pool, k, first)
+    if first is None:
+        return 0
+    if limit is None:
+        limit = g.n + 1
+    return packing_bound(g.adj, distance_two_rows(g), pool, k, first, forbidden, limit)
 
 
 def naive_packing(g: Graph, pool: set[int], k: int) -> int:
     """Take the lexicographically first k-clique left in ``pool``, delete its
     distance-two ball from ``pool``, and count how often that can be done."""
-    nbrs = adjacency_sets(g)
     pool = set(pool)
     count = 0
     while True:
-        first = next(
-            (c for c in combinations(sorted(pool), k)
-             if all(b in nbrs[a] for a, b in combinations(c, 2))),
-            None,
-        )
+        first = next(naive_k_cliques(g, k, pool), None)
         if first is None:
             return count
         count += 1
         pool -= naive_closed_neighborhood(g, naive_closed_neighborhood(g, first))
+
+
+def naive_least_isolator(g: Graph, pool: set[int], k: int, forbidden: set[int]) -> int | None:
+    """Size of the smallest set of vertices outside ``forbidden`` whose closed
+    neighbourhood meets every k-clique inside ``pool``, or None if none does."""
+    cliques = [set(c) for c in naive_k_cliques(g, k, pool)]
+    allowed = [u for u in range(g.n) if u not in forbidden]
+    for size in range(len(allowed) + 1):
+        for subset in combinations(allowed, size):
+            covered = naive_closed_neighborhood(g, subset)
+            if all(c & covered for c in cliques):
+                return size
+    return None
+
+
+def vertex_subset(g: Graph, data) -> set[int]:
+    """A drawn set of vertices of ``g``."""
+    if not g.n:
+        return set()
+    return data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
 
 
 class TestVerify:
@@ -211,11 +242,8 @@ class TestBounds:
         assert lower <= exact <= len(greedy)
 
     def test_packing_bound_counts_far_apart_cliques(self):
-        # Two triangles joined by a long path: no single vertex touches both.
-        g = Graph.from_edges(
-            9,
-            [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (6, 8), (7, 8)],
-        )
+        # No single vertex touches both triangles.
+        g = TWO_TRIANGLES
         assert packing(g, g.full_mask, 3) == 2
         assert iota_solve(g, 3).iota == 2
 
@@ -230,9 +258,71 @@ class TestBounds:
     @given(graphs(max_n=9), st.integers(min_value=1, max_value=3), st.data())
     @settings(max_examples=60)
     def test_packing_bound_matches_naive_packing(self, g, k, data):
-        pool = data.draw(st.sets(st.integers(min_value=0, max_value=max(g.n - 1, 0))))
-        pool = {u for u in pool if u < g.n}
-        assert packing(g, mask_of(pool, g.n), k) == naive_packing(g, pool, k)
+        # With nothing forbidden the bound is the distance-two packing, cut
+        # off at the limit.
+        pool = vertex_subset(g, data)
+        limit = data.draw(st.integers(min_value=1, max_value=g.n + 1))
+        want = naive_packing(g, pool, k)
+        assert packing(g, mask_of(pool, g.n), k) == want
+        assert packing(g, mask_of(pool, g.n), k, limit=limit) == min(want, limit)
+
+    @given(graphs(max_n=8), st.integers(min_value=1, max_value=3), st.data())
+    @settings(max_examples=80)
+    def test_packing_bound_is_a_lower_bound_with_forbidden_vertices(self, g, k, data):
+        pool = vertex_subset(g, data)
+        forbidden = vertex_subset(g, data)
+        limit = data.draw(st.integers(min_value=1, max_value=g.n + 1))
+        bound = packing(g, mask_of(pool, g.n), k, mask_of(forbidden, g.n), limit)
+        least = naive_least_isolator(g, pool, k, forbidden)
+        # Reaching the limit claims only that no allowed set below it exists.
+        if least is not None and least < limit:
+            assert bound <= least
+
+    def test_forbidden_hitters_raise_the_bound(self):
+        # On 0-1-2-3-4 at k = 2 vertex 2 alone kills every edge.  With 2
+        # forbidden, {0, 1} needs 0 or 1 and {3, 4} needs 3 or 4: two vertices,
+        # where the distance-two packing still counts one.
+        p5 = build_path(5)
+        barred = mask_of([2], 5)
+        assert packing(p5, p5.full_mask, 2) == 1
+        assert packing(p5, p5.full_mask, 2, barred) == 2
+        assert naive_least_isolator(p5, set(range(5)), 2, {2}) == 2
+
+    def test_clique_without_allowed_hitters_prunes_at_once(self, monkeypatch):
+        # All of N[{0, 1, 2}] is forbidden, so no allowed set kills that
+        # triangle, and the bound returns the limit without looking for the
+        # second triangle.
+        g = TWO_TRIANGLES
+        searched = []
+        monkeypatch.setattr(
+            isolation, "find_in_mask", lambda *args: searched.append(args) or find_in_mask(*args)
+        )
+        assert packing(g, g.full_mask, 3, mask_of([0, 1, 2, 3], 9), limit=5) == 5
+        assert searched == []
+        assert naive_least_isolator(g, set(range(9)), 3, {0, 1, 2, 3}) is None
+
+
+def ilp_isolator(g: Graph, k: int) -> set[int]:
+    """A minimum isolating set found as the minimum hitting set of the family
+    {N[C] : C a k-clique}, one 0/1 variable per vertex, by scipy's HiGHS."""
+    np = pytest.importorskip("numpy")
+    opt = pytest.importorskip("scipy.optimize")
+    nbrs = adjacency_sets(g)
+    hoods = [set(c).union(*(nbrs[u] for u in c)) for c in naive_k_cliques(g, k)]
+    if not hoods:
+        return set()
+    rows = np.zeros((len(hoods), g.n))
+    for row, hood in zip(rows, hoods):
+        row[sorted(hood)] = 1
+    res = opt.milp(
+        np.ones(g.n),
+        constraints=opt.LinearConstraint(rows, lb=1),
+        integrality=np.ones(g.n),
+        bounds=opt.Bounds(0, 1),
+        options={"mip_rel_gap": 0},
+    )
+    assert res.success, res.message
+    return {v for v in range(g.n) if res.x[v] > 0.5}
 
 
 GOLDEN = Path(__file__).with_name("golden_solve.json")
@@ -275,6 +365,24 @@ def _golden_corpus() -> dict:
     }
 
 
+class TestHittingSetILP:
+    """A fourth route to iota, independent of the solver, the oracle and the
+    naive scans: the integer program over the closed neighbourhoods of the
+    k-cliques, which reaches sizes the oracle refuses."""
+
+    def test_golden_corpus(self):
+        for inst in json.loads(GOLDEN.read_text())["instances"]:
+            g = Graph.from_edges(inst["n"], [tuple(e) for e in inst["edges"]])
+            for k in GOLDEN_KS:
+                chosen = ilp_isolator(g, k)
+                assert len(chosen) == inst["results"][str(k)]["iota"], (inst["name"], k)
+                assert naive_is_isolating(g, k, chosen), (inst["name"], k)
+
+    def test_solve_random_anchor(self):
+        g = gen_random_connected(60, 0.1, 2)
+        assert len(ilp_isolator(g, 2)) == iota_solve(g, 2).iota == 6
+
+
 class TestGolden:
     """Optimal sets and search-node counts must stay exactly as recorded: equal
     node counts on the same inputs mean the search visited the same tree."""
@@ -295,8 +403,35 @@ class TestGolden:
                 assert _solve_record(g, k) == inst["results"][str(k)], (inst["name"], k)
 
 
+def _records(corpus: dict) -> dict[tuple[str, str], dict]:
+    return {
+        (inst["name"], k): record
+        for inst in corpus["instances"]
+        for k, record in inst["results"].items()
+    }
+
+
+def _corpus_changes(old: dict, new: dict) -> str:
+    """What regenerating the corpus changes: entries whose iota or set moved,
+    total search nodes before and after, and entries whose node count grew."""
+    before, after = _records(old), _records(new)
+    shared = before.keys() & after.keys()
+    moved = sum(
+        (before[key]["iota"], before[key]["set"]) != (after[key]["iota"], after[key]["set"])
+        for key in shared
+    )
+    grew = sum(after[key]["nodes"] > before[key]["nodes"] for key in shared)
+    return (
+        f"{len(after)} entries ({len(after.keys() - shared)} new, "
+        f"{len(before.keys() - shared)} gone); iota or set changed: {moved}; "
+        f"nodes: {sum(r['nodes'] for r in before.values())} -> "
+        f"{sum(r['nodes'] for r in after.values())}; entries with more nodes: {grew}"
+    )
+
+
 if __name__ == "__main__":
     corpus = _golden_corpus()
+    print(_corpus_changes(json.loads(GOLDEN.read_text()), corpus))
     GOLDEN.write_text(
         "{\n  \"instances\": [\n"
         + ",\n".join(
