@@ -26,13 +26,21 @@ from cliqueiso import (
 from cliqueiso.cli import main
 from cliqueiso.isolation import greedy_mask
 
-from .support import package_env
+from .support import disjoint_union, package_env
 
 # SHA-256 of the stdout of `check-theorem --mode exhaustive --n-max 5 --k-max 3`.
 # The reports are promised byte-identical, so a change here must be deliberate.
 CHECK_THEOREM_N5_K3_SHA256 = "fe4b5d21dc64f7ba50682c6c7ec0f6b5a4c670c85645c6faa47659acf54a799e"
 # SHA-256 of the stdout of `solve g.edges --k 2` on gen_random_connected(30, 0.15, 3).
 SOLVE_R30_K2_SHA256 = "504f22373574d85ef44544eff52c0c062e1cc774bda1f3787db6ca657481f7c2"
+# SHA-256 of the stdout of `bound g.edges --k 3` on build_extremal(200, 3).
+BOUND_B200_K3_SHA256 = "c57a6cc9159dec1822abf21aad6a23e292091e3b42909ef065589597841db4f7"
+# SHA-256 of the stdout of `bound g.edges --k 2 --per-component` on the disjoint
+# union of K_2, C_5 and the path on 7 vertices.
+BOUND_PER_COMPONENT_K2_SHA256 = "595a16a93826d4460ddb81940c1fc2b277df48073213454e7cc50a790072d370"
+# SHA-256 of the stdout of `verify g.edges --k 2 "0 1"` then `verify g.edges --k 2 "2"`
+# on build_extremal(7, 2): one valid set, then one invalid set.
+VERIFY_B7_K2_SHA256 = "604aa925823458e6d79306d5299b3b552b35f91ed29cd0006a235f34b53b4bdb"
 
 
 @pytest.fixture
@@ -54,6 +62,16 @@ def run(capsys, argv):
     out = capsys.readouterr()
     reports = [json.loads(line) for line in out.out.splitlines() if line]
     return code, reports, out.err
+
+
+def pinned_stdout(capsys, monkeypatch, tmp_path, g, argvs) -> tuple[list[int], str]:
+    """Exit codes and the SHA-256 of the concatenated stdout of ``argvs`` run
+    on ``g`` written to ``g.edges``; the relative path keeps the bytes fixed."""
+    monkeypatch.chdir(tmp_path)
+    write_graph("g.edges", g)
+    codes = [main([argv[0], "g.edges", *argv[1:]]) for argv in argvs]
+    out = capsys.readouterr().out
+    return codes, hashlib.sha256(out.encode()).hexdigest()
 
 
 def stats_line(err: str, verb: str) -> list[tuple[str, str]]:
@@ -214,6 +232,21 @@ class TestBound:
         union = [u for c in comps for u in c["set"]]
         assert verify_isolating(read_graph(path), 3, union).valid
 
+    def test_stdout_pinned(self, capsys, monkeypatch, tmp_path):
+        codes, digest = pinned_stdout(
+            capsys, monkeypatch, tmp_path, build_extremal(200, 3), [["bound", "--k", "3"]]
+        )
+        assert codes == [0]
+        assert digest == BOUND_B200_K3_SHA256
+
+    def test_per_component_stdout_pinned(self, capsys, monkeypatch, tmp_path):
+        g = disjoint_union([build_complete(2), build_cycle(5), build_path(7)])
+        codes, digest = pinned_stdout(
+            capsys, monkeypatch, tmp_path, g, [["bound", "--k", "2", "--per-component"]]
+        )
+        assert codes == [0]
+        assert digest == BOUND_PER_COMPONENT_K2_SHA256
+
 
 class TestVerify:
     def test_valid_set_exits_zero(self, capsys, k5_file):
@@ -234,6 +267,14 @@ class TestVerify:
         code, reports, _ = run(capsys, ["verify", str(path), "--k", "2", "0 1"])
         assert code == 0
         assert reports[0]["valid"] is True
+
+    def test_stdout_pinned(self, capsys, monkeypatch, tmp_path):
+        codes, digest = pinned_stdout(
+            capsys, monkeypatch, tmp_path, build_extremal(7, 2),
+            [["verify", "--k", "2", "0 1"], ["verify", "--k", "2", "2"]],
+        )
+        assert codes == [0, 1]
+        assert digest == VERIFY_B7_K2_SHA256
 
     def test_comma_separated_set(self, capsys, c5_file):
         code, reports, _ = run(capsys, ["verify", c5_file, "--k", "2", "0,2"])
