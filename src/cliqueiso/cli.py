@@ -4,7 +4,8 @@ Verbs: ``solve`` (exact isolation number), ``bound`` (constructive set within
 floor(n/(k+1))), ``verify`` (check a candidate set), ``gen`` (write graph
 files) and ``check-theorem`` (sweep a corpus and assert the bound plus solver
 agreement).  Reports are line-delimited JSON objects with sorted keys so a run
-with fixed inputs and seeds is byte-identical; timings are therefore kept out
+with fixed inputs and seeds is byte-identical; the verbs that read a graph
+file share one header (command, input, n, m, k).  Timings are kept out
 of the reports and go to stderr: ``solve`` writes one line of search counters,
 ``bound`` one line with the construction's step count, piece-tree depth and
 branch-tag histogram, and ``check-theorem`` per-row stats and progress.  Exit
@@ -25,11 +26,10 @@ from typing import Iterable, Iterator
 from .construct import (
     BoundResult,
     BranchTag,
-    ExceptionalGraphError,
     bounded_isolating_set,
     bounded_sets_per_component,
 )
-from .edgelist import MAX_VERTICES, EdgeListError, format_edge_list, read_graph, write_graph
+from .edgelist import MAX_VERTICES, format_edge_list, read_graph, write_graph
 from .generators import (
     DEFAULT_ENUMERATION_CAP,
     build_complete,
@@ -39,7 +39,7 @@ from .generators import (
     enumerate_connected,
     gen_random_connected,
 )
-from .graph import ExceptionKind, Graph, classify_exception, is_connected
+from .graph import ExceptionKind, Graph, classify_exception
 from .isolation import DEFAULT_ORACLE_CAP, iota_oracle, iota_solve, verify_isolating
 
 _EXIT_OK = 0
@@ -52,6 +52,12 @@ PROGRESS_EVERY = 100_000  # graphs of a batch between stderr progress lines
 
 def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+
+
+def _report(args: argparse.Namespace, g: Graph, **fields) -> None:
+    """Emit one report of a verb that reads a graph file, under the header
+    every such verb shares."""
+    _emit(dict(command=args.command, input=args.path, n=g.n, m=g.edge_count, k=args.k, **fields))
 
 
 def _fail(message: str) -> int:
@@ -96,18 +102,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _bump_recursion(g.n)
     rep = iota_solve(g, args.k)
     cert = verify_isolating(g, args.k, rep.optimal_set)
-    _emit(
-        {
-            "command": "solve",
-            "input": args.path,
-            "n": g.n,
-            "m": g.edge_count,
-            "k": args.k,
-            "iota": rep.iota,
-            "set": sorted(rep.optimal_set),
-            "valid": cert.valid,
-            "nodes": rep.nodes_expanded,
-        }
+    _report(
+        args, g, iota=rep.iota, set=sorted(rep.optimal_set), valid=cert.valid,
+        nodes=rep.nodes_expanded,
     )
     print(
         f"solve: nodes={rep.nodes_expanded} bound_prunes={rep.bound_prunes} "
@@ -122,51 +119,24 @@ def cmd_bound(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     if args.per_component:
         parts = bounded_sets_per_component(g, args.k)
-        _emit(
+        components = [
             {
-                "command": "bound",
-                "input": args.path,
-                "n": g.n,
-                "m": g.edge_count,
-                "k": args.k,
-                "per_component": True,
-                "components": [
-                    {
-                        "vertices": sorted(c.vertices),
-                        "exception": c.exception.value,
-                        "set": sorted(c.set),
-                        "size": len(c.set),
-                        "bound": len(c.vertices) // (args.k + 1),
-                        "trace": _trace_json(c.result.trace) if c.result else None,
-                    }
-                    for c in parts
-                ],
+                "vertices": sorted(c.vertices),
+                "exception": c.exception.value,
+                "set": sorted(c.set),
+                "size": len(c.set),
+                "bound": len(c.vertices) // (args.k + 1),
+                "trace": _trace_json(c.result.trace) if c.result else None,
             }
-        )
+            for c in parts
+        ]
+        _report(args, g, per_component=True, components=components)
         _bound_stats([c.result for c in parts if c.result], start)
         return _EXIT_OK
-    if not is_connected(g):
-        return _fail("graph is disconnected; rerun with --per-component")
-    kind = classify_exception(g, args.k)
-    if kind is not ExceptionKind.NONE:
-        return _fail(
-            f"the floor(n/(k+1)) bound excludes this graph (shape: {kind.value}); "
-            "its forced optimal set is available via --per-component"
-        )
     res = bounded_isolating_set(g, args.k)
-    _emit(
-        {
-            "command": "bound",
-            "input": args.path,
-            "n": g.n,
-            "m": g.edge_count,
-            "k": args.k,
-            "size": len(res.set),
-            "bound": res.bound,
-            "set": sorted(res.set),
-            "valid": True,
-            "trace": _trace_json(res.trace),
-        }
+    _report(
+        args, g, size=len(res.set), bound=res.bound, set=sorted(res.set), valid=True,
+        trace=_trace_json(res.trace),
     )
     _bound_stats([res], start)
     return _EXIT_OK
@@ -176,18 +146,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     g = read_graph(args.path)
     cand = _parse_set_literal(args.set)
     cert = verify_isolating(g, args.k, cand)
-    _emit(
-        {
-            "command": "verify",
-            "input": args.path,
-            "n": g.n,
-            "m": g.edge_count,
-            "k": args.k,
-            "set": sorted(cert.candidate),
-            "valid": cert.valid,
-            "witness": None if cert.witness is None else sorted(cert.witness),
-            "residual_size": cert.residual_size,
-        }
+    _report(
+        args, g, set=sorted(cert.candidate), valid=cert.valid,
+        witness=None if cert.witness is None else sorted(cert.witness),
+        residual_size=cert.residual_size,
     )
     return _EXIT_OK if cert.valid else _EXIT_INVALID
 
@@ -296,12 +258,12 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
     ):
         if value is not None and value < low:
             return _fail(f"check-theorem {flag} must be at least {low}, got {value}")
+    cap = DEFAULT_ENUMERATION_CAP if args.mode == "exhaustive" else MAX_VERTICES
+    if args.n_max > cap:
+        return _fail(
+            f"check-theorem --mode {args.mode} caps --n-max at {cap} vertices, got {args.n_max}"
+        )
     if args.mode == "exhaustive":
-        if args.n_max > DEFAULT_ENUMERATION_CAP:
-            return _fail(
-                f"check-theorem --mode exhaustive caps --n-max at "
-                f"{DEFAULT_ENUMERATION_CAP} vertices, got {args.n_max}"
-            )
         batches = [
             ({"mode": "exhaustive", "n": n}, enumerate_connected(n))
             for n in range(1, args.n_max + 1)
@@ -422,13 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EdgeListError as exc:
-        return _fail(str(exc))
-    except ExceptionalGraphError as exc:
-        return _fail(f"{exc} (kind: {exc.kind.value})")
-    except ValueError as exc:
-        return _fail(str(exc))
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # EdgeListError and ExceptionalGraphError included
         return _fail(str(exc))
 
 

@@ -6,8 +6,8 @@ builds one.  The paper's induction runs on pieces of the input: masks over the
 host graph's vertices, in the host's labels, driven by one explicit work
 stack.  Each step pops a piece, picks a pivot v inside its first k-clique that
 has a neighbour outside the clique, removes N[v], classifies the residual
-components by shape (general, complete-on-k, 5-cycle) and by which neighbours
-of v they attach to, and fires one rule:
+components by shape (general, complete-on-k, 5-cycle; ``exception_kind``) and
+by which neighbours of v they attach to, and fires one rule:
 
 * no k-clique at all, or a dominating pivot: immediate answers;
 * no exceptional residual component: keep v, push every component;
@@ -39,6 +39,9 @@ from typing import Sequence
 
 from .cliques import find_in_mask
 from .graph import (
+    FIVE_CYCLE,
+    K_CLIQUE,
+    NONE,
     ExceptionKind,
     Graph,
     VertexSet,
@@ -46,12 +49,15 @@ from .graph import (
     classify_exception,
     closed_mask,
     component_masks,
-    is_c5_mask,
-    is_clique_mask,
+    exception_kind,
     is_connected,
     require_k,
     set_of,
 )
+
+# A residual component: (mask, excluded shape, link mask over N(pivot)).
+_Entry = tuple[int, ExceptionKind, int]
+
 
 class BranchTag(Enum):
     """Which rule produced a step of the construction."""
@@ -103,6 +109,9 @@ class ComponentResult:
     result: BoundResult | None
 
 
+_PER_COMPONENT = "bounded_sets_per_component or bound --per-component"
+
+
 class ExceptionalGraphError(ValueError):
     """The input is one of the two shapes the bound excludes."""
 
@@ -117,17 +126,21 @@ def _fact(ok: bool, message: str) -> None:
         raise AssertionError(message)
 
 
-def _is_exceptional_mask(adj: Sequence[int], mask: int, k: int) -> bool:
-    return is_clique_mask(adj, mask, k) or (k == 2 and is_c5_mask(adj, mask))
-
-
 def _isolates(adj: Sequence[int], piece: int, d: int, k: int) -> bool:
     """True iff deleting N[d] leaves the piece without a k-clique."""
     return find_in_mask(adj, piece & ~closed_mask(adj, d), k) is None
 
 
-def _linkage(adj: Sequence[int], piece: int, k: int, v: int) -> list[tuple[int, bool, int]]:
-    """(component mask, exceptional?, link mask over N(v)) per residual component."""
+def _far(adj: Sequence[int], mask: int, y: int) -> int:
+    """The lowest vertex of ``mask`` outside N[y], as a one-bit mask; on a
+    5-cycle through y, the lower of the two vertices at distance two."""
+    far = mask & ~(adj[y] | 1 << y)
+    return far & -far
+
+
+def _linkage(adj: Sequence[int], piece: int, k: int, v: int) -> list[_Entry]:
+    """(component mask, excluded shape, link mask over N(v)) per residual
+    component."""
     nv = adj[v] & piece
     out = []
     for cm in component_masks(adj, piece & ~(nv | (1 << v))):
@@ -135,7 +148,7 @@ def _linkage(adj: Sequence[int], piece: int, k: int, v: int) -> list[tuple[int, 
         for x in bits(nv):
             if adj[x] & cm:
                 links |= 1 << x
-        out.append((cm, _is_exceptional_mask(adj, cm, k), links))
+        out.append((cm, exception_kind(adj, cm, k), links))
     return out
 
 
@@ -144,22 +157,21 @@ def bounded_isolating_set(g: Graph, k: int, *, check: bool = False) -> BoundResu
     non-exceptional graph.
 
     Raises ``ExceptionalGraphError`` (carrying the kind) for the two excluded
-    shapes and ``ValueError`` for disconnected input.  The result is verified
-    before it is returned; ``check=True`` additionally verifies every piece
-    the work stack handled, which is what the test suite runs with.  The
-    construction uses no recursion, so input size never meets Python's
-    recursion limit.
+    shapes and ``ValueError`` for disconnected input; both messages point to
+    the per-component route.  The result is verified before it is returned;
+    ``check=True`` additionally verifies every piece the work stack handled,
+    which is what the test suite runs with.  The construction uses no
+    recursion, so input size never meets Python's recursion limit.
     """
-    require_k(k)
     kind = classify_exception(g, k)
-    if kind is not ExceptionKind.NONE:
+    if kind is not NONE:
         raise ExceptionalGraphError(
-            kind, f"the bound excludes this input (shape: {kind.value})"
+            kind,
+            f"the floor(n/(k+1)) bound excludes this graph (shape: {kind.value}); "
+            f"its forced optimal set is available via {_PER_COMPONENT}",
         )
     if not is_connected(g):
-        raise ValueError(
-            "input graph must be connected; use bounded_sets_per_component instead"
-        )
+        raise ValueError(f"graph is disconnected; use {_PER_COMPONENT}")
     return _construct(g.adj, g.full_mask, k, check)
 
 
@@ -174,17 +186,15 @@ def bounded_sets_per_component(g: Graph, k: int, *, check: bool = False) -> list
     adj = g.adj
     out = []
     for cm in component_masks(adj, g.full_mask):
-        comp = set_of(cm)
-        low = cm & -cm
-        if is_clique_mask(adj, cm, k):
-            out.append(ComponentResult(comp, ExceptionKind.K_CLIQUE, set_of(low), None))
-        elif k == 2 and is_c5_mask(adj, cm):
-            far = cm & ~(adj[low.bit_length() - 1] | low)
-            pair = set_of(low | (far & -far))
-            out.append(ComponentResult(comp, ExceptionKind.FIVE_CYCLE_AT_K2, pair, None))
-        else:
+        kind = exception_kind(adj, cm, k)
+        if kind is NONE:
             res = _construct(adj, cm, k, check)
-            out.append(ComponentResult(comp, ExceptionKind.NONE, res.set, res))
+            out.append(ComponentResult(set_of(cm), kind, res.set, res))
+            continue
+        forced = cm & -cm
+        if kind is FIVE_CYCLE:
+            forced |= _far(adj, cm, forced.bit_length() - 1)
+        out.append(ComponentResult(set_of(cm), kind, set_of(forced), None))
     return out
 
 
@@ -200,7 +210,7 @@ def _construct(adj: Sequence[int], root: int, k: int, check: bool) -> BoundResul
         piece, depth = stack.pop()
         deepest = max(deepest, depth)
         if check:
-            if len(component_masks(adj, piece)) != 1 or _is_exceptional_mask(adj, piece, k):
+            if len(component_masks(adj, piece)) != 1 or exception_kind(adj, piece, k) is not NONE:
                 raise AssertionError(
                     f"the piece {_describe(piece)} must be connected and non-exceptional"
                 )
@@ -277,14 +287,38 @@ def _step(adj: Sequence[int], piece: int, k: int) -> tuple[TraceStep, list[int]]
     entries = _linkage(adj, piece, k, pivot)
     _fact(all(lk for _, _, lk in entries), "every residual component touches N(pivot)")
 
-    if not any(exc for _, exc, _ in entries):
+    exceptional = [entry for entry in entries if entry[1] is not NONE]
+    if not exceptional:
         return TraceStep(BranchTag.NO_EXCEPTIONAL, (pivot,)), [cm for cm, _, _ in entries]
 
-    singles = [lk for _, exc, lk in entries if exc and lk.bit_count() == 1]
-    if singles:
-        return _case_single_link(adj, piece, k, pivot, entries, singles[0].bit_length() - 1)
-    exceptional = [(cm, lk) for cm, exc, lk in entries if exc]
+    for _, _, lk in exceptional:
+        if lk.bit_count() == 1:
+            return _case_single_link(adj, piece, k, pivot, entries, lk.bit_length() - 1)
     return _case_multi_link(adj, piece, k, pivot, entries, exceptional[0])
+
+
+def _excise(
+    adj: Sequence[int],
+    piece: int,
+    pivot: int,
+    xb: int,
+    cut: int,
+    entries: list[_Entry],
+) -> tuple[int, list[int]]:
+    """Drop x and the cut from the piece.  Returns the component holding the
+    pivot and the general components that hang on x alone, in residual
+    order, after checking that nothing else is left apart."""
+    vb = 1 << pivot
+    star_comps = component_masks(adj, piece & ~(xb | cut))
+    gv = next(cm for cm in star_comps if cm & vb)
+    _fact(((adj[pivot] & piece) | vb) & ~xb & ~gv == 0, "N[pivot] minus x stays in one piece")
+    rest = [cm for cm in star_comps if not cm & vb]
+    x_only = [cm for cm, kind, lk in entries if lk == xb and kind is NONE]
+    _fact(
+        sorted(rest) == sorted(x_only),
+        "after the excision only the x-only general components remain apart",
+    )
+    return gv, x_only
 
 
 def _case_single_link(
@@ -292,48 +326,31 @@ def _case_single_link(
     piece: int,
     k: int,
     pivot: int,
-    entries: list[tuple[int, bool, int]],
+    entries: list[_Entry],
     x: int,
 ) -> tuple[TraceStep, list[int]]:
     """Some exceptional residual component hangs on the single neighbour x."""
-    vb = 1 << pivot
     xb = 1 << x
-
-    hang_exceptional = [cm for cm, exc, lk in entries if exc and lk == xb]
-    hang_general = [cm for cm, exc, lk in entries if not exc and lk == xb]
-
     direct = xb
-    for cm in hang_exceptional:
-        if k == 2 and cm.bit_count() == 5:
-            # finish a hanging 5-cycle: one vertex opposite its contact with x
-            contact = adj[x] & cm
-            y = (contact & -contact).bit_length() - 1
-            far = cm & ~((adj[y] & cm) | (1 << y))
-            direct |= far & -far
+    cut = 0
+    for cm, kind, lk in entries:
+        if lk == xb and kind is not NONE:
+            cut |= cm
+            if kind is FIVE_CYCLE:
+                # finish a hanging 5-cycle: one vertex opposite its contact with x
+                contact = adj[x] & cm
+                direct |= _far(adj, cm, (contact & -contact).bit_length() - 1)
 
-    excised = xb
-    for cm in hang_exceptional:
-        excised |= cm
-    star_comps = component_masks(adj, piece & ~excised)
-    gv = next(cm for cm in star_comps if cm & vb)
-    nv_closed = (adj[pivot] & piece) | vb
-    _fact(nv_closed & ~xb & ~gv == 0, "N[pivot] minus x stays in one piece")
-    rest = [cm for cm in star_comps if not cm & vb]
-    _fact(
-        sorted(rest) == sorted(hang_general),
-        "after the excision only the x-only general components remain apart",
-    )
-
-    children = []
-    if is_clique_mask(adj, gv, k):
+    gv, children = _excise(adj, piece, pivot, xb, cut, entries)
+    gv_kind = exception_kind(adj, gv, k)
+    if gv_kind is K_CLIQUE:
         # x alone breaks it: the piece is exactly N[pivot] minus x
+        nv_closed = (adj[pivot] & piece) | 1 << pivot
         _fact(gv == nv_closed & ~xb, "a complete pivot side is N[pivot] minus x")
-    elif k == 2 and is_c5_mask(adj, gv):
-        far = gv & ~((adj[pivot] & gv) | vb)
-        direct |= far & -far
+    elif gv_kind is FIVE_CYCLE:
+        direct |= _far(adj, gv, pivot)
     else:
-        children.append(gv)
-    children.extend(hang_general)
+        children = [gv] + children
     return TraceStep(BranchTag.CASE2, tuple(bits(direct))), children
 
 
@@ -342,48 +359,35 @@ def _case_multi_link(
     piece: int,
     k: int,
     pivot: int,
-    entries: list[tuple[int, bool, int]],
-    picked: tuple[int, int],
+    entries: list[_Entry],
+    picked: _Entry,
 ) -> tuple[TraceStep, list[int]]:
     """Every exceptional residual component attaches to at least two
     neighbours of the pivot; excise the first one plus one attachment."""
-    vb = 1 << pivot
-    h_mask, h_links = picked
+    h_mask, h_kind, h_links = picked
     _fact(h_links.bit_count() >= 2, "the excised component has two attachments")
 
-    x = (h_links & -h_links).bit_length() - 1
-    xb = 1 << x
-    x_only = [cm for cm, exc, lk in entries if lk == xb]
+    xb = h_links & -h_links
+    x = xb.bit_length() - 1
     _fact(
-        all(not exc for cm, exc, lk in entries if lk == xb),
+        all(kind is NONE for _, kind, lk in entries if lk == xb),
         "components hanging only on x are general here",
     )
 
     contact = adj[x] & h_mask
     _fact(contact != 0, "x is linked to the excised component")
     y = (contact & -contact).bit_length() - 1
-    h_is_clique = is_clique_mask(adj, h_mask, k)
-    if h_is_clique:
-        d_prime = 1 << y
-        y2b = 0
-    else:
-        _fact(k == 2 and h_mask.bit_count() == 5, "a non-complete exceptional part is a 5-cycle")
-        far = h_mask & ~((adj[y] & h_mask) | (1 << y))
-        y2b = far & -far
-        d_prime = (1 << y) | y2b
+    # a complete part is broken by y alone; a 5-cycle also needs a far vertex
+    y2b = 0 if h_kind is K_CLIQUE else _far(adj, h_mask, y)
+    d_prime = 1 << y | y2b
 
-    star_comps = component_masks(adj, piece & ~(xb | h_mask))
-    gv = next(cm for cm in star_comps if cm & vb)
-    _fact(((adj[pivot] & piece) | vb) & ~xb & ~gv == 0, "N[pivot] minus x stays in one piece")
-    rest = [cm for cm in star_comps if not cm & vb]
-    _fact(sorted(rest) == sorted(x_only), "after the excision only x-only components remain apart")
-
-    if not _is_exceptional_mask(adj, gv, k):
+    gv, x_only = _excise(adj, piece, pivot, xb, h_mask, entries)
+    gv_kind = exception_kind(adj, gv, k)
+    if gv_kind is NONE:
         # Subcase 1: the pivot-side piece is pushed as-is
         return TraceStep(BranchTag.CASE1_SUB1, tuple(bits(d_prime))), [gv] + x_only
-
-    if is_clique_mask(adj, gv, k):
-        return _pivot_side_clique(adj, piece, k, pivot, x, h_mask, h_is_clique, y, y2b, gv, x_only)
+    if gv_kind is K_CLIQUE:
+        return _pivot_side_clique(adj, piece, k, pivot, x, h_mask, h_kind, y, y2b, gv, x_only)
     return _pivot_side_cycle(adj, piece, k, pivot, h_mask, y, gv, x_only)
 
 
@@ -394,7 +398,7 @@ def _pivot_side_clique(
     pivot: int,
     x: int,
     h_mask: int,
-    h_is_clique: bool,
+    h_kind: ExceptionKind,
     y: int,
     y2b: int,
     gv: int,
@@ -407,7 +411,7 @@ def _pivot_side_clique(
     xb = 1 << x
     _fact(gv == ((adj[pivot] & piece) | vb) & ~xb, "a complete pivot side is N[pivot] minus x")
 
-    if h_is_clique:
+    if h_kind is K_CLIQUE:
         shield = 1 << y
         d_pp = xb
     else:
@@ -432,11 +436,11 @@ def _pivot_side_clique(
     if x_only:
         gz_mask = piece & ~zone
         _fact(len(component_masks(adj, gz_mask)) == 1, "the remainder is connected")
-        _fact(not _is_exceptional_mask(adj, gz_mask, k), "the remainder is not exceptional")
+        _fact(exception_kind(adj, gz_mask, k) is NONE, "the remainder is not exceptional")
         return TraceStep(BranchTag.CASE1_SUB2, (z,)), [gz_mask]
 
     # No x-only pieces: the whole piece is gv + x + the excised component.
-    if h_is_clique:
+    if h_kind is K_CLIQUE:
         _fact(n == 2 * k + 1, "two k-cliques and x make up the piece")
         if zone.bit_count() >= k + 2:
             d = zb
@@ -494,7 +498,7 @@ def _pivot_side_cycle(
     rest_mask = piece & ~(v2b | v3b | v4b)
     _fact(len(component_masks(adj, rest_mask)) == 1, "removing the far arc keeps one piece")
 
-    if is_c5_mask(adj, rest_mask):
+    if exception_kind(adj, rest_mask, k) is FIVE_CYCLE:
         # Only possible when the excised component is a single edge and
         # nothing hangs on x, leaving eight vertices in total.
         _fact(

@@ -3,7 +3,9 @@
 Vertices are the integers 0..n-1.  Adjacency is stored as one Python int per
 vertex (bit u of ``adj[v]`` set iff uv is an edge), which keeps neighbourhood
 unions, deletions and component sweeps cheap at the sizes the solvers target.
-All operations are pure: they never mutate their inputs.
+All operations are pure: they never mutate their inputs.  ``exception_kind``
+is the one test for the two shapes the bound excludes, on a whole graph or on
+any vertex mask of it.
 """
 
 from __future__ import annotations
@@ -50,6 +52,13 @@ class ExceptionKind(Enum):
     FIVE_CYCLE_AT_K2 = "5-cycle-at-k2"
 
 
+# The members under plain module names: the construction classifies every
+# residual component, and each attribute lookup on the enum costs time there.
+NONE = ExceptionKind.NONE
+K_CLIQUE = ExceptionKind.K_CLIQUE
+FIVE_CYCLE = ExceptionKind.FIVE_CYCLE_AT_K2
+
+
 @dataclass(frozen=True, repr=False)
 class Graph:
     """A simple undirected graph on vertices 0..n-1.
@@ -93,19 +102,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def neighbors(self, v: int) -> VertexSet:
-        self._check_vertex(v)
-        return set_of(self.adj[v])
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adj[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self.adj[u] >> v & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted ascending."""
         out = []
@@ -118,10 +114,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for a graph on {self.n} vertices")
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()!r})"
@@ -194,35 +186,32 @@ def is_connected(g: Graph) -> bool:
     return len(component_masks(g.adj, g.full_mask)) == 1
 
 
-def is_clique_mask(adj: Sequence[int], mask: int, k: int) -> bool:
-    """True iff ``mask`` induces a complete graph on exactly k vertices."""
-    return mask.bit_count() == k and all(
-        (adj[v] & mask).bit_count() == k - 1 for v in bits(mask)
-    )
+def exception_kind(adj: Sequence[int], mask: int, k: int) -> ExceptionKind:
+    """Which excluded shape ``mask`` induces: a complete graph on exactly k
+    vertices, at k = 2 a 5-cycle, or neither.
 
-
-def is_c5_mask(adj: Sequence[int], mask: int) -> bool:
-    """True iff ``mask`` induces a 5-cycle.
-
-    A 2-regular simple graph is a union of cycles of length at least three,
-    so on five vertices it is one 5-cycle; no connectivity test is needed.
+    This is the one place that decides the two shapes.  A 2-regular simple
+    graph is a union of cycles of length at least three, so on five vertices
+    it is one 5-cycle; no connectivity test is needed.
     """
-    return mask.bit_count() == 5 and all(
-        (adj[v] & mask).bit_count() == 2 for v in bits(mask)
-    )
+    size = mask.bit_count()
+    if size == k:
+        need = k - 1
+    elif size == 5 and k == 2:
+        need = 2
+    else:
+        return NONE
+    for v in bits(mask):
+        if (adj[v] & mask).bit_count() != need:
+            return NONE
+    return K_CLIQUE if size == k else FIVE_CYCLE
 
 
 def classify_exception(g: Graph, k: int) -> ExceptionKind:
-    """Recognize the two shapes excluded from the n/(k+1) bound.
-
-    The 5-cycle only matters at k = 2.
-    """
+    """Recognize the two shapes excluded from the n/(k+1) bound in a whole
+    graph."""
     require_k(k)
-    if is_clique_mask(g.adj, g.full_mask, k):
-        return ExceptionKind.K_CLIQUE
-    if k == 2 and is_c5_mask(g.adj, g.full_mask):
-        return ExceptionKind.FIVE_CYCLE_AT_K2
-    return ExceptionKind.NONE
+    return exception_kind(g.adj, g.full_mask, k)
 
 
 def require_k(k: int) -> None:

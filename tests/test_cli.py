@@ -207,6 +207,7 @@ class TestBound:
         assert code == 2
         assert not reports
         assert "5-cycle-at-k2" in err
+        assert "--per-component" in err
 
     def test_disconnected_suggests_per_component(self, capsys, tmp_path):
         path = tmp_path / "two.edges"
@@ -393,6 +394,18 @@ class TestCheckTheorem:
         assert code == 2
         assert not reports
         assert "--n-max" in err and "8" in err
+
+    def test_random_n_max_above_cap_is_refused(self, capsys, monkeypatch):
+        # Random mode draws n up to --n-max, so it shares the edge-list cap
+        # and refuses before a single graph is built.
+        monkeypatch.setattr(
+            cli, "gen_random_connected", lambda *a: pytest.fail("a graph was built")
+        )
+        code, reports, err = run(capsys, ["check-theorem", "--mode", "random", "--seed", "1",
+                                          "--count", "5", "--n-max", "100001", "--k-max", "1"])
+        assert code == 2
+        assert not reports
+        assert "--n-max" in err and "100000" in err
 
     @pytest.mark.parametrize("argv,flag", [
         (["--k-max", "0"], "--k-max"),

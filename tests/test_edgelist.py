@@ -33,7 +33,8 @@ class TestParse:
         assert g.n == 0
 
     def test_isolated_vertices_survive(self):
-        assert parse_edge_list("4 1\n1 2\n").degree(0) == 0
+        g = parse_edge_list("4 1\n1 2\n")
+        assert g.n == 4 and g.adj[0] == g.adj[3] == 0
 
     @pytest.mark.parametrize(
         "text,line",

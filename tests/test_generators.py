@@ -18,6 +18,8 @@ from cliqueiso import (
 )
 from cliqueiso.generators import graph_from_edge_bits, pair_order
 
+from .support import adjacency_sets
+
 from .support import naive_components
 
 # Connected labeled graphs on n vertices (OEIS A001187).
@@ -35,7 +37,7 @@ class TestFixedFamilies:
     def test_cycle(self):
         c = build_cycle(4)
         assert c.edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
-        assert all(c.degree(u) == 2 for u in range(4))
+        assert all(len(nbrs) == 2 for nbrs in adjacency_sets(c))
         with pytest.raises(ValueError):
             build_cycle(2)
 
@@ -50,14 +52,14 @@ class TestFixedFamilies:
 class TestExtremalFamily:
     def test_parameter_arithmetic(self):
         # n = 12, k = 3: three blocks on a 3-vertex path (labels 0..2).
-        g = build_extremal(12, 3)
-        assert g.neighbors(2) == frozenset({1, 9, 10, 11})
-        assert g.neighbors(3) == frozenset({0, 4, 5})
+        nbrs = adjacency_sets(build_extremal(12, 3))
+        assert nbrs[2] == {1, 9, 10, 11}
+        assert nbrs[3] == {0, 4, 5}
         # n = 14, k = 3: three blocks on a 5-vertex path; path vertices 3, 4 carry none.
-        g = build_extremal(14, 3)
-        assert g.neighbors(3) == frozenset({2, 4})
-        assert g.neighbors(4) == frozenset({3})
-        assert g.neighbors(5) == frozenset({0, 6, 7})
+        nbrs = adjacency_sets(build_extremal(14, 3))
+        assert nbrs[3] == {2, 4}
+        assert nbrs[4] == {3}
+        assert nbrs[5] == {0, 6, 7}
 
     @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=6))
     def test_parameter_invariants(self, n, k):
@@ -66,12 +68,13 @@ class TestExtremalFamily:
         assert blocks <= path_len <= blocks + k
         g = build_extremal(n, k)
         assert g.n == n
+        nbrs = adjacency_sets(g)
         for u in range(n):
             if u < path_len:
                 want = (u > 0) + (u < path_len - 1) + (k if u < blocks else 0)
             else:
                 want = k  # k - 1 block mates and one path vertex
-            assert g.degree(u) == want, (n, k, u)
+            assert len(nbrs[u]) == want, (n, k, u)
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
@@ -93,19 +96,19 @@ class TestExtremalFamily:
     def test_block_structure(self):
         # n = 11, k = 3: two blocks on a 5-vertex path.
         k, blocks, path_len = 3, 2, 5
-        g = build_extremal(11, k)
+        nbrs = adjacency_sets(build_extremal(11, k))
         path = list(range(path_len))
         for i in range(path_len - 1):
-            assert g.has_edge(path[i], path[i + 1])
+            assert path[i + 1] in nbrs[path[i]]
         for b in range(blocks):
             block = [path_len + b * k + j for j in range(k)]
             for idx, u in enumerate(block):
                 for w in block[idx + 1 :]:
-                    assert g.has_edge(u, w)
-                assert g.has_edge(b, u)
+                    assert w in nbrs[u]
+                assert u in nbrs[b]
             # nothing joins a block to any other path vertex or block
             for u in block:
-                assert g.neighbors(u) == frozenset(block) - {u} | {b}
+                assert nbrs[u] == set(block) - {u} | {b}
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_solver_attains_the_floor(self, k):

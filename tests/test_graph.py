@@ -19,14 +19,39 @@ from cliqueiso.graph import (
     bits,
     closed_mask,
     component_masks,
+    exception_kind,
     mask_of,
     require_k,
     set_of,
 )
 
-from .support import adjacency_sets, connected_graphs, graphs, naive_components
+from .support import adjacency_sets, connected_graphs, graphs, naive_components, naive_delete
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+
+
+def naive_kinds(g: Graph) -> list[ExceptionKind]:
+    """The excluded shape of ``g`` at k = 1..4, straight from the definition:
+    complete on exactly k vertices, or at k = 2 a connected 2-regular graph on
+    five vertices."""
+    degrees = [len(nbrs) for nbrs in adjacency_sets(g)]
+    kinds = []
+    for k in range(1, 5):
+        if g.n == k and degrees == [k - 1] * k:
+            kinds.append(ExceptionKind.K_CLIQUE)
+        elif (k, g.n) == (2, 5) and degrees == [2] * 5 and len(naive_components(g)) == 1:
+            kinds.append(ExceptionKind.FIVE_CYCLE_AT_K2)
+        else:
+            kinds.append(ExceptionKind.NONE)
+    return kinds
+
+
+def labeled_graphs(n_max: int):
+    """Every labeled graph, connected or not, with at most ``n_max`` vertices."""
+    for n in range(n_max + 1):
+        pairs = pair_order(n)
+        for edge_bits in range(1 << len(pairs)):
+            yield graph_from_edge_bits(n, edge_bits, pairs)
 
 
 class TestConstruction:
@@ -71,23 +96,6 @@ class TestConstruction:
 
     def test_repr_lists_edges(self):
         assert repr(Graph.from_edges(2, [(0, 1)])) == "Graph(n=2, edges=[(0, 1)])"
-
-
-class TestAccessors:
-    def test_neighbors_and_degree(self):
-        g = Graph.from_edges(4, [(0, 1), (0, 2), (2, 3)])
-        assert g.neighbors(0) == frozenset({1, 2})
-        assert g.degree(0) == 2
-        assert g.degree(3) == 1
-        assert g.has_edge(0, 2)
-        assert not g.has_edge(1, 2)
-
-    def test_out_of_range_access_rejected(self):
-        g = Graph.from_edges(2, [(0, 1)])
-        with pytest.raises(ValueError):
-            g.neighbors(2)
-        with pytest.raises(ValueError):
-            g.has_edge(0, -1)
 
 
 class TestMasks:
@@ -139,11 +147,12 @@ class TestNeighborhoodsAndSubgraphs:
         keep = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
         sub = induced(g, keep)
         back = sub.to_parent
+        nbrs = adjacency_sets(g)
         for u, v in sub.graph.edges():
-            assert g.has_edge(back[u], back[v])
+            assert back[v] in nbrs[back[u]]
         kept = sorted(keep)
         expected = sum(
-            1 for i, a in enumerate(kept) for b in kept[i + 1 :] if g.has_edge(a, b)
+            1 for i, a in enumerate(kept) for b in kept[i + 1 :] if b in nbrs[a]
         )
         assert sub.graph.edge_count == expected
 
@@ -191,19 +200,19 @@ class TestExceptionRecognizer:
 
     def test_matches_naive_definition_on_every_small_graph(self):
         # Every labeled graph, connected or not, with n <= 6 at k = 1..4.
-        for n in range(7):
-            pairs = pair_order(n)
-            for mask in range(1 << len(pairs)):
-                g = graph_from_edge_bits(n, mask, pairs)
-                degrees = [len(nbrs) for nbrs in adjacency_sets(g)]
-                for k in range(1, 5):
-                    if n == k and degrees == [k - 1] * n:
-                        want = ExceptionKind.K_CLIQUE
-                    elif (k, n) == (2, 5) and degrees == [2] * 5 and len(naive_components(g)) == 1:
-                        want = ExceptionKind.FIVE_CYCLE_AT_K2
-                    else:
-                        want = ExceptionKind.NONE
-                    assert classify_exception(g, k) is want, (g, k)
+        for g in labeled_graphs(6):
+            for k, want in enumerate(naive_kinds(g), start=1):
+                assert classify_exception(g, k) is want, (g, k)
+
+    def test_matches_naive_definition_on_every_vertex_mask(self):
+        # The construction classifies pieces, not whole graphs: every vertex
+        # mask of every labeled graph with n <= 5 at k = 1..4, against the
+        # subgraph the mask induces.
+        for g in labeled_graphs(5):
+            for mask in range(1 << g.n):
+                sub = naive_delete(g, {u for u in range(g.n) if not mask >> u & 1})
+                for k, want in enumerate(naive_kinds(sub), start=1):
+                    assert exception_kind(g.adj, mask, k) is want, (g, mask, k)
 
 
 class TestRequireK:
