@@ -364,7 +364,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--n-max",
         type=int,
         default=5,
-        help=f"largest vertex count (exhaustive mode: at most {DEFAULT_ENUMERATION_CAP})",
+        help=f"largest vertex count (at most {DEFAULT_ENUMERATION_CAP} in exhaustive mode, "
+        f"{MAX_VERTICES} in random mode)",
     )
     p_check.add_argument("--k-max", type=int, default=3, help="largest clique size")
     p_check.add_argument("--count", type=int, help="instances (random mode)")

@@ -18,9 +18,7 @@ from cliqueiso import (
 )
 from cliqueiso.generators import graph_from_edge_bits, pair_order
 
-from .support import adjacency_sets
-
-from .support import naive_components
+from .support import adjacency_sets, naive_components
 
 # Connected labeled graphs on n vertices (OEIS A001187).
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
