@@ -16,6 +16,7 @@ import hypothesis.strategies as st
 
 import cliqueiso
 from cliqueiso import Graph
+from cliqueiso.generators import graph_from_edge_bits, pair_order
 
 
 def adjacency_sets(g: Graph) -> list[set[int]]:
@@ -111,6 +112,14 @@ def package_env() -> dict[str, str]:
     """The environment for a fresh interpreter that imports this checkout's
     package."""
     return {**os.environ, "PYTHONPATH": str(Path(cliqueiso.__file__).resolve().parents[1])}
+
+
+def labeled_graphs(n_max: int) -> Iterator[Graph]:
+    """Every labeled graph, connected or not, with at most ``n_max`` vertices."""
+    for n in range(n_max + 1):
+        pairs = pair_order(n)
+        for edge_bits in range(1 << len(pairs)):
+            yield graph_from_edge_bits(n, edge_bits, pairs)
 
 
 def disjoint_union(parts: list[Graph]) -> Graph:

@@ -15,7 +15,7 @@ from cliqueiso import (
 from cliqueiso.cliques import find_in_mask
 from cliqueiso.graph import mask_of, set_of
 
-from .support import adjacency_sets, graphs
+from .support import adjacency_sets, graphs, labeled_graphs, naive_k_cliques
 
 
 def first_clique(g: Graph, k: int) -> frozenset[int] | None:
@@ -89,6 +89,19 @@ class TestFind:
             assert got is None
         else:
             assert set_of(got) == min(naive, key=sorted)
+
+    def test_every_pool_of_every_small_graph(self):
+        # Every vertex mask of every labeled graph with n <= 5 at k = 1..4,
+        # so each path of the kernel (k = 1, k = 2 and the descent for
+        # k >= 3) meets every pool it can on these sizes.  The smallest
+        # clique inside a pool is the first one of the graph's lexicographic
+        # list that the pool contains.
+        for g in labeled_graphs(5):
+            for k in range(1, 5):
+                naive = [mask_of(c, g.n) for c in naive_k_cliques(g, k)]
+                for pool in range(1 << g.n):
+                    want = next((c for c in naive if c & pool == c), None)
+                    assert find_in_mask(g.adj, pool, k) == want, (g, pool, k)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_empty_and_too_small_pools(self, k):

@@ -1,5 +1,7 @@
 """Graph representation: construction, neighborhoods, subgraphs, recognizers."""
 
+import re
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -14,7 +16,6 @@ from cliqueiso import (
     induced,
     is_connected,
 )
-from cliqueiso.generators import graph_from_edge_bits, pair_order
 from cliqueiso.graph import (
     bits,
     closed_mask,
@@ -25,7 +26,14 @@ from cliqueiso.graph import (
     set_of,
 )
 
-from .support import adjacency_sets, connected_graphs, graphs, naive_components, naive_delete
+from .support import (
+    adjacency_sets,
+    connected_graphs,
+    graphs,
+    labeled_graphs,
+    naive_components,
+    naive_delete,
+)
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
 
@@ -46,14 +54,6 @@ def naive_kinds(g: Graph) -> list[ExceptionKind]:
     return kinds
 
 
-def labeled_graphs(n_max: int):
-    """Every labeled graph, connected or not, with at most ``n_max`` vertices."""
-    for n in range(n_max + 1):
-        pairs = pair_order(n)
-        for edge_bits in range(1 << len(pairs)):
-            yield graph_from_edge_bits(n, edge_bits, pairs)
-
-
 class TestConstruction:
     def test_from_edges_round_trip(self):
         g = Graph.from_edges(5, C5_EDGES)
@@ -62,18 +62,26 @@ class TestConstruction:
         assert g.edges() == sorted(C5_EDGES)
 
     def test_vertex_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("edge (0, 3) out of range for a graph on 3 vertices")):
             Graph.from_edges(3, [(0, 3)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("edge (-1, 0) out of range for a graph on 3 vertices")):
             Graph.from_edges(3, [(-1, 0)])
+        with pytest.raises(ValueError, match="^adjacency of vertex 1 mentions an out-of-range vertex$"):
+            Graph(3, (0b000, 0b1000, 0b000))
 
     def test_self_loop_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
             Graph.from_edges(3, [(1, 1)])
+        with pytest.raises(ValueError, match="^self-loop at vertex 2$"):
+            Graph(3, (0b000, 0b000, 0b100))
 
     def test_asymmetric_adjacency_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^asymmetric adjacency between 1 and 0$"):
             Graph(2, (0b10, 0b00))
+        # The first pair reported: the lowest vertex, then its lowest
+        # neighbour that does not list it back.
+        with pytest.raises(ValueError, match="^asymmetric adjacency between 2 and 0$"):
+            Graph(4, (0b0110, 0b0001, 0b1000, 0b0100))
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
