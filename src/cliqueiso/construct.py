@@ -145,9 +145,12 @@ def _linkage(adj: Sequence[int], piece: int, k: int, v: int) -> list[_Entry]:
     out = []
     for cm in component_masks(adj, piece & ~(nv | (1 << v))):
         links = 0
-        for x in bits(nv):
-            if adj[x] & cm:
-                links |= 1 << x
+        rest = nv
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if adj[low.bit_length() - 1] & cm:
+                links |= low
         out.append((cm, exception_kind(adj, cm, k), links))
     return out
 
@@ -274,9 +277,13 @@ def _step(adj: Sequence[int], piece: int, k: int) -> tuple[TraceStep, list[int]]
         return TraceStep(BranchTag.NO_CLIQUE, ()), []
 
     pivot = -1
-    for u in bits(clique):
-        if adj[u] & piece & ~clique:
-            pivot = u
+    outer = piece & ~clique
+    rest = clique
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if adj[low.bit_length() - 1] & outer:
+            pivot = low.bit_length() - 1
             break
     _fact(pivot >= 0, "a connected non-complete piece has a clique vertex with an outer neighbour")
     vb = 1 << pivot

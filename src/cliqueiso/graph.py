@@ -36,7 +36,12 @@ def mask_of(vertices: Iterable[int], n: int) -> int:
 
 
 def set_of(mask: int) -> VertexSet:
-    return frozenset(bits(mask))
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
 
 
 class ExceptionKind(Enum):
@@ -81,9 +86,14 @@ class Graph:
                 raise ValueError(f"adjacency of vertex {v} mentions an out-of-range vertex")
             if m >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v, m in enumerate(self.adj):
-            for u in bits(m):
-                if not self.adj[u] >> v & 1:
+        adj = self.adj
+        for v, m in enumerate(adj):
+            vb = 1 << v
+            while m:
+                low = m & -m
+                m ^= low
+                u = low.bit_length() - 1
+                if not adj[u] & vb:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
     @classmethod
@@ -137,8 +147,10 @@ class Subgraph:
 def closed_mask(adj: Sequence[int], mask: int) -> int:
     """Union of closed neighbourhoods of the vertices in ``mask``."""
     out = mask
-    for v in bits(mask):
-        out |= adj[v]
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= adj[low.bit_length() - 1]
     return out
 
 
@@ -155,8 +167,10 @@ def component_masks(adj: Sequence[int], within: int) -> list[int]:
         frontier = comp
         while frontier:
             nxt = 0
-            for v in bits(frontier):
-                nxt |= adj[v]
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                nxt |= adj[low.bit_length() - 1]
             frontier = nxt & within & ~comp
             comp |= frontier
         comps.append(comp)
@@ -201,8 +215,11 @@ def exception_kind(adj: Sequence[int], mask: int, k: int) -> ExceptionKind:
         need = 2
     else:
         return NONE
-    for v in bits(mask):
-        if (adj[v] & mask).bit_count() != need:
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if (adj[low.bit_length() - 1] & mask).bit_count() != need:
             return NONE
     return K_CLIQUE if size == k else FIVE_CYCLE
 

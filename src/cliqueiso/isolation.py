@@ -53,7 +53,8 @@ class SolveReport:
     """An exact answer plus how much work it took.
 
     ``nodes_expanded`` counts search nodes (subsets tested, for the oracle).
-    ``bound_prunes`` counts the nodes the packing bound cut off, and
+    ``bound_prunes`` counts the nodes the packing bound cut off, also where
+    the branching clique alone used up the budget, and
     ``incumbent_updates`` the times the search beat its best set so far,
     starting from the greedy set; both are 0 for the oracle.  The counters
     and ``elapsed`` are informative only; correctness never depends on them.
@@ -126,7 +127,10 @@ def greedy_mask(adj: Sequence[int], within: int, k: int) -> int:
             return chosen
         best_v = -1
         best_deg = -1
-        for v in bits(clique):
+        while clique:
+            low = clique & -clique
+            clique ^= low
+            v = low.bit_length() - 1
             deg = (adj[v] & residual).bit_count()
             if deg > best_deg:
                 best_v, best_deg = v, deg
@@ -200,10 +204,15 @@ def iota_solve(g: Graph, k: int) -> SolveReport:
     ``packing_bound``.  That bound packs cliques with disjoint sets of
     still-allowed hitters, starting from the branching clique; it prunes at
     once when some clique has no allowed hitter and stops packing when the
-    count reaches the slack ``best size - size``.  A valid bound never prunes
-    an ancestor of the first optimal leaf, so the bound decides how many
-    nodes are visited, never which set is returned.  The report counts nodes,
-    bound prunes and incumbent updates over all components.
+    count reaches the slack ``best size - size``.  The branching clique alone
+    is a packing of one, so a node with slack at most one is pruned without
+    calling the bound.  For the same reason a component whose greedy set is a
+    single vertex is not searched: that vertex is returned with the counts of
+    the root's own prune (one node, one bound prune, no update).  A valid
+    bound never prunes an ancestor of the first optimal leaf, so the bound
+    decides how many nodes are visited, never which set is returned.  The
+    report counts nodes, bound prunes and incumbent updates over all
+    components.
     """
     require_k(k)
     start = time.perf_counter()
@@ -228,6 +237,9 @@ def _solve_component(adj: Sequence[int], comp: int, k: int) -> tuple[int, int, i
     incumbent = greedy_mask(adj, comp, k)
     if incumbent == 0:
         return 0, 1, 0, 0
+    if incumbent & (incumbent - 1) == 0:
+        # One vertex is optimal: the root's bound of one clique would prune.
+        return incumbent, 1, 1, 0
     ball = {v: closed_mask(adj, adj[v] | 1 << v) for v in bits(comp)}
     best_mask = incumbent
     best_size = incumbent.bit_count()
@@ -245,7 +257,9 @@ def _solve_component(adj: Sequence[int], comp: int, k: int) -> tuple[int, int, i
                 updates += 1
             return
         limit = best_size - size
-        if packing_bound(adj, ball, residual, k, clique, forbidden, limit) >= limit:
+        # The branching clique alone bounds by one, so a slack of one or less
+        # prunes without packing.
+        if limit <= 1 or packing_bound(adj, ball, residual, k, clique, forbidden, limit) >= limit:
             prunes += 1
             return
         candidates = closed_mask(adj, clique) & ~forbidden & ~chosen
