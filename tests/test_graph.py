@@ -62,11 +62,12 @@ class TestConstruction:
         assert g.edges() == sorted(C5_EDGES)
 
     def test_vertex_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match=re.escape("edge (0, 3) out of range for a graph on 3 vertices")):
-            Graph.from_edges(3, [(0, 3)])
-        with pytest.raises(ValueError, match=re.escape("edge (-1, 0) out of range for a graph on 3 vertices")):
-            Graph.from_edges(3, [(-1, 0)])
-        with pytest.raises(ValueError, match="^adjacency of vertex 1 mentions an out-of-range vertex$"):
+        for edge in [(0, 3), (-1, 0)]:
+            message = f"edge {edge} out of range for a graph on 3 vertices"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Graph.from_edges(3, [edge])
+        message = "adjacency of vertex 1 mentions an out-of-range vertex"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             Graph(3, (0b000, 0b1000, 0b000))
 
     def test_self_loop_rejected(self):
