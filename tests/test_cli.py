@@ -31,6 +31,9 @@ from .support import disjoint_union, package_env
 # SHA-256 of the stdout of `check-theorem --mode exhaustive --n-max 5 --k-max 3`.
 # The reports are promised byte-identical, so a change here must be deliberate.
 CHECK_THEOREM_N5_K3_SHA256 = "fe4b5d21dc64f7ba50682c6c7ec0f6b5a4c670c85645c6faa47659acf54a799e"
+# SHA-256 of the stdout of the README's
+# `check-theorem --mode random --count 200 --n-max 10 --k-max 2 --seed 7`.
+CHECK_THEOREM_RANDOM_S7_SHA256 = "b24eaf8abca861ef8ed7f11e8fe4add99039d6c2873dfec871c43a73ad6330eb"
 # SHA-256 of the stdout of `solve g.edges --k 2` on gen_random_connected(30, 0.15, 3).
 SOLVE_R30_K2_SHA256 = "504f22373574d85ef44544eff52c0c062e1cc774bda1f3787db6ca657481f7c2"
 # SHA-256 of the stdout of `bound g.edges --k 3` on build_extremal(200, 3).
@@ -460,6 +463,13 @@ class TestCheckTheorem:
                 "constructed set does not isolate",
                 "constructed set size 3 exceeds bound 2",
             ]
+
+    def test_random_mode_stdout_pinned(self, capsys):
+        code = main(["check-theorem", "--mode", "random", "--count", "200", "--n-max", "10",
+                     "--k-max", "2", "--seed", "7"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == CHECK_THEOREM_RANDOM_S7_SHA256
 
     def test_stats_and_progress_go_to_stderr(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "PROGRESS_EVERY", 10)
