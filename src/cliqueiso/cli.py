@@ -23,11 +23,13 @@ import time
 from collections import Counter
 from typing import Iterable, Iterator
 
+from .cliques import find_in_mask
 from .construct import (
     BoundResult,
     BranchTag,
     bounded_isolating_set,
     bounded_sets_per_component,
+    construct_mask,
 )
 from .edgelist import MAX_VERTICES, format_edge_list, read_graph, write_graph
 from .generators import (
@@ -39,8 +41,8 @@ from .generators import (
     enumerate_connected,
     gen_random_connected,
 )
-from .graph import ExceptionKind, Graph, classify_exception
-from .isolation import DEFAULT_ORACLE_CAP, iota_oracle, iota_solve, verify_isolating
+from .graph import NONE, Graph, closed_mask, component_masks, exception_kind
+from .isolation import DEFAULT_ORACLE_CAP, iota_solve, oracle_scan, solve_mask, verify_isolating
 
 _EXIT_OK = 0
 _EXIT_INVALID = 1
@@ -190,39 +192,51 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _check_instance(g: Graph, k: int, oracle_cap: int) -> tuple[int | None, dict | None]:
-    """Returns (iota, violation-detail); iota is None for an excluded shape,
-    which is not solved."""
-    if classify_exception(g, k) is not ExceptionKind.NONE:
-        return None, None
-    bound = g.n // (k + 1)
-    problems: list[str] = []
-    rep = iota_solve(g, k)
-    if rep.iota > bound:
-        problems.append(f"iota {rep.iota} exceeds bound {bound}")
-    try:
-        res = bounded_isolating_set(g, k)
-        cert = verify_isolating(g, k, res.set)
-        if not cert.valid:
-            problems.append("constructed set does not isolate")
-        if len(res.set) > bound:
-            problems.append(f"constructed set size {len(res.set)} exceeds bound {bound}")
-    except Exception as exc:  # a construction crash is a finding, not a CLI crash
-        problems.append(f"construction failed: {exc}")
-    if g.n <= oracle_cap:
-        orep = iota_oracle(g, k, cap=oracle_cap)
-        if orep.iota != rep.iota:
-            problems.append(f"solver {rep.iota} disagrees with oracle {orep.iota}")
-    if not problems:
-        return rep.iota, None
-    return rep.iota, {
-        "command": "check-theorem",
-        "violation": True,
-        "n": g.n,
-        "k": k,
-        "problems": problems,
-        "graph": format_edge_list(g),
-    }
+def _check_graph(g: Graph, ks: range, oracle_cap: int) -> Iterator[tuple[int | None, dict | None]]:
+    """Check every instance (g, k) for k in ``ks``, yielding (iota,
+    violation-detail) per k; iota is None for an excluded shape, which is not
+    solved.
+
+    The components are found once and serve every k, both for the solver and
+    for the construction's connectivity guard.  Each instance then runs on
+    the same kernels as ``iota_solve``, ``bounded_isolating_set``,
+    ``verify_isolating`` and ``iota_oracle``.
+    """
+    adj = g.adj
+    full = g.full_mask
+    comps = component_masks(adj, full)
+    for k in ks:
+        if exception_kind(adj, full, k) is not NONE:
+            yield None, None
+            continue
+        bound = g.n // (k + 1)
+        problems: list[str] = []
+        iota = solve_mask(adj, comps, k)[0].bit_count()
+        if iota > bound:
+            problems.append(f"iota {iota} exceeds bound {bound}")
+        try:
+            d = construct_mask(adj, comps, k)[0]
+            if find_in_mask(adj, full & ~closed_mask(adj, d), k) is not None:
+                problems.append("constructed set does not isolate")
+            if d.bit_count() > bound:
+                problems.append(f"constructed set size {d.bit_count()} exceeds bound {bound}")
+        except Exception as exc:  # a construction crash is a finding, not a CLI crash
+            problems.append(f"construction failed: {exc}")
+        if g.n <= oracle_cap:
+            oracle_iota = len(oracle_scan(adj, k)[0])
+            if oracle_iota != iota:
+                problems.append(f"solver {iota} disagrees with oracle {oracle_iota}")
+        if not problems:
+            yield iota, None
+            continue
+        yield iota, {
+            "command": "check-theorem",
+            "violation": True,
+            "n": g.n,
+            "k": k,
+            "problems": problems,
+            "graph": format_edge_list(g),
+        }
 
 
 def _random_graphs(seed: int, count: int, n_max: int) -> Iterator[Graph]:
@@ -286,8 +300,7 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
         for g in graphs:
             seen += 1
             n_seen = max(n_seen, g.n)
-            for k in ks:
-                iota, detail = _check_instance(g, k, args.oracle_cap)
+            for k, (iota, detail) in zip(ks, _check_graph(g, ks, args.oracle_cap)):
                 if iota is None:
                     exceptional[k] += 1
                 elif iota > max_iota[k]:

@@ -50,7 +50,6 @@ from .graph import (
     closed_mask,
     component_masks,
     exception_kind,
-    is_connected,
     require_k,
     set_of,
 )
@@ -173,9 +172,8 @@ def bounded_isolating_set(g: Graph, k: int, *, check: bool = False) -> BoundResu
             f"the floor(n/(k+1)) bound excludes this graph (shape: {kind.value}); "
             f"its forced optimal set is available via {_PER_COMPONENT}",
         )
-    if not is_connected(g):
-        raise ValueError(f"graph is disconnected; use {_PER_COMPONENT}")
-    return _construct(g.adj, g.full_mask, k, check)
+    comps = component_masks(g.adj, g.full_mask)
+    return _result(g.n, k, construct_mask(g.adj, comps, k, check))
 
 
 def bounded_sets_per_component(g: Graph, k: int, *, check: bool = False) -> list[ComponentResult]:
@@ -191,7 +189,7 @@ def bounded_sets_per_component(g: Graph, k: int, *, check: bool = False) -> list
     for cm in component_masks(adj, g.full_mask):
         kind = exception_kind(adj, cm, k)
         if kind is NONE:
-            res = _construct(adj, cm, k, check)
+            res = _result(cm.bit_count(), k, construct_mask(adj, [cm], k, check))
             out.append(ComponentResult(set_of(cm), kind, res.set, res))
             continue
         forced = cm & -cm
@@ -201,9 +199,24 @@ def bounded_sets_per_component(g: Graph, k: int, *, check: bool = False) -> list
     return out
 
 
-def _construct(adj: Sequence[int], root: int, k: int, check: bool) -> BoundResult:
-    """Run the work stack on a connected, non-exceptional piece and verify the
-    union of its steps."""
+def _result(n: int, k: int, built: tuple[int, list[TraceStep], int]) -> BoundResult:
+    d, trace, depth = built
+    return BoundResult(set=set_of(d), bound=n // (k + 1), trace=tuple(trace), depth=depth)
+
+
+def construct_mask(
+    adj: Sequence[int], comps: list[int], k: int, check: bool = False
+) -> tuple[int, list[TraceStep], int]:
+    """The work stack behind ``bounded_isolating_set``, on a non-exceptional
+    graph whose components are ``comps``: the verified set as a mask, the
+    trace and the depth of the piece tree.
+
+    Raises ``ValueError`` unless ``comps`` is a single component; the caller
+    has already ruled out the two excluded shapes.
+    """
+    if len(comps) != 1:
+        raise ValueError(f"graph is disconnected; use {_PER_COMPONENT}")
+    root = comps[0]
     d = 0
     deepest = 0
     trace: list[TraceStep] = []
@@ -226,10 +239,9 @@ def _construct(adj: Sequence[int], root: int, k: int, check: bool) -> BoundResul
             stack.append((child, depth + 1))
     if check:
         _check_piece_sets(adj, k, records, trace)
-    bound = root.bit_count() // (k + 1)
-    if d & ~root or d.bit_count() > bound or not _isolates(adj, root, d, k):
+    if d & ~root or d.bit_count() > root.bit_count() // (k + 1) or not _isolates(adj, root, d, k):
         raise AssertionError("construction broke its own guarantee; this is a bug")
-    return BoundResult(set=set_of(d), bound=bound, trace=tuple(trace), depth=deepest)
+    return d, trace, deepest
 
 
 def _describe(piece: int) -> str:

@@ -13,7 +13,7 @@ import heapq
 import random
 from typing import Iterator, Sequence
 
-from .graph import Graph, is_connected
+from .graph import Graph, component_masks
 
 DEFAULT_ENUMERATION_CAP = 8
 
@@ -119,6 +119,10 @@ def graph_from_edge_bits(n: int, edge_bits: int, pairs: Sequence[tuple[int, int]
         pairs = pair_order(n)
     if edge_bits < 0 or edge_bits >> len(pairs):
         raise ValueError("edge bits out of range for this vertex count")
+    return Graph(n, tuple(_adjacency(n, edge_bits, pairs)))
+
+
+def _adjacency(n: int, edge_bits: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
     adj = [0] * n
     mask = edge_bits
     while mask:
@@ -127,14 +131,15 @@ def graph_from_edge_bits(n: int, edge_bits: int, pairs: Sequence[tuple[int, int]
         u, v = pairs[low.bit_length() - 1]
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return adj
 
 
 def enumerate_connected(n: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Graph]:
     """Every labeled connected graph on n vertices, in increasing edge-mask order.
 
     ``n`` is checked against ``cap`` here, at the call, not on the first
-    ``next()``.
+    ``next()``.  Connectivity is tested on the raw adjacency rows, so a
+    ``Graph`` is built and validated only for the connected masks.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -143,5 +148,6 @@ def enumerate_connected(n: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterat
             f"enumeration cap is {cap} vertices, got {n}; raise cap= to override"
         )
     pairs = pair_order(n)
-    graphs = (graph_from_edge_bits(n, mask, pairs) for mask in range(1 << len(pairs)))
-    return (g for g in graphs if is_connected(g))
+    full = (1 << n) - 1
+    rows = (_adjacency(n, mask, pairs) for mask in range(1 << len(pairs)))
+    return (Graph(n, tuple(adj)) for adj in rows if len(component_masks(adj, full)) == 1)

@@ -95,20 +95,28 @@ def iota_oracle(g: Graph, k: int, *, cap: int = DEFAULT_ORACLE_CAP) -> SolveRepo
             f"oracle cap is {cap} vertices, got {g.n}; raise cap= to override"
         )
     start = time.perf_counter()
-    adj = g.adj
-    full = g.full_mask
-    closed = [adj[v] | (1 << v) for v in range(g.n)]
+    combo, tested = oracle_scan(g.adj, k)
+    return SolveReport(
+        len(combo), frozenset(combo), tested, 0, 0, time.perf_counter() - start
+    )
+
+
+def oracle_scan(adj: Sequence[int], k: int) -> tuple[tuple[int, ...], int]:
+    """The subset scan behind ``iota_oracle``: the first isolating subset of
+    the whole graph in (size, lexicographic) order, whose length is the
+    isolation number, and how many subsets were tested."""
+    n = len(adj)
+    full = (1 << n) - 1
+    closed = [adj[v] | (1 << v) for v in range(n)]
     tested = 0
-    for size in range(g.n + 1):
-        for combo in itertools.combinations(range(g.n), size):
+    for size in range(n + 1):
+        for combo in itertools.combinations(range(n), size):
             tested += 1
             covered = 0
             for v in combo:
                 covered |= closed[v]
             if find_in_mask(adj, full & ~covered, k) is None:
-                return SolveReport(
-                    size, frozenset(combo), tested, 0, 0, time.perf_counter() - start
-                )
+                return combo, tested
     raise AssertionError("unreachable: the full vertex set always isolates")
 
 
@@ -216,19 +224,24 @@ def iota_solve(g: Graph, k: int) -> SolveReport:
     """
     require_k(k)
     start = time.perf_counter()
-    total = 0
-    iota = 0
-    nodes = prunes = updates = 0
-    for comp in component_masks(g.adj, g.full_mask):
-        best, comp_nodes, comp_prunes, comp_updates = _solve_component(g.adj, comp, k)
+    best, nodes, prunes, updates = solve_mask(g.adj, component_masks(g.adj, g.full_mask), k)
+    return SolveReport(
+        best.bit_count(), set_of(best), nodes, prunes, updates, time.perf_counter() - start
+    )
+
+
+def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, int, int, int]:
+    """The search behind ``iota_solve`` over the components ``comps``: a
+    minimum isolating set of their union as a mask, plus the node, prune and
+    update counts summed over them."""
+    total = nodes = prunes = updates = 0
+    for comp in comps:
+        best, comp_nodes, comp_prunes, comp_updates = _solve_component(adj, comp, k)
         total |= best
-        iota += best.bit_count()
         nodes += comp_nodes
         prunes += comp_prunes
         updates += comp_updates
-    return SolveReport(
-        iota, set_of(total), nodes, prunes, updates, time.perf_counter() - start
-    )
+    return total, nodes, prunes, updates
 
 
 def _solve_component(adj: Sequence[int], comp: int, k: int) -> tuple[int, int, int, int]:

@@ -10,7 +10,6 @@ import pytest
 
 import cliqueiso.cli as cli
 from cliqueiso import (
-    BoundResult,
     BranchTag,
     build_complete,
     build_cycle,
@@ -18,13 +17,15 @@ from cliqueiso import (
     build_path,
     format_edge_list,
     gen_random_connected,
+    iota_oracle,
+    iota_solve,
     parse_edge_list,
     read_graph,
     verify_isolating,
     write_graph,
 )
 from cliqueiso.cli import main
-from cliqueiso.isolation import greedy_mask
+from cliqueiso.isolation import greedy_mask, oracle_scan
 
 from .support import disjoint_union, package_env
 
@@ -430,11 +431,11 @@ class TestCheckTheorem:
     def test_violations_are_reported_and_counted(self, capsys, monkeypatch, argv):
         # A broken construction: one vertex over the bound, the lowest labels,
         # which fail to isolate wherever a k-clique survives outside them.
-        def oversized(g, k):
-            bound = g.n // (k + 1)
-            return BoundResult(frozenset(range(bound + 1)), bound, (), 0)
+        def oversized(adj, comps, k, check=False):
+            bound = len(adj) // (k + 1)
+            return (1 << bound + 1) - 1, [], 0
 
-        monkeypatch.setattr(cli, "bounded_isolating_set", oversized)
+        monkeypatch.setattr(cli, "construct_mask", oversized)
         code, reports, _ = run(capsys, ["check-theorem", *argv])
         assert code == 3
         records = 0
@@ -462,6 +463,57 @@ class TestCheckTheorem:
             assert rec["problems"] == [
                 "constructed set does not isolate",
                 "constructed set size 3 exceeds bound 2",
+            ]
+
+    def test_solver_over_the_bound_is_reported(self, capsys, monkeypatch):
+        # A broken solver that answers with every vertex: over the bound, and
+        # at odds with the oracle, which still runs on these small graphs.
+        monkeypatch.setattr(cli, "solve_mask", lambda adj, comps, k: ((1 << len(adj)) - 1, 0, 0, 0))
+        code, reports, _ = run(capsys, ["check-theorem", "--mode", "exhaustive",
+                                        "--n-max", "4", "--k-max", "2"])
+        assert code == 3
+        records = [rep for rep in reports if rep.get("violation")]
+        assert records
+        for rep in records:
+            g = parse_edge_list(rep["graph"])
+            n, k = rep["n"], rep["k"]
+            assert rep["problems"] == [
+                f"iota {n} exceeds bound {n // (k + 1)}",
+                f"solver {n} disagrees with oracle {iota_oracle(g, k).iota}",
+            ]
+
+    def test_oracle_disagreement_is_reported(self, capsys, monkeypatch):
+        # A broken oracle that finds one vertex more than the solver's answer.
+        def one_more(adj, k):
+            combo, tested = oracle_scan(adj, k)
+            return combo + (len(adj),), tested
+
+        monkeypatch.setattr(cli, "oracle_scan", one_more)
+        code, reports, _ = run(capsys, ["check-theorem", "--mode", "exhaustive",
+                                        "--n-max", "4", "--k-max", "1"])
+        assert code == 3
+        records = [rep for rep in reports if rep.get("violation")]
+        # Every non-excluded instance: 38 + 4 + 1 connected graphs at n = 2..4.
+        assert len(records) == 43
+        for rep in records:
+            iota = iota_solve(parse_edge_list(rep["graph"]), rep["k"]).iota
+            assert rep["problems"] == [f"solver {iota} disagrees with oracle {iota + 1}"]
+
+    def test_construction_failure_is_reported(self, capsys, monkeypatch):
+        # Random mode fed a disconnected graph: the solver and the oracle
+        # handle it, and the construction's connectivity guard refuses it.
+        g = disjoint_union([build_path(3), build_path(3)])
+        monkeypatch.setattr(cli, "gen_random_connected", lambda n, p, seed: g)
+        code, reports, _ = run(capsys, ["check-theorem", "--mode", "random", "--count", "2",
+                                        "--n-max", "6", "--k-max", "1", "--seed", "1"])
+        assert code == 3
+        records = [rep for rep in reports if rep.get("violation")]
+        assert len(records) == 2
+        for rep in records:
+            assert rep["graph"] == format_edge_list(g)
+            assert rep["problems"] == [
+                "construction failed: graph is disconnected; "
+                "use bounded_sets_per_component or bound --per-component"
             ]
 
     def test_random_mode_stdout_pinned(self, capsys):

@@ -21,7 +21,7 @@ from cliqueiso.generators import graph_from_edge_bits, pair_order
 from .support import adjacency_sets, naive_components
 
 # Connected labeled graphs on n vertices (OEIS A001187).
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
+CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
 
 
 class TestFixedFamilies:
@@ -166,7 +166,7 @@ class TestEdgeBits:
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", sorted(CONNECTED_COUNTS.items()))
     def test_connected_counts(self, n, count):
-        assert sum(1 for _ in enumerate_connected(n, cap=5)) == count
+        assert sum(1 for _ in enumerate_connected(n, cap=6)) == count
 
     def test_connectivity_filter_matches_naive_check(self):
         expected = [
@@ -183,6 +183,16 @@ class TestEnumeration:
         sizes = [g.edge_count for g in enumerate_connected(3)]
         assert sizes == [2, 2, 2, 3]
         assert next(enumerate_connected(3)).edges() == [(0, 1), (0, 2)]
+
+    def test_edge_masks_ascend_at_six(self):
+        # The connectivity filter runs on raw rows; the graphs that pass keep
+        # the edge-mask order, starting from the star at vertex 0.
+        index = {pair: i for i, pair in enumerate(pair_order(6))}
+        graphs = list(enumerate_connected(6))
+        assert graphs[0].edges() == [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]
+        masks = [sum(1 << index[e] for e in g.edges()) for g in graphs]
+        assert masks == sorted(set(masks))
+        assert masks[-1] == 2**15 - 1
 
     def test_cap_refusal_names_the_cap(self):
         with pytest.raises(EnumerationCapError, match="6"):
