@@ -40,7 +40,6 @@ from .graph import (
     Subgraph,
     classify_exception,
     induced,
-    is_connected,
 )
 from .isolation import (
     IsolationCertificate,
@@ -80,7 +79,6 @@ __all__ = [
     "induced",
     "iota_oracle",
     "iota_solve",
-    "is_connected",
     "parse_edge_list",
     "read_graph",
     "verify_isolating",

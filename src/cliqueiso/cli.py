@@ -67,12 +67,6 @@ def _fail(message: str) -> int:
     return _EXIT_INPUT
 
 
-def _bump_recursion(n: int) -> None:
-    need = 1000 + 8 * n
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
-
-
 def _parse_set_literal(text: str) -> frozenset[int]:
     fields = text.replace(",", " ").split()
     try:
@@ -101,7 +95,6 @@ def _bound_stats(results: list[BoundResult], start: float) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     g = read_graph(args.path)
-    _bump_recursion(g.n)
     rep = iota_solve(g, args.k)
     cert = verify_isolating(g, args.k, rep.optimal_set)
     _report(

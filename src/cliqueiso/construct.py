@@ -20,9 +20,11 @@ by which neighbours of v they attach to, and fires one rule:
   5-cycle shapes bottom out in small finite constructions that are verified
   before being returned.
 
-Each rule records one ``TraceStep`` and yields the child pieces, which are
-pushed in reverse, so the trace is in pre-order and the steps of every piece
-form one contiguous run.  The set is the union of the steps.
+Each rule returns its tag, the vertices it adds to the set and the child
+pieces, which are pushed in reverse, so the trace is in pre-order and the
+steps of every piece form one contiguous run.  The set is the union of the
+steps.  A step is kept as a (tag, chosen) pair, whose size does not grow with
+the piece; ``TraceStep`` objects are built only for the public results.
 
 Every choice (clique, pivot, attachment, cycle labeling) takes the smallest
 index available, so the output is a pure function of the input.  The final set
@@ -69,6 +71,12 @@ class BranchTag(Enum):
     CASE1_SUB2 = "Case1_Sub2"
     CASE1_SUB3 = "Case1_Sub3"
     CASE2 = "Case2"
+
+
+# One step of the trace: the rule's tag and the vertices it added to the set.
+_Record = tuple[BranchTag, tuple[int, ...]]
+# What a rule returns: its record's two fields, then the child pieces.
+_Fired = tuple[BranchTag, tuple[int, ...], list[int]]
 
 
 @dataclass(frozen=True)
@@ -199,17 +207,18 @@ def bounded_sets_per_component(g: Graph, k: int, *, check: bool = False) -> list
     return out
 
 
-def _result(n: int, k: int, built: tuple[int, list[TraceStep], int]) -> BoundResult:
+def _result(n: int, k: int, built: tuple[int, list[_Record], int]) -> BoundResult:
     d, trace, depth = built
-    return BoundResult(set=set_of(d), bound=n // (k + 1), trace=tuple(trace), depth=depth)
+    steps = tuple(TraceStep(tag, chosen) for tag, chosen in trace)
+    return BoundResult(set=set_of(d), bound=n // (k + 1), trace=steps, depth=depth)
 
 
 def construct_mask(
     adj: Sequence[int], comps: list[int], k: int, check: bool = False
-) -> tuple[int, list[TraceStep], int]:
+) -> tuple[int, list[_Record], int]:
     """The work stack behind ``bounded_isolating_set``, on a non-exceptional
     graph whose components are ``comps``: the verified set as a mask, the
-    trace and the depth of the piece tree.
+    trace as (tag, chosen) pairs and the depth of the piece tree.
 
     Raises ``ValueError`` unless ``comps`` is a single component; the caller
     has already ruled out the two excluded shapes.
@@ -219,7 +228,7 @@ def construct_mask(
     root = comps[0]
     d = 0
     deepest = 0
-    trace: list[TraceStep] = []
+    trace: list[_Record] = []
     records: list[tuple[int, int]] = []  # (piece, depth) of each step, with check
     stack = [(root, 0)]
     while stack:
@@ -231,9 +240,9 @@ def construct_mask(
                     f"the piece {_describe(piece)} must be connected and non-exceptional"
                 )
             records.append((piece, depth))
-        step, children = _step(adj, piece, k)
-        trace.append(step)
-        for u in step.chosen:
+        tag, chosen, children = _step(adj, piece, k)
+        trace.append((tag, chosen))
+        for u in chosen:
             d |= 1 << u
         for child in reversed(children):
             stack.append((child, depth + 1))
@@ -250,16 +259,16 @@ def _describe(piece: int) -> str:
 
 
 def _check_piece_sets(
-    adj: Sequence[int], k: int, records: list[tuple[int, int]], trace: list[TraceStep]
+    adj: Sequence[int], k: int, records: list[tuple[int, int]], trace: list[_Record]
 ) -> None:
     """Each piece's steps form a contiguous pre-order run; walking the trace
     backwards folds every finished run into its parent's, deepest first, and
     checks that each piece's set lies inside it, isolates it and keeps
     within floor(|piece|/(k+1))."""
     done: list[tuple[int, int]] = []  # (depth, set) of runs not yet folded
-    for (piece, depth), step in zip(reversed(records), reversed(trace)):
+    for (piece, depth), (_, chosen) in zip(reversed(records), reversed(trace)):
         d = 0
-        for u in step.chosen:
+        for u in chosen:
             d |= 1 << u
         while done and done[-1][0] > depth:
             d |= done.pop()[1]
@@ -275,18 +284,18 @@ def _check_piece_sets(
         done.append((depth, d))
 
 
-def _step(adj: Sequence[int], piece: int, k: int) -> tuple[TraceStep, list[int]]:
+def _step(adj: Sequence[int], piece: int, k: int) -> _Fired:
     """Fire the rule that applies to one piece."""
     if piece.bit_count() <= 2:
         if find_in_mask(adj, piece, k) is None:
-            return TraceStep(BranchTag.BASE_SMALL, ()), []
+            return BranchTag.BASE_SMALL, (), []
         # connected, non-exceptional, n <= 2 with a k-clique forces k = 1 on an edge
         _fact(k == 1 and piece.bit_count() == 2, "a small piece with a k-clique is an edge")
-        return TraceStep(BranchTag.BASE_SMALL, ((piece & -piece).bit_length() - 1,)), []
+        return BranchTag.BASE_SMALL, ((piece & -piece).bit_length() - 1,), []
 
     clique = find_in_mask(adj, piece, k)
     if clique is None:
-        return TraceStep(BranchTag.NO_CLIQUE, ()), []
+        return BranchTag.NO_CLIQUE, (), []
 
     pivot = -1
     outer = piece & ~clique
@@ -301,14 +310,14 @@ def _step(adj: Sequence[int], piece: int, k: int) -> tuple[TraceStep, list[int]]
     vb = 1 << pivot
 
     if (adj[pivot] & piece) | vb == piece:
-        return TraceStep(BranchTag.DOMINATING_VERTEX, (pivot,)), []
+        return BranchTag.DOMINATING_VERTEX, (pivot,), []
 
     entries = _linkage(adj, piece, k, pivot)
     _fact(all(lk for _, _, lk in entries), "every residual component touches N(pivot)")
 
     exceptional = [entry for entry in entries if entry[1] is not NONE]
     if not exceptional:
-        return TraceStep(BranchTag.NO_EXCEPTIONAL, (pivot,)), [cm for cm, _, _ in entries]
+        return BranchTag.NO_EXCEPTIONAL, (pivot,), [cm for cm, _, _ in entries]
 
     for _, _, lk in exceptional:
         if lk.bit_count() == 1:
@@ -347,7 +356,7 @@ def _case_single_link(
     pivot: int,
     entries: list[_Entry],
     x: int,
-) -> tuple[TraceStep, list[int]]:
+) -> _Fired:
     """Some exceptional residual component hangs on the single neighbour x."""
     xb = 1 << x
     direct = xb
@@ -370,7 +379,7 @@ def _case_single_link(
         direct |= _far(adj, gv, pivot)
     else:
         children = [gv] + children
-    return TraceStep(BranchTag.CASE2, tuple(bits(direct))), children
+    return BranchTag.CASE2, tuple(bits(direct)), children
 
 
 def _case_multi_link(
@@ -380,7 +389,7 @@ def _case_multi_link(
     pivot: int,
     entries: list[_Entry],
     picked: _Entry,
-) -> tuple[TraceStep, list[int]]:
+) -> _Fired:
     """Every exceptional residual component attaches to at least two
     neighbours of the pivot; excise the first one plus one attachment."""
     h_mask, h_kind, h_links = picked
@@ -404,7 +413,7 @@ def _case_multi_link(
     gv_kind = exception_kind(adj, gv, k)
     if gv_kind is NONE:
         # Subcase 1: the pivot-side piece is pushed as-is
-        return TraceStep(BranchTag.CASE1_SUB1, tuple(bits(d_prime))), [gv] + x_only
+        return BranchTag.CASE1_SUB1, tuple(bits(d_prime)), [gv] + x_only
     if gv_kind is K_CLIQUE:
         return _pivot_side_clique(adj, piece, k, pivot, x, h_mask, h_kind, y, y2b, gv, x_only)
     return _pivot_side_cycle(adj, piece, k, pivot, h_mask, y, gv, x_only)
@@ -422,7 +431,7 @@ def _pivot_side_clique(
     y2b: int,
     gv: int,
     x_only: list[int],
-) -> tuple[TraceStep, list[int]]:
+) -> _Fired:
     """The piece containing the pivot is itself a k-clique, so it equals
     N[pivot] minus x and the construction bottoms out in finite patterns."""
     n = piece.bit_count()
@@ -443,7 +452,7 @@ def _pivot_side_clique(
     c_y = find_in_mask(adj, leftover, k)
 
     if c_y is None:
-        return TraceStep(BranchTag.CASE1_SUB2, tuple(bits(d_pp))), x_only
+        return BranchTag.CASE1_SUB2, tuple(bits(d_pp)), x_only
 
     cy_gv = c_y & gv
     cy_h = c_y & h_mask
@@ -456,7 +465,7 @@ def _pivot_side_clique(
         gz_mask = piece & ~zone
         _fact(len(component_masks(adj, gz_mask)) == 1, "the remainder is connected")
         _fact(exception_kind(adj, gz_mask, k) is NONE, "the remainder is not exceptional")
-        return TraceStep(BranchTag.CASE1_SUB2, (z,)), [gz_mask]
+        return BranchTag.CASE1_SUB2, (z,), [gz_mask]
 
     # No x-only pieces: the whole piece is gv + x + the excised component.
     if h_kind is K_CLIQUE:
@@ -482,7 +491,7 @@ def _pivot_side_clique(
         d = (1 << y) | cy_h
 
     _fact(_isolates(adj, piece, d, k), "terminal pattern must isolate")
-    return TraceStep(BranchTag.CASE1_SUB2, tuple(bits(d))), []
+    return BranchTag.CASE1_SUB2, tuple(bits(d)), []
 
 
 def _pivot_side_cycle(
@@ -494,7 +503,7 @@ def _pivot_side_cycle(
     y: int,
     gv: int,
     x_only: list[int],
-) -> tuple[TraceStep, list[int]]:
+) -> _Fired:
     """k = 2 and the piece containing the pivot is a 5-cycle: cut out the
     three far cycle vertices and push what is left, unless what is left is
     itself a 5-cycle, which bottoms out in a two-vertex pattern."""
@@ -526,6 +535,6 @@ def _pivot_side_cycle(
         )
         d = vb | v3b if adj[v3] >> y & 1 else vb | v1b
         _fact(_isolates(adj, piece, d, k), "terminal pattern must isolate")
-        return TraceStep(BranchTag.CASE1_SUB3, tuple(bits(d))), []
+        return BranchTag.CASE1_SUB3, tuple(bits(d)), []
 
-    return TraceStep(BranchTag.CASE1_SUB3, (v3,)), [rest_mask]
+    return BranchTag.CASE1_SUB3, (v3,), [rest_mask]

@@ -192,14 +192,6 @@ def induced(g: Graph, s: Iterable[int]) -> Subgraph:
     return Subgraph(Graph(len(order), tuple(adj)), tuple(order))
 
 
-def is_connected(g: Graph) -> bool:
-    """True iff the graph has exactly one component.  The empty graph is not
-    connected; the one-vertex graph is."""
-    if g.n == 0:
-        return False
-    return len(component_masks(g.adj, g.full_mask)) == 1
-
-
 def exception_kind(adj: Sequence[int], mask: int, k: int) -> ExceptionKind:
     """Which excluded shape ``mask`` induces: a complete graph on exactly k
     vertices, at k = 2 a 5-cycle, or neither.

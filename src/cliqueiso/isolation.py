@@ -220,7 +220,8 @@ def iota_solve(g: Graph, k: int) -> SolveReport:
     bound never prunes an ancestor of the first optimal leaf, so the bound
     decides how many nodes are visited, never which set is returned.  The
     report counts nodes, bound prunes and incumbent updates over all
-    components.
+    components.  The search keeps its nodes on an explicit stack, so its
+    depth, one level per chosen vertex, never meets Python's recursion limit.
     """
     require_k(k)
     start = time.perf_counter()
@@ -233,56 +234,53 @@ def iota_solve(g: Graph, k: int) -> SolveReport:
 def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, int, int, int]:
     """The search behind ``iota_solve`` over the components ``comps``: a
     minimum isolating set of their union as a mask, plus the node, prune and
-    update counts summed over them."""
+    update counts summed over them.
+
+    Each component is searched depth first from an explicit stack of nodes
+    ``(chosen, covered, forbidden, size)``.  A node's children are pushed
+    highest candidate first, each with the candidates below it forbidden, so
+    they are popped lowest first, exactly in the order of a recursive search.
+    """
     total = nodes = prunes = updates = 0
     for comp in comps:
-        best, comp_nodes, comp_prunes, comp_updates = _solve_component(adj, comp, k)
+        best = greedy_mask(adj, comp, k)
+        if best & (best - 1) == 0:
+            # No clique at all, or one vertex is optimal: the root's bound of
+            # one clique would prune.
+            total |= best
+            nodes += 1
+            if best:
+                prunes += 1
+            continue
+        ball = {v: closed_mask(adj, adj[v] | 1 << v) for v in bits(comp)}
+        best_size = best.bit_count()
+        stack = [(0, 0, 0, 0)]
+        while stack:
+            chosen, covered, forbidden, size = stack.pop()
+            nodes += 1
+            residual = comp & ~covered
+            clique = find_in_mask(adj, residual, k)
+            if clique is None:
+                if size < best_size:
+                    best = chosen
+                    best_size = size
+                    updates += 1
+                continue
+            limit = best_size - size
+            # The branching clique alone bounds by one, so a slack of one or
+            # less prunes without packing.
+            if limit <= 1 or packing_bound(
+                adj, ball, residual, k, clique, forbidden, limit
+            ) >= limit:
+                prunes += 1
+                continue
+            candidates = closed_mask(adj, clique) & ~forbidden & ~chosen
+            while candidates:
+                u = candidates.bit_length() - 1
+                high = 1 << u
+                candidates ^= high
+                stack.append(
+                    (chosen | high, covered | adj[u] | high, forbidden | candidates, size + 1)
+                )
         total |= best
-        nodes += comp_nodes
-        prunes += comp_prunes
-        updates += comp_updates
     return total, nodes, prunes, updates
-
-
-def _solve_component(adj: Sequence[int], comp: int, k: int) -> tuple[int, int, int, int]:
-    """Minimum isolating set of component ``comp``, plus its node, prune and
-    update counts."""
-    incumbent = greedy_mask(adj, comp, k)
-    if incumbent == 0:
-        return 0, 1, 0, 0
-    if incumbent & (incumbent - 1) == 0:
-        # One vertex is optimal: the root's bound of one clique would prune.
-        return incumbent, 1, 1, 0
-    ball = {v: closed_mask(adj, adj[v] | 1 << v) for v in bits(comp)}
-    best_mask = incumbent
-    best_size = incumbent.bit_count()
-    nodes = prunes = updates = 0
-
-    def search(chosen: int, covered: int, forbidden: int, size: int) -> None:
-        nonlocal best_mask, best_size, nodes, prunes, updates
-        nodes += 1
-        residual = comp & ~covered
-        clique = find_in_mask(adj, residual, k)
-        if clique is None:
-            if size < best_size:
-                best_mask = chosen
-                best_size = size
-                updates += 1
-            return
-        limit = best_size - size
-        # The branching clique alone bounds by one, so a slack of one or less
-        # prunes without packing.
-        if limit <= 1 or packing_bound(adj, ball, residual, k, clique, forbidden, limit) >= limit:
-            prunes += 1
-            return
-        candidates = closed_mask(adj, clique) & ~forbidden & ~chosen
-        barred = forbidden
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            u = low.bit_length() - 1
-            search(chosen | low, covered | adj[u] | low, barred, size + 1)
-            barred |= low
-
-    search(0, 0, 0, 0)
-    return best_mask, nodes, prunes, updates

@@ -8,6 +8,8 @@ checked against straightforward code that shares none of their machinery.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -114,6 +116,16 @@ def package_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": str(Path(cliqueiso.__file__).resolve().parents[1])}
 
 
+def run_at_low_recursion_limit(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    package, after cutting its recursion limit to 120 frames: far below the
+    depth of the searches that ``code`` starts."""
+    return subprocess.run(
+        [sys.executable, "-c", "import sys\nsys.setrecursionlimit(120)\n" + code],
+        capture_output=True, text=True, env=package_env(), timeout=300,
+    )
+
+
 def labeled_graphs(n_max: int) -> Iterator[Graph]:
     """Every labeled graph, connected or not, with at most ``n_max`` vertices."""
     for n in range(n_max + 1):
@@ -132,11 +144,17 @@ def disjoint_union(parts: list[Graph]) -> Graph:
 
 
 @st.composite
-def graphs(draw, min_n: int = 0, max_n: int = 8) -> Graph:
-    """Arbitrary simple graphs: one bit per vertex pair."""
+def graphs(draw, min_n: int = 0, max_n: int = 8, coin: bool = False) -> Graph:
+    """Arbitrary simple graphs: one bit per vertex pair.  The bits come from
+    one integer draw, which leans to sparse graphs, or with ``coin`` from one
+    fair coin per pair, as in G(n, 1/2)."""
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     pairs = list(combinations(range(n), 2))
-    mask = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
+    if coin:
+        flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        mask = sum(1 << i for i, flip in enumerate(flips) if flip)
+    else:
+        mask = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
     edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
     return Graph.from_edges(n, edges)
 

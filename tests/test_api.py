@@ -32,7 +32,6 @@ PUBLIC_NAMES = [
     "induced",
     "iota_oracle",
     "iota_solve",
-    "is_connected",
     "parse_edge_list",
     "read_graph",
     "verify_isolating",

@@ -27,7 +27,7 @@ from cliqueiso import (
 from cliqueiso.cli import main
 from cliqueiso.isolation import greedy_mask, oracle_scan
 
-from .support import disjoint_union, package_env
+from .support import disjoint_union, package_env, run_at_low_recursion_limit
 
 # SHA-256 of the stdout of `check-theorem --mode exhaustive --n-max 5 --k-max 3`.
 # The reports are promised byte-identical, so a change here must be deliberate.
@@ -562,6 +562,43 @@ class TestProcessLevel:
         rep = json.loads(out.stdout)
         assert rep["size"] == rep["bound"] == 666
         assert verify_isolating(read_graph(path), 2, rep["set"]).valid
+
+    @staticmethod
+    def main_at_low_limit(argv: list[str]) -> subprocess.CompletedProcess:
+        """``main(argv)`` at a recursion limit of 120; the limit it leaves
+        is the last stderr line."""
+        return run_at_low_recursion_limit(
+            "from cliqueiso.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(sys.getrecursionlimit(), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+
+    def test_verify_finds_a_150_clique_at_low_recursion_limit(self, tmp_path):
+        path = tmp_path / "k150.edges"
+        write_graph(path, build_complete(150))
+        out = self.main_at_low_limit(["verify", str(path), "--k", "150", ""])
+        assert out.returncode == 1, out.stderr
+        rep = json.loads(out.stdout)
+        assert rep["valid"] is False
+        assert rep["witness"] == list(range(150))
+
+    def test_bound_at_k150_at_low_recursion_limit(self, tmp_path):
+        path = tmp_path / "b160.edges"
+        write_graph(path, build_extremal(160, 150))
+        out = self.main_at_low_limit(["bound", str(path), "--k", "150"])
+        assert out.returncode == 0, out.stderr
+        rep = json.loads(out.stdout)
+        assert rep["size"] <= rep["bound"] == 1
+        assert verify_isolating(read_graph(path), 150, rep["set"]).valid
+
+    def test_solve_leaves_the_recursion_limit_alone(self, tmp_path):
+        path = tmp_path / "k150.edges"
+        write_graph(path, build_complete(150))
+        out = self.main_at_low_limit(["solve", str(path), "--k", "150"])
+        assert out.returncode == 0, out.stderr
+        assert out.stderr.splitlines()[-1] == "120"
+        assert json.loads(out.stdout)["iota"] == 1
 
     def test_installed_entry_point_round_trip(self, tmp_path):
         out = tmp_path / "g.edges"

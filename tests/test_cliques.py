@@ -18,6 +18,9 @@ from cliqueiso.graph import mask_of, set_of
 from .support import adjacency_sets, graphs, labeled_graphs, naive_k_cliques
 
 
+SMALL_GRAPHS = st.one_of(graphs(max_n=10), graphs(min_n=7, max_n=10, coin=True))
+
+
 def first_clique(g: Graph, k: int) -> frozenset[int] | None:
     hit = find_in_mask(g.adj, g.full_mask, k)
     return None if hit is None else set_of(hit)
@@ -68,27 +71,31 @@ class TestFind:
         g = Graph.from_edges(6, [(0, 4), (1, 2), (1, 3), (2, 3), (4, 5)])
         assert first_clique(g, 2) == frozenset({0, 4})
 
-    @given(graphs(max_n=8), st.integers(min_value=1, max_value=4))
-    def test_find_matches_naive_minimum(self, g, k):
-        naive = naive_all_cliques(g, k)
-        got = first_clique(g, k)
-        # The public route to the same clique: the witness against the empty set.
-        assert verify_isolating(g, k, ()).witness == got
-        if not naive:
-            assert got is None
-        else:
-            assert got == min(naive, key=sorted)
+    # Every k up to 6 on up to ten vertices, half of the graphs dense, so the
+    # descent stacks several levels and backtracks across them.
+    @given(SMALL_GRAPHS)
+    def test_find_matches_naive_minimum(self, g):
+        for k in range(1, 7):
+            naive = naive_all_cliques(g, k)
+            got = first_clique(g, k)
+            # The public route to the same clique: the witness against the empty set.
+            assert verify_isolating(g, k, ()).witness == got
+            if not naive:
+                assert got is None
+            else:
+                assert got == min(naive, key=sorted)
 
-    @given(graphs(max_n=8), st.integers(min_value=1, max_value=4), st.data())
-    def test_sub_pools_match_naive_minimum(self, g, k, data):
+    @given(SMALL_GRAPHS, st.data())
+    def test_sub_pools_match_naive_minimum(self, g, data):
         pool = data.draw(st.sets(st.integers(min_value=0, max_value=max(g.n - 1, 0))))
         pool = {u for u in pool if u < g.n}
-        naive = [c for c in naive_all_cliques(g, k) if c <= pool]
-        got = find_in_mask(g.adj, mask_of(pool, g.n), k)
-        if not naive:
-            assert got is None
-        else:
-            assert set_of(got) == min(naive, key=sorted)
+        for k in range(1, 7):
+            naive = [c for c in naive_all_cliques(g, k) if c <= pool]
+            got = find_in_mask(g.adj, mask_of(pool, g.n), k)
+            if not naive:
+                assert got is None
+            else:
+                assert set_of(got) == min(naive, key=sorted)
 
     def test_every_pool_of_every_small_graph(self):
         # Every vertex mask of every labeled graph with n <= 5 at k = 1..4,

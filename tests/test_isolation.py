@@ -44,6 +44,7 @@ from .support import (
     naive_iota,
     naive_is_isolating,
     naive_k_cliques,
+    run_at_low_recursion_limit,
 )
 
 
@@ -230,6 +231,17 @@ class TestSolver:
         k = 2
         whole = disjoint_union(parts)
         assert iota_solve(whole, k).iota == sum(iota_solve(p, k).iota for p in parts)
+
+
+    def test_long_path_at_low_recursion_limit(self):
+        # The search is one node deeper per chosen vertex: 100 deep here.
+        out = run_at_low_recursion_limit(
+            "from cliqueiso import build_path, iota_solve\n"
+            "rep = iota_solve(build_path(300), 1)\n"
+            "print(rep.iota, rep.nodes_expanded)\n"
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["100", "13200"]
 
 
 class TestBounds:
