@@ -16,6 +16,7 @@ violation found.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -323,7 +324,10 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
     return _EXIT_VIOLATION if violations else _EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every later
+    ``main`` in the process; parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="cliqueiso",
         description="Exact and constructive k-clique isolation over edge-list files.",

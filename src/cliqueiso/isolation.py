@@ -54,7 +54,8 @@ class SolveReport:
 
     ``nodes_expanded`` counts search nodes (subsets tested, for the oracle).
     ``bound_prunes`` counts the nodes the packing bound cut off, also where
-    the branching clique alone used up the budget, and
+    the branching clique alone used up the budget and where, one vertex short
+    of the best set, no single candidate isolates the rest; and
     ``incumbent_updates`` the times the search beat its best set so far,
     starting from the greedy set; both are 0 for the oracle.  The counters
     and ``elapsed`` are informative only; correctness never depends on them.
@@ -148,7 +149,7 @@ def greedy_mask(adj: Sequence[int], within: int, k: int) -> int:
 
 def packing_bound(
     adj: Sequence[int],
-    ball: Mapping[int, int],
+    ball: Sequence[int],
     pool: int,
     k: int,
     clique: int,
@@ -156,19 +157,21 @@ def packing_bound(
     limit: int,
 ) -> int:
     """Lower bound on how many more vertices any isolating set of ``pool``
-    needs when no vertex of ``forbidden`` may be chosen, given ``clique``, the
-    first k-clique of ``pool``; a return value of at least ``limit`` means
-    only that the bound reaches ``limit``.
+    needs when no vertex of ``forbidden`` may be chosen, given ``clique``, any
+    k-clique of ``pool`` (not necessarily its first); a return value of at
+    least ``limit`` means only that the bound reaches ``limit``.
 
-    Greedily packs k-cliques whose hitter sets are pairwise disjoint.  A
-    vertex kills a clique C exactly when it lies in N[C], so C needs a chosen
-    vertex in its hitter set H = N[C] minus ``forbidden``, and distinct packed
-    cliques need distinct vertices.  After C is packed, N[H] leaves the pool:
-    a later clique outside N[H] has a hitter set disjoint from H.  When N[C]
-    misses ``forbidden``, N[H] is N[N[C]], the union of the precomputed
-    distance-two balls ``ball[v]`` over v in C.  An empty H means no allowed
-    set isolates the pool, and the bound returns ``limit`` at once; so does
-    reaching ``limit`` packed cliques, since the caller prunes either way.
+    Greedily packs k-cliques whose hitter sets are pairwise disjoint, starting
+    from ``clique`` and then taking the first k-clique left in the pool, so the
+    labels of ``adj`` decide which cliques are packed.  A vertex kills a
+    clique C exactly when it lies in N[C], so C needs a chosen vertex in its
+    hitter set H = N[C] minus ``forbidden``, and distinct packed cliques need
+    distinct vertices.  After C is packed, N[H] leaves the pool: a later
+    clique outside N[H] has a hitter set disjoint from H.  When N[C] misses
+    ``forbidden``, N[H] is N[N[C]], the union of the precomputed distance-two
+    balls ``ball[v]`` over v in C.  An empty H means no allowed set isolates
+    the pool, and the bound returns ``limit`` at once; so does reaching
+    ``limit`` packed cliques, since the caller prunes either way.
     """
     count = 0
     while True:
@@ -201,6 +204,31 @@ def packing_bound(
             return count
 
 
+def degree_relabel(adj: Sequence[int], within: int) -> tuple[list[int], dict[int, int]]:
+    """The subgraph on ``within`` relabeled 0, 1, ... by ascending degree in
+    it, ties to the smaller label: its adjacency rows, and the bit of each
+    vertex's new label keyed by its old one.
+
+    ``packing_bound`` packs cliques in label order, so on these rows it packs
+    cliques of low-degree vertices first, whose balls are small and leave more
+    of the pool to pack.
+    """
+    order = sorted(bits(within), key=lambda v: ((adj[v] & within).bit_count(), v))
+    code = {v: 1 << i for i, v in enumerate(order)}
+    return [relabel_mask(adj[v] & within, code) for v in order], code
+
+
+def relabel_mask(mask: int, code: Mapping[int, int]) -> int:
+    """``mask`` in the labels of ``code``, which maps each vertex to its new
+    bit."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= code[low.bit_length() - 1]
+    return out
+
+
 def iota_solve(g: Graph, k: int) -> SolveReport:
     """Exact isolation number by branch and bound.
 
@@ -210,13 +238,16 @@ def iota_solve(g: Graph, k: int) -> SolveReport:
     k-clique (smallest vertex first; each tried vertex is forbidden in the
     later branches, so no subset is visited twice) and prunes with
     ``packing_bound``.  That bound packs cliques with disjoint sets of
-    still-allowed hitters, starting from the branching clique; it prunes at
-    once when some clique has no allowed hitter and stops packing when the
-    count reaches the slack ``best size - size``.  The branching clique alone
-    is a packing of one, so a node with slack at most one is pruned without
-    calling the bound.  For the same reason a component whose greedy set is a
-    single vertex is not searched: that vertex is returned with the counts of
-    the root's own prune (one node, one bound prune, no update).  A valid
+    still-allowed hitters, starting from the branching clique and then in
+    ascending-degree order; it prunes at once when some clique has no allowed
+    hitter and stops packing when the count reaches the slack ``best size -
+    size``.  The branching clique alone is a packing of one, so a node with
+    slack at most one is pruned without calling the bound.  For the same
+    reason a component whose greedy set is a single vertex is not searched:
+    that vertex is returned with the counts of the root's own prune (one node,
+    one bound prune, no update).  A node with slack two is settled without
+    children or the bound: it looks for the lowest candidate that alone
+    isolates the rest, and counts a bound prune when there is none.  A valid
     bound never prunes an ancestor of the first optimal leaf, so the bound
     decides how many nodes are visited, never which set is returned.  The
     report counts nodes, bound prunes and incumbent updates over all
@@ -237,9 +268,25 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
     update counts summed over them.
 
     Each component is searched depth first from an explicit stack of nodes
-    ``(chosen, covered, forbidden, size)``.  A node's children are pushed
-    highest candidate first, each with the candidates below it forbidden, so
-    they are popped lowest first, exactly in the order of a recursive search.
+    ``(chosen, covered, forbidden, size, dcovered, dforbidden)``.  A node's
+    children are pushed highest candidate first, each with the candidates
+    below it forbidden, so they are popped lowest first, exactly in the order
+    of a recursive search.
+
+    At slack two the node's children would be leaves, and the first of them
+    that isolates the residual becomes the incumbent.  The node finds that
+    candidate directly: while candidates remain, it deletes N[v] of the lowest
+    candidate v and looks for a clique C' in what is left.  If there is none,
+    v is the answer; otherwise every candidate outside N[C'], v among them,
+    leaves C' alive and is dropped.
+
+    Packing in host labels starts with the low labels, which may be hubs
+    whose balls empty the pool.  So a component whose greedy set has at least
+    three vertices, the only kind that ever reaches a slack of three, is
+    relabeled once by ``degree_relabel``, and the bound runs on those rows:
+    ``dcovered`` and ``dforbidden`` are ``covered`` and ``forbidden`` in the
+    new labels.  The search itself stays in host labels, so the tree's order
+    and the reported set do not depend on the relabeling.
     """
     total = nodes = prunes = updates = 0
     for comp in comps:
@@ -252,11 +299,15 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
             if best:
                 prunes += 1
             continue
-        ball = {v: closed_mask(adj, adj[v] | 1 << v) for v in bits(comp)}
         best_size = best.bit_count()
-        stack = [(0, 0, 0, 0)]
+        if best_size >= 3:
+            drows, code = degree_relabel(adj, comp)
+            dball = [closed_mask(drows, row | 1 << i) for i, row in enumerate(drows)]
+            dclosed = {v: drows[b.bit_length() - 1] | b for v, b in code.items()}
+            dcomp = (1 << len(drows)) - 1
+        stack = [(0, 0, 0, 0, 0, 0)]
         while stack:
-            chosen, covered, forbidden, size = stack.pop()
+            chosen, covered, forbidden, size, dcovered, dforbidden = stack.pop()
             nodes += 1
             residual = comp & ~covered
             clique = find_in_mask(adj, residual, k)
@@ -269,18 +320,41 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
             limit = best_size - size
             # The branching clique alone bounds by one, so a slack of one or
             # less prunes without packing.
-            if limit <= 1 or packing_bound(
-                adj, ball, residual, k, clique, forbidden, limit
-            ) >= limit:
+            if limit <= 1:
                 prunes += 1
                 continue
             candidates = closed_mask(adj, clique) & ~forbidden & ~chosen
+            if limit == 2:
+                while candidates:
+                    low = candidates & -candidates
+                    alive = find_in_mask(adj, residual & ~(adj[low.bit_length() - 1] | low), k)
+                    if alive is None:
+                        best = chosen | low
+                        best_size = size + 1
+                        updates += 1
+                        break
+                    candidates &= closed_mask(adj, alive)
+                else:
+                    prunes += 1
+                continue
+            if packing_bound(
+                drows, dball, dcomp & ~dcovered, k, relabel_mask(clique, code), dforbidden, limit
+            ) >= limit:
+                prunes += 1
+                continue
+            rest = relabel_mask(candidates, code)
             while candidates:
                 u = candidates.bit_length() - 1
                 high = 1 << u
                 candidates ^= high
-                stack.append(
-                    (chosen | high, covered | adj[u] | high, forbidden | candidates, size + 1)
-                )
+                rest ^= code[u]
+                stack.append((
+                    chosen | high,
+                    covered | adj[u] | high,
+                    forbidden | candidates,
+                    size + 1,
+                    dcovered | dclosed[u],
+                    dforbidden | rest,
+                ))
         total |= best
     return total, nodes, prunes, updates

@@ -16,7 +16,7 @@ from cliqueiso import ExceptionalGraphError, bounded_isolating_set, enumerate_co
 
 PIN_N_MAX = 5
 PIN_KS = (1, 2, 3)
-PIN_SHA256 = "321c3ad802f2e03e9fd5102de33d6bce0f0674601af46d1108efe671ded1ceed"
+PIN_SHA256 = "1daf363493fd43ad2b6314ddd51f364da32716c2aba0a36436e6825a2aa184c4"
 PIN_WITHOUT_TREE_SHA256 = "bff3cfcabdd09a50d0b8c9cb438a660417e44772cb829e1a5d5bb7a3bbd8f017"
 
 

@@ -36,7 +36,7 @@ CHECK_THEOREM_N5_K3_SHA256 = "fe4b5d21dc64f7ba50682c6c7ec0f6b5a4c670c85645c6faa4
 # `check-theorem --mode random --count 200 --n-max 10 --k-max 2 --seed 7`.
 CHECK_THEOREM_RANDOM_S7_SHA256 = "b24eaf8abca861ef8ed7f11e8fe4add99039d6c2873dfec871c43a73ad6330eb"
 # SHA-256 of the stdout of `solve g.edges --k 2` on gen_random_connected(30, 0.15, 3).
-SOLVE_R30_K2_SHA256 = "504f22373574d85ef44544eff52c0c062e1cc774bda1f3787db6ca657481f7c2"
+SOLVE_R30_K2_SHA256 = "0732734fed32ce67fa7bd22fc2f96b4712b2085792499d5a51100a6ea34514da"
 # SHA-256 of the stdout of `bound g.edges --k 3` on build_extremal(200, 3).
 BOUND_B200_K3_SHA256 = "c57a6cc9159dec1822abf21aad6a23e292091e3b42909ef065589597841db4f7"
 # SHA-256 of the stdout of `bound g.edges --k 2 --per-component` on the disjoint
@@ -134,6 +134,20 @@ class TestSolve:
         assert stats["incumbent_updates"] >= 1
         assert 0 < stats["bound_prunes"] < stats["nodes"]
         assert stats["elapsed_s"] >= 0
+
+    def test_rejected_call_leaves_the_shared_parser_intact(self, capsys, monkeypatch, tmp_path):
+        # The parser is built once per process; a call that argparse rejects
+        # must not change how the next call parses or what it prints.
+        monkeypatch.chdir(tmp_path)
+        write_graph("g.edges", gen_random_connected(30, 0.15, 3))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "g.edges", "--k", "two"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        assert main(["solve", "g.edges", "--k", "2"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_R30_K2_SHA256
+        assert cli._build_parser() is cli._build_parser()
 
     def test_no_update_when_greedy_is_optimal(self, capsys, k5_file):
         code, reports, err = run(capsys, ["solve", k5_file, "--k", "5"])

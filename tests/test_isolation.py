@@ -33,7 +33,7 @@ from cliqueiso import (
 from cliqueiso import isolation
 from cliqueiso.cliques import find_in_mask
 from cliqueiso.graph import mask_of, set_of
-from cliqueiso.isolation import greedy_mask, packing_bound
+from cliqueiso.isolation import degree_relabel, greedy_mask, packing_bound
 
 from .support import (
     adjacency_sets,
@@ -48,18 +48,34 @@ from .support import (
 )
 
 
+# The integer draw of ``graphs`` leans sparse, so the solver and bound
+# properties also draw dense graphs, one fair coin per vertex pair.
+SOLVER_GRAPHS = st.one_of(graphs(max_n=9), graphs(min_n=7, max_n=9, coin=True))
+BOUND_GRAPHS = st.one_of(graphs(max_n=8), graphs(min_n=6, max_n=8, coin=True))
+
 # Two triangles, {0, 1, 2} and {6, 7, 8}, joined by the path 2-3-4-5-6.
 TWO_TRIANGLES = Graph.from_edges(
     9, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (6, 8), (7, 8)]
 )
 
 
-def distance_two_rows(g: Graph) -> dict[int, int]:
+def distance_two_rows(g: Graph) -> list[int]:
     """N[N[v]] of every vertex, rebuilt from the naive neighbourhood helper."""
-    return {
-        v: mask_of(naive_closed_neighborhood(g, naive_closed_neighborhood(g, [v])), g.n)
+    return [
+        mask_of(naive_closed_neighborhood(g, naive_closed_neighborhood(g, [v])), g.n)
         for v in range(g.n)
-    }
+    ]
+
+
+def degree_renamed(g: Graph) -> tuple[Graph, list[int]]:
+    """``g`` with its vertices renamed 0, 1, ... by ascending degree, ties to
+    the smaller label, rebuilt from the edge list; and each vertex's new name."""
+    nbrs = adjacency_sets(g)
+    order = sorted(range(g.n), key=lambda v: (len(nbrs[v]), v))
+    name = [0] * g.n
+    for i, v in enumerate(order):
+        name[v] = i
+    return Graph.from_edges(g.n, [(name[u], name[v]) for u, v in g.edges()]), name
 
 
 def packing(g: Graph, pool: int, k: int, forbidden: int = 0, limit: int | None = None) -> int:
@@ -200,8 +216,8 @@ class TestSolver:
             for g in enumerate_connected(n, cap=5):
                 assert iota_solve(g, k).iota == iota_oracle(g, k).iota, g
 
-    @given(graphs(max_n=9), st.integers(min_value=1, max_value=3))
-    @settings(max_examples=60)
+    @given(SOLVER_GRAPHS, st.integers(min_value=1, max_value=3))
+    @settings(max_examples=80)
     def test_matches_oracle_on_arbitrary_graphs(self, g, k):
         rep = iota_solve(g, k)
         assert rep.iota == iota_oracle(g, k).iota
@@ -233,6 +249,30 @@ class TestSolver:
         assert iota_solve(whole, k).iota == sum(iota_solve(p, k).iota for p in parts)
 
 
+    def test_last_level_is_settled_without_children(self):
+        # Greedy takes {0, 2}, so the root has a slack of two: it looks for
+        # one vertex that isolates the rest (vertex 1) instead of pushing a
+        # child per candidate.
+        rep = iota_solve(build_path(3), 1)
+        assert (rep.iota, rep.optimal_set) == (1, frozenset({1}))
+        assert (rep.nodes_expanded, rep.bound_prunes, rep.incumbent_updates) == (1, 0, 1)
+
+    def test_one_surviving_clique_rules_out_several_candidates(self, monkeypatch):
+        # Star 0-{1, 2, 3} with the path 3-4-5 at k = 1.  Greedy takes {0, 4},
+        # so the root at slack two tries the candidates N[0] = {0, 1, 2, 3}.
+        # Without N[0], vertex 4 survives, and N[4] = {3, 4, 5} leaves only 3
+        # in play: 1 and 2 are never tried.  Without N[3], vertex 1 survives,
+        # no candidate is left, and the root prunes.
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
+        searched = []
+        monkeypatch.setattr(
+            isolation, "find_in_mask", lambda *args: searched.append(args[1]) or find_in_mask(*args)
+        )
+        rep = iota_solve(g, 1)
+        assert (rep.iota, rep.optimal_set) == (2, frozenset({0, 4}))
+        assert (rep.nodes_expanded, rep.bound_prunes, rep.incumbent_updates) == (1, 1, 0)
+        assert searched[-3:] == [g.full_mask, mask_of([4, 5], 6), mask_of([1, 2, 5], 6)]
+
     def test_long_path_at_low_recursion_limit(self):
         # The search is one node deeper per chosen vertex: 100 deep here.
         out = run_at_low_recursion_limit(
@@ -241,7 +281,7 @@ class TestSolver:
             "print(rep.iota, rep.nodes_expanded)\n"
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["100", "13200"]
+        assert out.stdout.split() == ["100", "13050"]
 
 
 class TestBounds:
@@ -279,17 +319,49 @@ class TestBounds:
         assert packing(g, mask_of(pool, g.n), k) == want
         assert packing(g, mask_of(pool, g.n), k, limit=limit) == min(want, limit)
 
-    @given(graphs(max_n=8), st.integers(min_value=1, max_value=3), st.data())
-    @settings(max_examples=80)
+    @given(BOUND_GRAPHS, st.integers(min_value=1, max_value=3), st.data())
+    @settings(max_examples=120)
     def test_packing_bound_is_a_lower_bound_with_forbidden_vertices(self, g, k, data):
         pool = vertex_subset(g, data)
         forbidden = vertex_subset(g, data)
         limit = data.draw(st.integers(min_value=1, max_value=g.n + 1))
-        bound = packing(g, mask_of(pool, g.n), k, mask_of(forbidden, g.n), limit)
+        bounds = [packing(g, mask_of(pool, g.n), k, mask_of(forbidden, g.n), limit)]
+        # The solver packs on degree-ordered rows, from its branching clique,
+        # which need not be the first clique in either labeling.
+        cliques = list(naive_k_cliques(g, k, pool))
+        if cliques:
+            h, name = degree_renamed(g)
+            start = data.draw(st.sampled_from(cliques))
+            bounds.append(
+                packing_bound(
+                    h.adj,
+                    distance_two_rows(h),
+                    mask_of([name[v] for v in pool], g.n),
+                    k,
+                    mask_of([name[v] for v in start], g.n),
+                    mask_of([name[v] for v in forbidden], g.n),
+                    limit,
+                )
+            )
         least = naive_least_isolator(g, pool, k, forbidden)
         # Reaching the limit claims only that no allowed set below it exists.
         if least is not None and least < limit:
-            assert bound <= least
+            assert max(bounds) <= least
+
+    @given(graphs(max_n=9), st.data())
+    def test_degree_relabel_matches_renaming_by_degree(self, g, data):
+        within = mask_of(vertex_subset(g, data), g.n)
+        rows, code = degree_relabel(g.adj, within)
+        h, name = degree_renamed(naive_delete(g, set(range(g.n)) - set_of(within)))
+        inside = sorted(set_of(within))
+        assert rows == list(h.adj)
+        assert code == {v: 1 << name[i] for i, v in enumerate(inside)}
+
+    def test_degree_relabel_orders_a_path_ends_first(self):
+        # Degrees 1, 2, 2, 2, 1: the two ends, then the inner vertices in order.
+        rows, code = degree_relabel(build_path(5).adj, 0b11111)
+        assert [code[v].bit_length() - 1 for v in range(5)] == [0, 2, 3, 4, 1]
+        assert rows == [1 << 2, 1 << 4, 1 << 0 | 1 << 3, 1 << 2 | 1 << 4, 1 << 1 | 1 << 3]
 
     def test_forbidden_hitters_raise_the_bound(self):
         # On 0-1-2-3-4 at k = 2 vertex 2 alone kills every edge.  With 2
