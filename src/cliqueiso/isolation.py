@@ -300,6 +300,7 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
                 prunes += 1
             continue
         best_size = best.bit_count()
+        # Only a slack of three or more packs, so only these need the tables.
         if best_size >= 3:
             drows, code = degree_relabel(adj, comp)
             dball = [closed_mask(drows, row | 1 << i) for i, row in enumerate(drows)]
@@ -342,19 +343,19 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
             ) >= limit:
                 prunes += 1
                 continue
-            rest = relabel_mask(candidates, code)
+            dcandidates = relabel_mask(candidates, code)
             while candidates:
                 u = candidates.bit_length() - 1
                 high = 1 << u
                 candidates ^= high
-                rest ^= code[u]
+                dcandidates ^= code[u]
                 stack.append((
                     chosen | high,
                     covered | adj[u] | high,
                     forbidden | candidates,
                     size + 1,
                     dcovered | dclosed[u],
-                    dforbidden | rest,
+                    dforbidden | dcandidates,
                 ))
         total |= best
     return total, nodes, prunes, updates

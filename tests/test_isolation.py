@@ -357,12 +357,6 @@ class TestBounds:
         assert rows == list(h.adj)
         assert code == {v: 1 << name[i] for i, v in enumerate(inside)}
 
-    def test_degree_relabel_orders_a_path_ends_first(self):
-        # Degrees 1, 2, 2, 2, 1: the two ends, then the inner vertices in order.
-        rows, code = degree_relabel(build_path(5).adj, 0b11111)
-        assert [code[v].bit_length() - 1 for v in range(5)] == [0, 2, 3, 4, 1]
-        assert rows == [1 << 2, 1 << 4, 1 << 0 | 1 << 3, 1 << 2 | 1 << 4, 1 << 1 | 1 << 3]
-
     def test_forbidden_hitters_raise_the_bound(self):
         # On 0-1-2-3-4 at k = 2 vertex 2 alone kills every edge.  With 2
         # forbidden, {0, 1} needs 0 or 1 and {3, 4} needs 3 or 4: two vertices,
