@@ -1,11 +1,12 @@
 """Isolation predicate, subset-scan oracle, the exact branch-and-bound solver,
 a hitting-set ILP cross-check, and a golden corpus that pins the solver's sets
-and search-tree sizes.
+and every search counter.
 
 Regenerate the corpus only when a solver output is meant to change:
 ``PYTHONPATH=src python -m tests.test_isolation``.  It prints how many entries
-changed iota or set, the total node count before and after, and how many
-entries grew, before it writes.
+changed iota or set and how many changed their incumbent updates, the total
+node and prune counts before and after, and how many entries grew, before it
+writes.
 """
 
 import json
@@ -273,6 +274,42 @@ class TestSolver:
         assert (rep.nodes_expanded, rep.bound_prunes, rep.incumbent_updates) == (1, 1, 0)
         assert searched[-3:] == [g.full_mask, mask_of([4, 5], 6), mask_of([1, 2, 5], 6)]
 
+    def test_slack_three_root_tries_each_candidate_at_slack_two(self, monkeypatch):
+        # The path 4-1-0-3-2 at k = 1.  Greedy takes {0, 2, 4}, so the root
+        # has a slack of three.  Packing from its clique {0} removes the whole
+        # path and counts one, so the root tries the candidates N[0] = {0, 1, 3}
+        # as children at slack two.  Below 0 the clique {2} leaves {4} alive
+        # for each of its candidates, a bound prune.  Below 1, with 0
+        # forbidden, vertex 2 isolates {2, 3}: the set {1, 2}.  Below 3 the
+        # slack is one, a bound prune.
+        g = Graph.from_edges(5, [(0, 1), (0, 3), (1, 4), (2, 3)])
+        assert iota_oracle(g, 1).iota == 2
+        searched = []
+        monkeypatch.setattr(
+            isolation, "find_in_mask", lambda *args: searched.append(args[1]) or find_in_mask(*args)
+        )
+        rep = iota_solve(g, 1)
+        assert (rep.iota, rep.optimal_set) == (2, frozenset({1, 2}))
+        assert (rep.nodes_expanded, rep.bound_prunes, rep.incumbent_updates) == (4, 2, 1)
+        # The root's pool, its packing's emptied pool, then each child's.
+        assert searched[-7:] == [
+            g.full_mask, 0, mask_of([2, 4], 5), mask_of([4], 5), mask_of([2, 3], 5), 0,
+            mask_of([1, 4], 5),
+        ]
+
+    def test_dominated_candidates_match_the_oracle(self):
+        # A triangle 0-1-2 with a pendant 8 at 0 and the path 1-3-4-5-6-7, at
+        # k = 1.  Greedy takes {0, 3, 5, 7}, so the root has a slack of four
+        # and branches on N[0] = {0, 1, 2, 8}.  N[2] = {0, 1, 2} and
+        # N[8] = {0, 8} lie inside N[0]: a set below 2 or 8 does no better with
+        # 0 in its place, and 0 is tried first.
+        g = Graph.from_edges(
+            9, [(0, 1), (0, 2), (1, 2), (0, 8), (1, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
+        )
+        rep = iota_solve(g, 1)
+        assert (rep.iota, rep.optimal_set, rep.incumbent_updates) == (3, frozenset({0, 3, 6}), 1)
+        assert rep.iota == iota_oracle(g, 1).iota
+
     def test_long_path_at_low_recursion_limit(self):
         # The search is one node deeper per chosen vertex: 100 deep here.
         out = run_at_low_recursion_limit(
@@ -427,7 +464,13 @@ def _golden_graphs() -> list[tuple[str, Graph]]:
 
 def _solve_record(g: Graph, k: int) -> dict:
     rep = iota_solve(g, k)
-    return {"iota": rep.iota, "set": sorted(rep.optimal_set), "nodes": rep.nodes_expanded}
+    return {
+        "iota": rep.iota,
+        "set": sorted(rep.optimal_set),
+        "nodes": rep.nodes_expanded,
+        "prunes": rep.bound_prunes,
+        "updates": rep.incumbent_updates,
+    }
 
 
 def _golden_corpus() -> dict:
@@ -463,8 +506,9 @@ class TestHittingSetILP:
 
 
 class TestGolden:
-    """Optimal sets and search-node counts must stay exactly as recorded: equal
-    node counts on the same inputs mean the search visited the same tree."""
+    """Optimal sets and search counters must stay exactly as recorded: equal
+    node, prune and update counts on the same inputs mean the search visited
+    the same tree."""
 
     @pytest.fixture(scope="class")
     def golden(self):
@@ -492,19 +536,25 @@ def _records(corpus: dict) -> dict[tuple[str, str], dict]:
 
 def _corpus_changes(old: dict, new: dict) -> str:
     """What regenerating the corpus changes: entries whose iota or set moved,
-    total search nodes before and after, and entries whose node count grew."""
+    entries whose incumbent updates moved, total search nodes and bound prunes
+    before and after, and entries whose node count grew."""
     before, after = _records(old), _records(new)
     shared = before.keys() & after.keys()
     moved = sum(
         (before[key]["iota"], before[key]["set"]) != (after[key]["iota"], after[key]["set"])
         for key in shared
     )
+    updates = sum(before[key]["updates"] != after[key]["updates"] for key in shared)
     grew = sum(after[key]["nodes"] > before[key]["nodes"] for key in shared)
+    totals = "; ".join(
+        f"{field}: {sum(r[field] for r in before.values())} -> "
+        f"{sum(r[field] for r in after.values())}"
+        for field in ("nodes", "prunes")
+    )
     return (
         f"{len(after)} entries ({len(after.keys() - shared)} new, "
         f"{len(before.keys() - shared)} gone); iota or set changed: {moved}; "
-        f"nodes: {sum(r['nodes'] for r in before.values())} -> "
-        f"{sum(r['nodes'] for r in after.values())}; entries with more nodes: {grew}"
+        f"updates changed: {updates}; {totals}; entries with more nodes: {grew}"
     )
 
 
