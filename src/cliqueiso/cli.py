@@ -8,7 +8,8 @@ with fixed inputs and seeds is byte-identical; the verbs that read a graph
 file share one header (command, input, n, m, k).  Timings are kept out
 of the reports and go to stderr: ``solve`` writes one line of search counters,
 ``bound`` one line with the construction's step count, piece-tree depth and
-branch-tag histogram, and ``check-theorem`` per-row stats and progress.  Exit
+branch-tag histogram, and ``check-theorem`` per-row stats, with the same
+histogram, and progress.  Exit
 status: 0 success or valid, 1 invalid verification, 2 input error, 3 bound
 violation found.
 """
@@ -80,15 +81,20 @@ def _trace_json(trace: Iterable) -> list[dict]:
     return [{"tag": st.tag.value, "chosen": list(st.chosen)} for st in trace]
 
 
+def _tag_fields(counts: Counter) -> str:
+    """How many construction steps each rule produced, as ``Tag=count``
+    fields in ``BranchTag`` order."""
+    return " ".join(f"{tag.value}={counts[tag]}" for tag in BranchTag)
+
+
 def _bound_stats(results: list[BoundResult], start: float) -> None:
     """One stderr line: the number of construction steps over ``results``,
     the deepest piece tree among them, and how many steps each rule produced,
     in ``BranchTag`` order."""
     counts = Counter(st.tag for res in results for st in res.trace)
     depth = max((res.depth for res in results), default=0)
-    tags = " ".join(f"{tag.value}={counts[tag]}" for tag in BranchTag)
     print(
-        f"bound: trace_steps={counts.total()} depth={depth} {tags} "
+        f"bound: trace_steps={counts.total()} depth={depth} {_tag_fields(counts)} "
         f"elapsed_s={time.perf_counter() - start:.3f}",
         file=sys.stderr,
     )
@@ -186,10 +192,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _check_graph(g: Graph, ks: range, oracle_cap: int) -> Iterator[tuple[int | None, dict | None]]:
-    """Check every instance (g, k) for k in ``ks``, yielding (iota,
-    violation-detail) per k; iota is None for an excluded shape, which is not
-    solved.
+def _check_graph(
+    g: Graph, ks: range, oracle_cap: int
+) -> Iterator[tuple[int | None, list, dict | None]]:
+    """Check every instance (g, k) for k in ``ks``, yielding (iota, the
+    construction's trace, violation-detail) per k; iota is None and the trace
+    empty for an excluded shape, which is not solved, and the trace is empty
+    when the construction fails.
 
     The components are found once and serve every k, both for the solver and
     for the construction's connectivity guard.  Each instance then runs on
@@ -201,15 +210,16 @@ def _check_graph(g: Graph, ks: range, oracle_cap: int) -> Iterator[tuple[int | N
     comps = component_masks(adj, full)
     for k in ks:
         if exception_kind(adj, full, k) is not NONE:
-            yield None, None
+            yield None, [], None
             continue
         bound = g.n // (k + 1)
         problems: list[str] = []
+        trace = []
         iota = solve_mask(adj, comps, k)[0].bit_count()
         if iota > bound:
             problems.append(f"iota {iota} exceeds bound {bound}")
         try:
-            d = construct_mask(adj, comps, k)[0]
+            d, trace, _ = construct_mask(adj, comps, k)
             if find_in_mask(adj, full & ~closed_mask(adj, d), k) is not None:
                 problems.append("constructed set does not isolate")
             if d.bit_count() > bound:
@@ -221,9 +231,9 @@ def _check_graph(g: Graph, ks: range, oracle_cap: int) -> Iterator[tuple[int | N
             if oracle_iota != iota:
                 problems.append(f"solver {iota} disagrees with oracle {oracle_iota}")
         if not problems:
-            yield iota, None
+            yield iota, trace, None
             continue
-        yield iota, {
+        yield iota, trace, {
             "command": "check-theorem",
             "violation": True,
             "n": g.n,
@@ -255,9 +265,10 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
     row per (batch, k); ``violations`` in a summary row is the running total
     over every row so far, not the count for that row.  Timing-dependent
     stats go to stderr: per summary row the largest iota of a non-excluded
-    instance, the floor at the largest n of the batch, the elapsed seconds
-    and the instances per second, plus a progress line every
-    ``PROGRESS_EVERY`` graphs of a batch.
+    instance, the floor at the largest n of the batch, how many construction
+    steps each rule produced (``bound``'s histogram), the elapsed seconds and
+    the instances per second, plus a progress line every ``PROGRESS_EVERY``
+    graphs of a batch.
     """
     for flag, value, low in (
         ("--n-max", args.n_max, 1),
@@ -290,15 +301,19 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
         label = "check-theorem " + " ".join(f"{key}={value}" for key, value in head.items())
         exceptional = dict.fromkeys(ks, 0)
         max_iota = dict.fromkeys(ks, 0)
+        tags = {k: Counter() for k in ks}
         seen = n_seen = 0
         for g in graphs:
             seen += 1
             n_seen = max(n_seen, g.n)
-            for k, (iota, detail) in zip(ks, _check_graph(g, ks, args.oracle_cap)):
+            for k, (iota, trace, detail) in zip(ks, _check_graph(g, ks, args.oracle_cap)):
                 if iota is None:
                     exceptional[k] += 1
                 elif iota > max_iota[k]:
                     max_iota[k] = iota
+                counts = tags[k]
+                for tag, _ in trace:
+                    counts[tag] += 1
                 if detail is not None:
                     violations += 1
                     _emit(detail)
@@ -318,7 +333,7 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
             )
             print(
                 f"{label} k={k}: max_iota={max_iota[k]} floor={n_seen // (k + 1)} "
-                f"{_throughput(checked, start)}",
+                f"{_tag_fields(tags[k])} {_throughput(checked, start)}",
                 file=sys.stderr,
             )
     return _EXIT_VIOLATION if violations else _EXIT_OK

@@ -11,10 +11,13 @@ import pytest
 import cliqueiso.cli as cli
 from cliqueiso import (
     BranchTag,
+    ExceptionalGraphError,
+    bounded_isolating_set,
     build_complete,
     build_cycle,
     build_extremal,
     build_path,
+    enumerate_connected,
     format_edge_list,
     gen_random_connected,
     iota_oracle,
@@ -553,6 +556,31 @@ class TestCheckTheorem:
         assert fields["max_iota"] == fields["floor"] == "2"
         assert float(fields["elapsed_s"]) >= 0
         assert float(fields["instances_per_s"]) > 0
+
+    def test_branch_histogram_per_row_on_stderr(self, capsys):
+        code, _, err = run(capsys, ["check-theorem", "--mode", "exhaustive",
+                                    "--n-max", "4", "--k-max", "2"])
+        assert code == 0
+        rows = [line for line in err.splitlines() if line.startswith("check-theorem mode=exhaustive n=4 ")]
+        assert len(rows) == 2
+        for k, row in zip((1, 2), rows):
+            fields = [tuple(field.split("=")) for field in row.split(": ")[1].split()]
+            assert [key for key, _ in fields] == (
+                ["max_iota", "floor"] + [tag.value for tag in BranchTag]
+                + ["elapsed_s", "instances_per_s"]
+            )
+            # The steps of bounded_isolating_set on every graph of the row.
+            steps = Counter()
+            for g in enumerate_connected(4):
+                try:
+                    steps.update(step.tag.value for step in bounded_isolating_set(g, k).trace)
+                except ExceptionalGraphError:
+                    pass
+            stats = dict(fields)
+            assert {tag.value: int(stats[tag.value]) for tag in BranchTag} == {
+                tag.value: steps[tag.value] for tag in BranchTag
+            }
+            assert sum(steps.values()) > 0
 
 
 class TestProcessLevel:
