@@ -271,24 +271,30 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
     ``(chosen, covered, forbidden, size, dcovered, dforbidden)``.  A node's
     children are pushed highest candidate first, each with the candidates
     below it forbidden, so they are popped lowest first, exactly in the order
-    of a recursive search.
+    of a recursive search.  A candidate lies in N[C] for a clique C of the
+    residual, so it is never a chosen vertex, and only ``forbidden`` is
+    masked out of N[C].
 
-    At slack two the node's children would be leaves, and the first of them
-    that isolates the residual becomes the incumbent.  The node finds that
-    candidate directly: while candidates remain, it deletes N[v] of the lowest
-    candidate v and looks for a clique C' in what is left.  If there is none,
-    v is the answer; otherwise every candidate outside N[C'], v among them,
-    leaves C' alive and is dropped.
+    At slack two the node's children would be leaves, and ``_last_vertex``
+    finds the first of them that isolates the residual, which becomes the
+    incumbent.  At slack three the children would be slack-two nodes that
+    push nothing, popped one after another, so the node settles them where it
+    stands, lowest candidate first: each still counts as a node and follows
+    the same leaf, prune and slack-two rules, against the incumbent as its
+    earlier siblings left it.
 
     Packing in host labels starts with the low labels, which may be hubs
     whose balls empty the pool.  So a component whose greedy set has at least
     three vertices, the only kind that ever reaches a slack of three, is
     relabeled once by ``degree_relabel``, and the bound runs on those rows:
     ``dcovered`` and ``dforbidden`` are ``covered`` and ``forbidden`` in the
-    new labels.  The search itself stays in host labels, so the tree's order
-    and the reported set do not depend on the relabeling.
+    new labels, and ``dcode`` and ``dclosed`` hold each host vertex's new bit
+    and new closed row (one list for the whole call, each component filling
+    in its own vertices).  The search itself stays in host labels, so the
+    tree's order and the reported set do not depend on the relabeling.
     """
     total = nodes = prunes = updates = 0
+    dcode: list[int] = []
     for comp in comps:
         best = greedy_mask(adj, comp, k)
         if best & (best - 1) == 0:
@@ -302,9 +308,14 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
         best_size = best.bit_count()
         # Only a slack of three or more packs, so only these need the tables.
         if best_size >= 3:
+            if not dcode:
+                dcode = [0] * len(adj)
+                dclosed = [0] * len(adj)
             drows, code = degree_relabel(adj, comp)
+            for v, b in code.items():
+                dcode[v] = b
+                dclosed[v] = drows[b.bit_length() - 1] | b
             dball = [closed_mask(drows, row | 1 << i) for i, row in enumerate(drows)]
-            dclosed = {v: drows[b.bit_length() - 1] | b for v, b in code.items()}
             dcomp = (1 << len(drows)) - 1
         stack = [(0, 0, 0, 0, 0, 0)]
         while stack:
@@ -324,38 +335,107 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
             if limit <= 1:
                 prunes += 1
                 continue
-            candidates = closed_mask(adj, clique) & ~forbidden & ~chosen
             if limit == 2:
-                while candidates:
-                    low = candidates & -candidates
-                    alive = find_in_mask(adj, residual & ~(adj[low.bit_length() - 1] | low), k)
-                    if alive is None:
-                        best = chosen | low
-                        best_size = size + 1
-                        updates += 1
-                        break
-                    candidates &= closed_mask(adj, alive)
+                last = _last_vertex(adj, residual, clique, forbidden, k)
+                if last:
+                    best = chosen | last
+                    best_size = size + 1
+                    updates += 1
                 else:
                     prunes += 1
                 continue
+            dclique = 0
+            rest = clique
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                dclique |= dcode[low.bit_length() - 1]
             if packing_bound(
-                drows, dball, dcomp & ~dcovered, k, relabel_mask(clique, code), dforbidden, limit
+                drows, dball, dcomp & ~dcovered, k, dclique, dforbidden, limit
             ) >= limit:
                 prunes += 1
                 continue
-            dcandidates = relabel_mask(candidates, code)
+            hood = clique
+            size += 1
+            if limit == 3:
+                rest = clique
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    hood |= adj[low.bit_length() - 1]
+                candidates = hood & ~forbidden
+                # The children, lowest first; ``forbidden`` gains each tried one.
+                while candidates:
+                    low = candidates & -candidates
+                    candidates ^= low
+                    nodes += 1
+                    rest = residual & ~(adj[low.bit_length() - 1] | low)
+                    alive = find_in_mask(adj, rest, k)
+                    if alive is None:
+                        if size < best_size:
+                            best = chosen | low
+                            best_size = size
+                            updates += 1
+                    elif best_size - size <= 1:
+                        prunes += 1
+                    else:
+                        last = _last_vertex(adj, rest, alive, forbidden, k)
+                        if last:
+                            best = chosen | low | last
+                            best_size = size + 1
+                            updates += 1
+                        else:
+                            prunes += 1
+                    forbidden |= low
+                continue
+            dhood = 0
+            rest = clique
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                hood |= adj[v]
+                dhood |= dclosed[v]
+            candidates = hood & ~forbidden
+            dcandidates = dhood & ~dforbidden
             while candidates:
                 u = candidates.bit_length() - 1
                 high = 1 << u
                 candidates ^= high
-                dcandidates ^= code[u]
+                dcandidates ^= dcode[u]
                 stack.append((
                     chosen | high,
                     covered | adj[u] | high,
                     forbidden | candidates,
-                    size + 1,
+                    size,
                     dcovered | dclosed[u],
                     dforbidden | dcandidates,
                 ))
         total |= best
     return total, nodes, prunes, updates
+
+
+def _last_vertex(adj: Sequence[int], residual: int, clique: int, forbidden: int, k: int) -> int:
+    """The lowest vertex outside ``forbidden`` whose closed neighbourhood
+    leaves no k-clique in ``residual``, as a bit, or 0 if there is none;
+    ``clique`` is a k-clique of ``residual``.
+
+    Only a vertex of N[C] kills a clique C, so the candidates start as
+    N[clique].  While candidates remain, the lowest, v, is tried: if a clique
+    C' survives N[v], every candidate outside N[C'], v among them, leaves C'
+    alive and is dropped.
+    """
+    candidates = ~forbidden
+    while True:
+        hood = clique
+        while clique:
+            low = clique & -clique
+            clique ^= low
+            hood |= adj[low.bit_length() - 1]
+        candidates &= hood
+        if not candidates:
+            return 0
+        low = candidates & -candidates
+        clique = find_in_mask(adj, residual & ~(adj[low.bit_length() - 1] | low), k)
+        if clique is None:
+            return low
