@@ -247,11 +247,17 @@ def iota_solve(g: Graph, k: int) -> SolveReport:
     that vertex is returned with the counts of the root's own prune (one node,
     one bound prune, no update).  A node with slack two is settled without
     children or the bound: it looks for the lowest candidate that alone
-    isolates the rest, and counts a bound prune when there is none.  A valid
-    bound never prunes an ancestor of the first optimal leaf, so the bound
-    decides how many nodes are visited, never which set is returned.  The
-    report counts nodes, bound prunes and incumbent updates over all
-    components.  The search keeps its nodes on an explicit stack, so its
+    isolates the rest, and counts a bound prune when there is none.  A node
+    with slack three settles its children, slack-two nodes, in place, lowest
+    first, without pushing them; each still counts as a node.  At slack four
+    or more a candidate u is not branched on when a lower candidate w has
+    N[u] ∩ R ⊆ N[w] ∩ R, R the residual: a set below u is no smaller with w
+    in u's place, and w is searched first; u stays forbidden in the later
+    branches.  A valid bound never prunes an ancestor of the first optimal
+    leaf, and a skipped branch could not have improved the incumbent, so the
+    bound and the skip decide how many nodes are visited, never which set is
+    returned or how often the incumbent improves.  The report counts nodes,
+    bound prunes and incumbent updates over all components.  The search keeps its nodes on an explicit stack, so its
     depth, one level per chosen vertex, never meets Python's recursion limit.
     """
     require_k(k)
@@ -282,6 +288,16 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
     stands, lowest candidate first: each still counts as a node and follows
     the same leaf, prune and slack-two rules, against the incumbent as its
     earlier siblings left it.
+
+    At slack four or more a candidate u gets no child when a lower candidate
+    w dominates it: N[u] ∩ R ⊆ N[w] ∩ R for the residual R.  A leaf below u
+    is chosen ∪ {u} ∪ T with T outside the candidates below u, so
+    chosen ∪ {w} ∪ T isolates too and lies below w, which is searched first
+    (directly, or below the lowest of a chain of dominators); by the time u
+    would be popped the incumbent is already no larger than that leaf.  The
+    higher siblings forbid u as before.  The check intersects, over every x
+    of N[u] ∩ R, the closed rows N[x] with the lower candidates, and stops as
+    soon as nothing is left.
 
     Packing in host labels starts with the low labels, which may be hubs
     whose balls empty the pool.  So a component whose greedy set has at least
@@ -403,6 +419,18 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
                 high = 1 << u
                 candidates ^= high
                 dcandidates ^= dcode[u]
+                # The lower candidates w with N[u] & R inside N[w]: w is in
+                # N[x] for every x of N[u] & R.  The highest x first, since
+                # the lowest are the clique's, whose hoods hold many candidates.
+                dominators = candidates
+                reach = (adj[u] | high) & residual
+                while reach and dominators:
+                    x = reach.bit_length() - 1
+                    low = 1 << x
+                    reach ^= low
+                    dominators &= adj[x] | low
+                if dominators:
+                    continue
                 stack.append((
                     chosen | high,
                     covered | adj[u] | high,

@@ -297,18 +297,28 @@ class TestSolver:
             mask_of([1, 4], 5),
         ]
 
-    def test_dominated_candidates_match_the_oracle(self):
+    def test_dominated_candidates_are_skipped(self, monkeypatch):
         # A triangle 0-1-2 with a pendant 8 at 0 and the path 1-3-4-5-6-7, at
         # k = 1.  Greedy takes {0, 3, 5, 7}, so the root has a slack of four
         # and branches on N[0] = {0, 1, 2, 8}.  N[2] = {0, 1, 2} and
         # N[8] = {0, 8} lie inside N[0]: a set below 2 or 8 does no better with
-        # 0 in its place, and 0 is tried first.
+        # 0 in its place, and 0 is tried first.  So the children 2 and 8 are
+        # never built, and the pools they would search, {3, ..., 8} and
+        # {1, ..., 7}, never reach find_in_mask.
         g = Graph.from_edges(
             9, [(0, 1), (0, 2), (1, 2), (0, 8), (1, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
         )
+        assert iota_oracle(g, 1).iota == 3
+        searched = []
+        monkeypatch.setattr(
+            isolation, "find_in_mask", lambda *args: searched.append(args[1]) or find_in_mask(*args)
+        )
         rep = iota_solve(g, 1)
         assert (rep.iota, rep.optimal_set, rep.incumbent_updates) == (3, frozenset({0, 3, 6}), 1)
-        assert rep.iota == iota_oracle(g, 1).iota
+        assert (rep.nodes_expanded, rep.bound_prunes) == (6, 3)
+        assert mask_of([4, 5, 6, 7, 8], 9) in searched  # below 1
+        assert mask_of([3, 4, 5, 6, 7, 8], 9) not in searched
+        assert mask_of([1, 2, 3, 4, 5, 6, 7], 9) not in searched
 
     def test_long_path_at_low_recursion_limit(self):
         # The search is one node deeper per chosen vertex: 100 deep here.
