@@ -8,10 +8,9 @@ with fixed inputs and seeds is byte-identical; the verbs that read a graph
 file share one header (command, input, n, m, k).  Timings are kept out
 of the reports and go to stderr: ``solve`` writes one line of search counters,
 ``bound`` one line with the construction's step count, piece-tree depth and
-branch-tag histogram, and ``check-theorem`` per-row stats, with the same
-histogram, and progress.  Exit
-status: 0 success or valid, 1 invalid verification, 2 input error, 3 bound
-violation found.
+branch-tag histogram, and ``check-theorem`` per-row stats, the same histogram
+among them, and progress.  Exit status: 0 success or valid, 1 invalid
+verification, 2 input error, 3 bound violation found.
 """
 
 from __future__ import annotations

@@ -372,14 +372,17 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
                 prunes += 1
                 continue
             hood = clique
+            dhood = 0
+            rest = clique
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                hood |= adj[v]
+                dhood |= dclosed[v]
+            candidates = hood & ~forbidden
             size += 1
             if limit == 3:
-                rest = clique
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    hood |= adj[low.bit_length() - 1]
-                candidates = hood & ~forbidden
                 # The children, lowest first; ``forbidden`` gains each tried one.
                 while candidates:
                     low = candidates & -candidates
@@ -404,15 +407,6 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
                             prunes += 1
                     forbidden |= low
                 continue
-            dhood = 0
-            rest = clique
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                v = low.bit_length() - 1
-                hood |= adj[v]
-                dhood |= dclosed[v]
-            candidates = hood & ~forbidden
             dcandidates = dhood & ~dforbidden
             while candidates:
                 u = candidates.bit_length() - 1
