@@ -22,7 +22,7 @@ import random
 import sys
 import time
 from collections import Counter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .cliques import find_in_mask
 from .construct import (
@@ -80,17 +80,17 @@ def _trace_json(trace: Iterable) -> list[dict]:
     return [{"tag": st.tag.value, "chosen": list(st.chosen)} for st in trace]
 
 
-def _tag_fields(counts: Counter) -> str:
-    """How many construction steps each rule produced, as ``Tag=count``
-    fields in ``BranchTag`` order."""
-    return " ".join(f"{tag.value}={counts[tag]}" for tag in BranchTag)
+def _tag_fields(counts: Mapping[str, int]) -> str:
+    """How many construction steps each rule produced, given per tag value,
+    as ``Tag=count`` fields in ``BranchTag`` order."""
+    return " ".join(f"{tag.value}={counts[tag.value]}" for tag in BranchTag)
 
 
 def _bound_stats(results: list[BoundResult], start: float) -> None:
     """One stderr line: the number of construction steps over ``results``,
     the deepest piece tree among them, and how many steps each rule produced,
     in ``BranchTag`` order."""
-    counts = Counter(st.tag for res in results for st in res.trace)
+    counts = Counter(st.tag.value for res in results for st in res.trace)
     depth = max((res.depth for res in results), default=0)
     print(
         f"bound: trace_steps={counts.total()} depth={depth} {_tag_fields(counts)} "
@@ -300,7 +300,7 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
         label = "check-theorem " + " ".join(f"{key}={value}" for key, value in head.items())
         exceptional = dict.fromkeys(ks, 0)
         max_iota = dict.fromkeys(ks, 0)
-        tags = {k: Counter() for k in ks}
+        tags = {k: dict.fromkeys((tag.value for tag in BranchTag), 0) for k in ks}
         seen = n_seen = 0
         for g in graphs:
             seen += 1
@@ -310,9 +310,11 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
                     exceptional[k] += 1
                 elif iota > max_iota[k]:
                     max_iota[k] = iota
+                # Keyed by the plain ``_value_`` attribute: hashing an Enum
+                # member or reading ``.value`` runs Python code, once per step.
                 counts = tags[k]
                 for tag, _ in trace:
-                    counts[tag] += 1
+                    counts[tag._value_] += 1
                 if detail is not None:
                     violations += 1
                     _emit(detail)
