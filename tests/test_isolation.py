@@ -275,14 +275,15 @@ class TestSolver:
         assert searched[-3:] == [g.full_mask, mask_of([4, 5], 6), mask_of([1, 2, 5], 6)]
 
     def test_slack_three_root_tries_each_candidate_at_slack_two(self, monkeypatch):
-        # The path 4-1-0-3-2 at k = 1.  Greedy takes {0, 2, 4}, so the root
+        # The path 3-1-0-2-4 at k = 1.  Greedy takes {0, 3, 4}, so the root
         # has a slack of three.  Packing from its clique {0} removes the whole
-        # path and counts one, so the root tries the candidates N[0] = {0, 1, 3}
-        # as children at slack two.  Below 0 the clique {2} leaves {4} alive
-        # for each of its candidates, a bound prune.  Below 1, with 0
-        # forbidden, vertex 2 isolates {2, 3}: the set {1, 2}.  Below 3 the
-        # slack is one, a bound prune.
-        g = Graph.from_edges(5, [(0, 1), (0, 3), (1, 4), (2, 3)])
+        # path and counts one, so the root tries the candidates N[0] = {0, 1, 2}
+        # as children at slack two.  Below 0 the clique {3} leaves {4} alive
+        # for each of its candidates, a bound prune.  Below 1 the clique {2}
+        # has the candidates N[2] = {0, 2, 4} less the forbidden 0, and 2
+        # isolates {2, 4}: the set {1, 2}.  Below 2 the slack is one, a bound
+        # prune.
+        g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 4)])
         assert iota_oracle(g, 1).iota == 2
         searched = []
         monkeypatch.setattr(
@@ -291,10 +292,11 @@ class TestSolver:
         rep = iota_solve(g, 1)
         assert (rep.iota, rep.optimal_set) == (2, frozenset({1, 2}))
         assert (rep.nodes_expanded, rep.bound_prunes, rep.incumbent_updates) == (4, 2, 1)
-        # The root's pool, its packing's emptied pool, then each child's.
+        # The root's pool, its packing's emptied pool, then each child's; the
+        # forbidden 0 is never tried below 1.
         assert searched[-7:] == [
-            g.full_mask, 0, mask_of([2, 4], 5), mask_of([4], 5), mask_of([2, 3], 5), 0,
-            mask_of([1, 4], 5),
+            g.full_mask, 0, mask_of([3, 4], 5), mask_of([4], 5), mask_of([2, 4], 5), 0,
+            mask_of([1, 3], 5),
         ]
 
     def test_dominated_candidates_are_skipped(self, monkeypatch):
