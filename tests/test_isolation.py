@@ -299,6 +299,25 @@ class TestSolver:
             mask_of([1, 3], 5),
         ]
 
+    def test_slack_three_children_reuse_the_cliques_of_their_siblings(self, monkeypatch):
+        # The path 3-1-0-2-4 at k = 1, as above, with every pool searched.
+        # Greedy searches the whole path, {3, 4}, {4} and nothing; the root
+        # searches the path and its packing's emptied pool.  Below 0 the
+        # search of {3, 4} finds {3}, and trying 1 finds {4} in {4}.
+        g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 4)])
+        searched = []
+        monkeypatch.setattr(
+            isolation, "find_in_mask", lambda *args: searched.append(args[1]) or find_in_mask(*args)
+        )
+        rep = iota_solve(g, 1)
+        assert (rep.iota, rep.optimal_set) == (2, frozenset({1, 2}))
+        assert (rep.nodes_expanded, rep.bound_prunes, rep.incumbent_updates) == (4, 2, 1)
+        greedy = [g.full_mask, mask_of([3, 4], 5), mask_of([4], 5), 0]
+        assert searched == greedy + [
+            g.full_mask, 0, mask_of([3, 4], 5), mask_of([4], 5), mask_of([2, 4], 5), 0,
+            mask_of([1, 3], 5),
+        ]
+
     def test_dominated_candidates_are_skipped(self, monkeypatch):
         # A triangle 0-1-2 with a pendant 8 at 0 and the path 1-3-4-5-6-7, at
         # k = 1.  Greedy takes {0, 3, 5, 7}, so the root has a slack of four
