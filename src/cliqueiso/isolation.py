@@ -249,15 +249,19 @@ def iota_solve(g: Graph, k: int) -> SolveReport:
     children or the bound: it looks for the lowest candidate that alone
     isolates the rest, and counts a bound prune when there is none.  A node
     with slack three settles its children, slack-two nodes, in place, lowest
-    first, without pushing them; each still counts as a node.  At slack four
-    or more a candidate u is not branched on when a lower candidate w has
-    N[u] ∩ R ⊆ N[w] ∩ R, R the residual: a set below u is no smaller with w
-    in u's place, and w is searched first; u stays forbidden in the later
-    branches.  A valid bound never prunes an ancestor of the first optimal
-    leaf, and a skipped branch could not have improved the incumbent, so the
-    bound and the skip decide how many nodes are visited, never which set is
-    returned or how often the incumbent improves.  The report counts nodes,
-    bound prunes and incumbent updates over all components.  The search keeps its nodes on an explicit stack, so its
+    first, without pushing them; each still counts as a node.  It remembers
+    the cliques of its residual that these children find: a child whose rest
+    still holds one is no leaf, and only a vertex next to that clique can be
+    its last, so it searches only when no remembered clique is left.  At
+    slack four or more a candidate u is not branched on when a lower
+    candidate w has N[u] ∩ R ⊆ N[w] ∩ R, R the residual: a set below u is no
+    smaller with w in u's place, and w is searched first; u stays forbidden
+    in the later branches.  A valid bound never prunes an ancestor of the
+    first optimal leaf, and a skipped branch could not have improved the
+    incumbent, so the bound and the skip decide how many nodes are visited,
+    never which set is returned or how often the incumbent improves.  The
+    report counts nodes, bound prunes and incumbent updates over all
+    components.  The search keeps its nodes on an explicit stack, so its
     depth, one level per chosen vertex, never meets Python's recursion limit.
     """
     require_k(k)
@@ -287,7 +291,15 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
     push nothing, popped one after another, so the node settles them where it
     stands, lowest candidate first: each still counts as a node and follows
     the same leaf, prune and slack-two rules, against the incumbent as its
-    earlier siblings left it.
+    earlier siblings left it.  The settle keeps ``seen``, the k-cliques of its
+    residual R found so far by the children's own searches and by
+    ``_last_vertex``, each with its N[C].  A seen C that misses N[u] lies in
+    the child u's rest R - N[u], so that child is no leaf without a search,
+    and its last vertex, which must kill C, lies in N[C]: the candidates
+    start as the intersection of those N[C] outside ``forbidden``.  Only
+    when no seen clique survives does the child search its rest.  Dropping
+    vertices that fail anyway leaves the lowest isolating vertex the answer,
+    so the tree, the set and every counter are as without ``seen``.
 
     At slack four or more a candidate u gets no child when a lower candidate
     w dominates it: N[u] ∩ R ⊆ N[w] ∩ R for the residual R.  A leaf below u
@@ -352,7 +364,13 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
                 prunes += 1
                 continue
             if limit == 2:
-                last = _last_vertex(adj, residual, clique, forbidden, k)
+                hood = clique
+                rest = clique
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    hood |= adj[low.bit_length() - 1]
+                last = _last_vertex(adj, residual, hood & ~forbidden, k, [(clique, hood)])
                 if last:
                     best = chosen | last
                     best_size = size + 1
@@ -383,22 +401,46 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
             candidates = hood & ~forbidden
             size += 1
             if limit == 3:
-                # The children, lowest first; ``forbidden`` gains each tried one.
+                # The children, lowest first; ``forbidden`` gains each tried
+                # one, and ``seen`` every clique of the residual found so far,
+                # with its closed neighbourhood.
+                seen = []
                 while candidates:
                     low = candidates & -candidates
                     candidates ^= low
                     nodes += 1
-                    rest = residual & ~(adj[low.bit_length() - 1] | low)
-                    alive = find_in_mask(adj, rest, k)
-                    if alive is None:
-                        if size < best_size:
-                            best = chosen | low
-                            best_size = size
-                            updates += 1
-                    elif best_size - size <= 1:
+                    cut = adj[low.bit_length() - 1] | low
+                    rest = residual & ~cut
+                    # A seen clique that misses N[low] lies in the child's
+                    # rest, so the child is no leaf, and its last vertex must
+                    # lie in that clique's hood.
+                    allowed = ~forbidden
+                    alive = 0
+                    for found, reach in seen:
+                        if not found & cut:
+                            allowed &= reach
+                            alive = found
+                    if not alive:
+                        alive = find_in_mask(adj, rest, k)
+                        if alive is None:
+                            if size < best_size:
+                                best = chosen | low
+                                best_size = size
+                                updates += 1
+                            forbidden |= low
+                            continue
+                        reach = alive
+                        more = alive
+                        while more:
+                            bit = more & -more
+                            more ^= bit
+                            reach |= adj[bit.bit_length() - 1]
+                        seen.append((alive, reach))
+                        allowed &= reach
+                    if best_size - size <= 1:
                         prunes += 1
                     else:
-                        last = _last_vertex(adj, rest, alive, forbidden, k)
+                        last = _last_vertex(adj, rest, allowed, k, seen)
                         if last:
                             best = chosen | low | last
                             best_size = size + 1
@@ -437,27 +479,30 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
     return total, nodes, prunes, updates
 
 
-def _last_vertex(adj: Sequence[int], residual: int, clique: int, forbidden: int, k: int) -> int:
-    """The lowest vertex outside ``forbidden`` whose closed neighbourhood
-    leaves no k-clique in ``residual``, as a bit, or 0 if there is none;
-    ``clique`` is a k-clique of ``residual``.
+def _last_vertex(
+    adj: Sequence[int], residual: int, candidates: int, k: int, seen: list[tuple[int, int]]
+) -> int:
+    """The lowest vertex of ``candidates`` whose closed neighbourhood leaves
+    no k-clique in ``residual``, as a bit, or 0 if there is none.
 
-    Only a vertex of N[C] kills a clique C, so the candidates start as
-    N[clique].  While candidates remain, the lowest, v, is tried: if a clique
-    C' survives N[v], every candidate outside N[C'], v among them, leaves C'
-    alive and is dropped.
+    ``candidates`` must hold every allowed vertex that could answer; a caller
+    that knows a k-clique C of ``residual`` passes the allowed part of N[C],
+    since only a vertex of N[C] kills C.  While candidates remain, the lowest,
+    v, is tried: if a clique C' survives N[v], every candidate outside N[C'],
+    v among them, leaves C' alive and is dropped.  Each such C' is appended to
+    ``seen`` with N[C'].
     """
-    candidates = ~forbidden
-    while True:
-        hood = clique
-        while clique:
-            low = clique & -clique
-            clique ^= low
-            hood |= adj[low.bit_length() - 1]
-        candidates &= hood
-        if not candidates:
-            return 0
+    while candidates:
         low = candidates & -candidates
         clique = find_in_mask(adj, residual & ~(adj[low.bit_length() - 1] | low), k)
         if clique is None:
             return low
+        hood = clique
+        rest = clique
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            hood |= adj[bit.bit_length() - 1]
+        seen.append((clique, hood))
+        candidates &= hood
+    return 0

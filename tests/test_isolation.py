@@ -279,10 +279,9 @@ class TestSolver:
         # has a slack of three.  Packing from its clique {0} removes the whole
         # path and counts one, so the root tries the candidates N[0] = {0, 1, 2}
         # as children at slack two.  Below 0 the clique {3} leaves {4} alive
-        # for each of its candidates, a bound prune.  Below 1 the clique {2}
-        # has the candidates N[2] = {0, 2, 4} less the forbidden 0, and 2
-        # isolates {2, 4}: the set {1, 2}.  Below 2 the slack is one, a bound
-        # prune.
+        # for each of its candidates, a bound prune.  Below 1 the clique {4},
+        # found below 0, has the candidates N[4] = {2, 4}, and 2 isolates
+        # {2, 4}: the set {1, 2}.  Below 2 the slack is one, a bound prune.
         g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 4)])
         assert iota_oracle(g, 1).iota == 2
         searched = []
@@ -292,18 +291,19 @@ class TestSolver:
         rep = iota_solve(g, 1)
         assert (rep.iota, rep.optimal_set) == (2, frozenset({1, 2}))
         assert (rep.nodes_expanded, rep.bound_prunes, rep.incumbent_updates) == (4, 2, 1)
-        # The root's pool, its packing's emptied pool, then each child's; the
-        # forbidden 0 is never tried below 1.
-        assert searched[-7:] == [
-            g.full_mask, 0, mask_of([3, 4], 5), mask_of([4], 5), mask_of([2, 4], 5), 0,
-            mask_of([1, 3], 5),
-        ]
+        # The root's pool, its packing's emptied pool, then the pools of 0's
+        # child and of 1's last vertex; 2's child needs no search.
+        assert searched[-5:] == [g.full_mask, 0, mask_of([3, 4], 5), mask_of([4], 5), 0]
 
     def test_slack_three_children_reuse_the_cliques_of_their_siblings(self, monkeypatch):
         # The path 3-1-0-2-4 at k = 1, as above, with every pool searched.
         # Greedy searches the whole path, {3, 4}, {4} and nothing; the root
         # searches the path and its packing's emptied pool.  Below 0 the
-        # search of {3, 4} finds {3}, and trying 1 finds {4} in {4}.
+        # search of {3, 4} finds {3}, and trying 1 finds {4} in {4}.  {4}
+        # misses N[1], so it lies in the pool {2, 4} below 1, and only its
+        # hood {2, 4} can hold 1's last vertex: {2, 4} is never searched, and
+        # 2 is tried at once.  {3} misses N[2], so the child 2 is no leaf, and
+        # {1, 3} is never searched either.
         g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 4)])
         searched = []
         monkeypatch.setattr(
@@ -313,10 +313,7 @@ class TestSolver:
         assert (rep.iota, rep.optimal_set) == (2, frozenset({1, 2}))
         assert (rep.nodes_expanded, rep.bound_prunes, rep.incumbent_updates) == (4, 2, 1)
         greedy = [g.full_mask, mask_of([3, 4], 5), mask_of([4], 5), 0]
-        assert searched == greedy + [
-            g.full_mask, 0, mask_of([3, 4], 5), mask_of([4], 5), mask_of([2, 4], 5), 0,
-            mask_of([1, 3], 5),
-        ]
+        assert searched == greedy + [g.full_mask, 0, mask_of([3, 4], 5), mask_of([4], 5), 0]
 
     def test_dominated_candidates_are_skipped(self, monkeypatch):
         # A triangle 0-1-2 with a pendant 8 at 0 and the path 1-3-4-5-6-7, at
