@@ -214,9 +214,12 @@ def _check_graph(
         bound = g.n // (k + 1)
         problems: list[str] = []
         trace = []
-        iota = solve_mask(adj, comps, k)[0].bit_count()
+        best = solve_mask(adj, comps, k)[0]
+        iota = best.bit_count()
         if iota > bound:
             problems.append(f"iota {iota} exceeds bound {bound}")
+        if find_in_mask(adj, full & ~closed_mask(adj, best), k) is not None:
+            problems.append("solver set does not isolate")
         try:
             d, trace, _ = construct_mask(adj, comps, k)
             if find_in_mask(adj, full & ~closed_mask(adj, d), k) is not None:
@@ -260,14 +263,18 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
 
     The corpus is a list of batches, each a summary-row head and a graph
     iterator: one batch per n in exhaustive mode, one seeded batch in random
-    mode.  Violation records are emitted as they are found, then one summary
-    row per (batch, k); ``violations`` in a summary row is the running total
-    over every row so far, not the count for that row.  Timing-dependent
-    stats go to stderr: per summary row the largest iota of a non-excluded
-    instance, the floor at the largest n of the batch, how many construction
-    steps each rule produced (``bound``'s histogram), the elapsed seconds and
-    the instances per second, plus a progress line every ``PROGRESS_EVERY``
-    graphs of a batch.
+    mode.  An instance is a violation when the solver's iota exceeds the
+    bound, the solver's set does not isolate, the constructed set does not
+    isolate, exceeds the bound or could not be built, or, up to
+    ``--oracle-cap`` vertices, the oracle finds another iota; its record
+    lists every problem found.  Violation records are emitted as they are
+    found, then one summary row per (batch, k); ``violations`` in a summary
+    row is the running total over every row so far, not the count for that
+    row.  Timing-dependent stats go to stderr: per summary row the largest
+    iota of a non-excluded instance, the floor at the largest n of the batch,
+    how many construction steps each rule produced (``bound``'s histogram),
+    the elapsed seconds and the instances per second, plus a progress line
+    every ``PROGRESS_EVERY`` graphs of a batch.
     """
     for flag, value, low in (
         ("--n-max", args.n_max, 1),

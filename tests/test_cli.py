@@ -11,12 +11,14 @@ import pytest
 import cliqueiso.cli as cli
 from cliqueiso import (
     BranchTag,
+    ExceptionKind,
     ExceptionalGraphError,
     bounded_isolating_set,
     build_complete,
     build_cycle,
     build_extremal,
     build_path,
+    classify_exception,
     enumerate_connected,
     format_edge_list,
     gen_random_connected,
@@ -498,6 +500,32 @@ class TestCheckTheorem:
                 f"iota {n} exceeds bound {n // (k + 1)}",
                 f"solver {n} disagrees with oracle {iota_oracle(g, k).iota}",
             ]
+
+    def test_solver_set_that_does_not_isolate_is_reported(self, capsys, monkeypatch):
+        # A broken solver that answers with the lowest iota labels: the right
+        # size, so the bound and the oracle see nothing wrong, and only the
+        # check of the set itself can tell.
+        solve = cli.solve_mask
+
+        def lowest(adj, comps, k):
+            best, *counts = solve(adj, comps, k)
+            return (1 << best.bit_count()) - 1, *counts
+
+        monkeypatch.setattr(cli, "solve_mask", lowest)
+        code, reports, _ = run(capsys, ["check-theorem", "--mode", "exhaustive",
+                                        "--n-max", "5", "--k-max", "2"])
+        assert code == 3
+        records = {(rep["graph"], rep["k"]): rep["problems"] for rep in reports if "problems" in rep}
+        rejected = {}
+        for n in range(1, 6):
+            for g in enumerate_connected(n):
+                for k in (1, 2):
+                    if classify_exception(g, k) is not ExceptionKind.NONE:
+                        continue
+                    if not verify_isolating(g, k, range(iota_solve(g, k).iota)).valid:
+                        rejected[(format_edge_list(g), k)] = ["solver set does not isolate"]
+        assert records == rejected
+        assert rejected
 
     def test_oracle_disagreement_is_reported(self, capsys, monkeypatch):
         # A broken oracle that finds one vertex more than the solver's answer.
