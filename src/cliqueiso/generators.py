@@ -147,7 +147,24 @@ def enumerate_connected(n: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterat
         raise EnumerationCapError(
             f"enumeration cap is {cap} vertices, got {n}; raise cap= to override"
         )
+    return _connected(n)
+
+
+def _connected(n: int) -> Iterator[Graph]:
+    """The graphs of ``enumerate_connected``.  The rows of mask m are those of
+    m - 1 with the pairs of the bits that differ flipped, about two per mask."""
     pairs = pair_order(n)
     full = (1 << n) - 1
-    rows = (_adjacency(n, mask, pairs) for mask in range(1 << len(pairs)))
-    return (Graph(n, tuple(adj)) for adj in rows if len(component_masks(adj, full)) == 1)
+    adj = [0] * n
+    prev = 0
+    for mask in range(1 << len(pairs)):
+        flip = mask ^ prev
+        prev = mask
+        while flip:
+            low = flip & -flip
+            flip ^= low
+            u, v = pairs[low.bit_length() - 1]
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+        if len(component_masks(adj, full)) == 1:
+            yield Graph(n, tuple(adj))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .cliques import find_in_mask
 from .graph import (
@@ -204,29 +204,42 @@ def packing_bound(
             return count
 
 
-def degree_relabel(adj: Sequence[int], within: int) -> tuple[list[int], dict[int, int]]:
+def degree_relabel(
+    adj: Sequence[int], within: int, code: list[int], closed: list[int]
+) -> tuple[list[int], list[int]]:
     """The subgraph on ``within`` relabeled 0, 1, ... by ascending degree in
-    it, ties to the smaller label: its adjacency rows, and the bit of each
-    vertex's new label keyed by its old one.
+    it, ties to the smaller label: its adjacency rows, and the distance-two
+    ball N[N[i]] of each new label i.  Each vertex v of ``within`` also gets
+    the bit of its new label in ``code[v]`` and its closed row in the new
+    labels in ``closed[v]``.
 
     ``packing_bound`` packs cliques in label order, so on these rows it packs
     cliques of low-degree vertices first, whose balls are small and leave more
     of the pool to pack.
     """
     order = sorted(bits(within), key=lambda v: ((adj[v] & within).bit_count(), v))
-    code = {v: 1 << i for i, v in enumerate(order)}
-    return [relabel_mask(adj[v] & within, code) for v in order], code
-
-
-def relabel_mask(mask: int, code: Mapping[int, int]) -> int:
-    """``mask`` in the labels of ``code``, which maps each vertex to its new
-    bit."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out |= code[low.bit_length() - 1]
-    return out
+    rows = [0] * len(order)
+    placed = 0
+    for i, v in enumerate(order):
+        bit = 1 << i
+        code[v] = bit
+        # Each edge is entered once, from its later end, whose earlier
+        # neighbours already have their codes.
+        row = 0
+        earlier = adj[v] & placed
+        while earlier:
+            low = earlier & -earlier
+            earlier ^= low
+            w = code[low.bit_length() - 1]
+            row |= w
+            rows[w.bit_length() - 1] |= bit
+        rows[i] = row
+        placed |= 1 << v
+    balls = []
+    for i, v in enumerate(order):
+        closed[v] = rows[i] | 1 << i
+        balls.append(closed_mask(rows, closed[v]))
+    return rows, balls
 
 
 def iota_solve(g: Graph, k: int) -> SolveReport:
@@ -317,8 +330,8 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
     relabeled once by ``degree_relabel``, and the bound runs on those rows:
     ``dcovered`` and ``dforbidden`` are ``covered`` and ``forbidden`` in the
     new labels, and ``dcode`` and ``dclosed`` hold each host vertex's new bit
-    and new closed row (one list for the whole call, each component filling
-    in its own vertices).  The search itself stays in host labels, so the
+    and new closed row (one list for the whole call, which ``degree_relabel``
+    fills in for each component's vertices).  The search itself stays in host labels, so the
     tree's order and the reported set do not depend on the relabeling.
     """
     total = nodes = prunes = updates = 0
@@ -339,11 +352,7 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
             if not dcode:
                 dcode = [0] * len(adj)
                 dclosed = [0] * len(adj)
-            drows, code = degree_relabel(adj, comp)
-            for v, b in code.items():
-                dcode[v] = b
-                dclosed[v] = drows[b.bit_length() - 1] | b
-            dball = [closed_mask(drows, row | 1 << i) for i, row in enumerate(drows)]
+            drows, dball = degree_relabel(adj, comp, dcode, dclosed)
             dcomp = (1 << len(drows)) - 1
         stack = [(0, 0, 0, 0, 0, 0)]
         while stack:

@@ -416,11 +416,21 @@ class TestBounds:
     @given(graphs(max_n=9), st.data())
     def test_degree_relabel_matches_renaming_by_degree(self, g, data):
         within = mask_of(vertex_subset(g, data), g.n)
-        rows, code = degree_relabel(g.adj, within)
+        code = [-1] * g.n
+        closed = [-1] * g.n
+        rows, balls = degree_relabel(g.adj, within, code, closed)
         h, name = degree_renamed(naive_delete(g, set(range(g.n)) - set_of(within)))
         inside = sorted(set_of(within))
         assert rows == list(h.adj)
-        assert code == {v: 1 << name[i] for i, v in enumerate(inside)}
+        assert balls == distance_two_rows(h)
+        # Only the vertices of ``within`` get entries.
+        want_code = [-1] * g.n
+        want_closed = [-1] * g.n
+        for i, v in enumerate(inside):
+            want_code[v] = 1 << name[i]
+            want_closed[v] = h.adj[name[i]] | 1 << name[i]
+        assert code == want_code
+        assert closed == want_closed
 
     def test_forbidden_hitters_raise_the_bound(self):
         # On 0-1-2-3-4 at k = 2 vertex 2 alone kills every edge.  With 2
