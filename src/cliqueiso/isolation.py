@@ -331,8 +331,9 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
     ``dcovered`` and ``dforbidden`` are ``covered`` and ``forbidden`` in the
     new labels, and ``dcode`` and ``dclosed`` hold each host vertex's new bit
     and new closed row (one list for the whole call, which ``degree_relabel``
-    fills in for each component's vertices).  The search itself stays in host labels, so the
-    tree's order and the reported set do not depend on the relabeling.
+    fills in for each component's vertices).  The search itself stays in host
+    labels, so the tree's order and the reported set do not depend on the
+    relabeling.
     """
     total = nodes = prunes = updates = 0
     dcode: list[int] = []

@@ -515,7 +515,9 @@ class TestCheckTheorem:
         code, reports, _ = run(capsys, ["check-theorem", "--mode", "exhaustive",
                                         "--n-max", "5", "--k-max", "2"])
         assert code == 3
-        records = {(rep["graph"], rep["k"]): rep["problems"] for rep in reports if "problems" in rep}
+        records = {
+            (rep["graph"], rep["k"]): rep["problems"] for rep in reports if "problems" in rep
+        }
         rejected = {}
         for n in range(1, 6):
             for g in enumerate_connected(n):
