@@ -155,11 +155,13 @@ def packing_bound(
     clique: int,
     forbidden: int,
     limit: int,
-) -> int:
-    """Lower bound on how many more vertices any isolating set of ``pool``
-    needs when no vertex of ``forbidden`` may be chosen, given ``clique``, any
-    k-clique of ``pool`` (not necessarily its first); a return value of at
-    least ``limit`` means only that the bound reaches ``limit``.
+) -> tuple[int, int]:
+    """A lower bound on how many more vertices any isolating set of ``pool``
+    needs when no vertex of ``forbidden`` may be chosen, and ``later``, the
+    union of N[H] over the cliques packed after the first.  The packing starts
+    from ``clique``, any k-clique of ``pool`` (not necessarily its first), or
+    from the pool's first k-clique when ``clique`` is 0.  A bound of at least
+    ``limit`` means only that it reaches ``limit``.
 
     Greedily packs k-cliques whose hitter sets are pairwise disjoint, starting
     from ``clique`` and then taking the first k-clique left in the pool, so the
@@ -172,12 +174,21 @@ def packing_bound(
     balls ``ball[v]`` over v in C.  An empty H means no allowed set isolates
     the pool, and the bound returns ``limit`` at once; so does reaching
     ``limit`` packed cliques, since the caller prunes either way.
+
+    A vertex u of the first clique's H misses N[C] for every later packed
+    clique C, so those cliques survive N[u] with their hitter sets still
+    disjoint, and forbidding more vertices only shrinks them.  So a search
+    child that chooses u keeps them as a packing, and a clique found outside
+    ``later`` adds to it.
     """
     count = 0
-    while True:
+    later = 0
+    if not clique:
+        clique = find_in_mask(adj, pool, k)
+    while clique is not None:
         count += 1
         if count >= limit:
-            return count
+            return count, later
         hood = clique
         rest = clique
         while rest:
@@ -187,21 +198,23 @@ def packing_bound(
         if hood & forbidden:
             hitters = hood & ~forbidden
             if not hitters:
-                return limit
+                return limit, later
             reach = hitters
             while hitters:
                 low = hitters & -hitters
                 hitters ^= low
                 reach |= adj[low.bit_length() - 1]
-            pool &= ~reach
         else:
+            reach = 0
             while clique:
                 low = clique & -clique
                 clique ^= low
-                pool &= ~ball[low.bit_length() - 1]
+                reach |= ball[low.bit_length() - 1]
+        pool &= ~reach
+        if count > 1:
+            later |= reach
         clique = find_in_mask(adj, pool, k)
-        if clique is None:
-            return count
+    return count, later
 
 
 def degree_relabel(
@@ -254,13 +267,16 @@ def iota_solve(g: Graph, k: int) -> SolveReport:
     still-allowed hitters, starting from the branching clique and then in
     ascending-degree order; it prunes at once when some clique has no allowed
     hitter and stops packing when the count reaches the slack ``best size -
-    size``.  The branching clique alone is a packing of one, so a node with
-    slack at most one is pruned without calling the bound.  For the same
-    reason a component whose greedy set is a single vertex is not searched:
-    that vertex is returned with the counts of the root's own prune (one node,
-    one bound prune, no update).  A node with slack two is settled without
-    children or the bound: it looks for the lowest candidate that alone
-    isolates the rest, and counts a bound prune when there is none.  A node
+    size``.  A child inherits the cliques its parent packed after the
+    branching one, which still need their own vertices below it, and packs
+    more outside their reach before it packs afresh.  The branching clique
+    alone is a packing of one, so a node with slack at most one is pruned
+    without calling the bound.  For the same reason a component whose greedy
+    set is a single vertex is not searched: that vertex is returned with the
+    counts of the root's own prune (one node, one bound prune, no update).
+    A node with slack two is settled without children or the bound: it looks
+    for the lowest candidate that alone isolates the rest, and counts a bound
+    prune when there is none.  A node
     with slack three settles its children, slack-two nodes, in place, lowest
     first, without pushing them; each still counts as a node.  It remembers
     the cliques of its residual that these children find: a child whose rest
@@ -291,10 +307,10 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
     update counts summed over them.
 
     Each component is searched depth first from an explicit stack of nodes
-    ``(chosen, covered, forbidden, size, dcovered, dforbidden)``.  A node's
-    children are pushed highest candidate first, each with the candidates
-    below it forbidden, so they are popped lowest first, exactly in the order
-    of a recursive search.  A candidate lies in N[C] for a clique C of the
+    ``(chosen, covered, forbidden, size, dcovered, dforbidden, later,
+    inherited)``.  A node's children are pushed highest candidate first, each
+    with the candidates below it forbidden, so they are popped lowest first,
+    exactly in the order of a recursive search.  A candidate lies in N[C] for a clique C of the
     residual, so it is never a chosen vertex, and only ``forbidden`` is
     masked out of N[C].
 
@@ -334,6 +350,17 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
     fills in for each component's vertices).  The search itself stays in host
     labels, so the tree's order and the reported set do not depend on the
     relabeling.
+
+    A node that packs without pruning hands its children the packing's
+    ``later`` and its count less the branching clique, ``inherited``.  A
+    child u lies in the branching clique's hitter set, so those cliques
+    stay in its residual, away from N[u], and are still a packing under its
+    own ``dforbidden`` (``packing_bound``).  So a child with ``inherited``
+    cliques first extends them on its pool outside ``later`` and prunes if
+    that reaches its slack; only when it falls short does it pack afresh
+    from its own branching clique, whose packing it hands on.  That fresh
+    packing is the same with or without an inherited one, so every node it
+    prunes is still pruned: the extension only removes nodes.
     """
     total = nodes = prunes = updates = 0
     dcode: list[int] = []
@@ -355,9 +382,9 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
                 dclosed = [0] * len(adj)
             drows, dball = degree_relabel(adj, comp, dcode, dclosed)
             dcomp = (1 << len(drows)) - 1
-        stack = [(0, 0, 0, 0, 0, 0)]
+        stack = [(0, 0, 0, 0, 0, 0, 0, 0)]
         while stack:
-            chosen, covered, forbidden, size, dcovered, dforbidden = stack.pop()
+            chosen, covered, forbidden, size, dcovered, dforbidden, later, inherited = stack.pop()
             nodes += 1
             residual = comp & ~covered
             clique = find_in_mask(adj, residual, k)
@@ -388,15 +415,22 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
                 else:
                     prunes += 1
                 continue
+            pool = dcomp & ~dcovered
+            # The parent's packed cliques but its branching one, ``inherited``
+            # of them, are a packing here too; extend it outside ``later``.
+            if inherited and packing_bound(
+                drows, dball, pool & ~later, k, 0, dforbidden, limit - inherited
+            )[0] >= limit - inherited:
+                prunes += 1
+                continue
             dclique = 0
             rest = clique
             while rest:
                 low = rest & -rest
                 rest ^= low
                 dclique |= dcode[low.bit_length() - 1]
-            if packing_bound(
-                drows, dball, dcomp & ~dcovered, k, dclique, dforbidden, limit
-            ) >= limit:
+            count, later = packing_bound(drows, dball, pool, k, dclique, dforbidden, limit)
+            if count >= limit:
                 prunes += 1
                 continue
             hood = clique
@@ -484,6 +518,8 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
                     size,
                     dcovered | dclosed[u],
                     dforbidden | dcandidates,
+                    later,
+                    count - 1,
                 ))
         total |= best
     return total, nodes, prunes, updates

@@ -15,7 +15,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 import hypothesis.strategies as st
 
 from cliqueiso import (
@@ -87,7 +87,7 @@ def packing(g: Graph, pool: int, k: int, forbidden: int = 0, limit: int | None =
         return 0
     if limit is None:
         limit = g.n + 1
-    return packing_bound(g.adj, distance_two_rows(g), pool, k, first, forbidden, limit)
+    return packing_bound(g.adj, distance_two_rows(g), pool, k, first, forbidden, limit)[0]
 
 
 def naive_packing(g: Graph, pool: set[int], k: int) -> int:
@@ -338,6 +338,28 @@ class TestSolver:
         assert mask_of([3, 4, 5, 6, 7, 8], 9) not in searched
         assert mask_of([1, 2, 3, 4, 5, 6, 7], 9) not in searched
 
+    def test_children_inherit_the_parents_packing(self, monkeypatch):
+        # The cliques a node packs after its branching one stay in each
+        # child's residual, with hitter sets the child's extra forbidden
+        # vertices only shrink.  So a child extends them outside their reach
+        # and prunes when that uses up its slack, before packing afresh.  With
+        # every packing started from the child's own clique this graph takes
+        # 18 nodes and 13 prunes for the same set and update.
+        g = gen_random_connected(11, 0.15, 7)
+        calls = []
+
+        def spy(*args):
+            result = packing_bound(*args)
+            calls.append((args[4], args[6], result[0]))
+            return result
+
+        monkeypatch.setattr(isolation, "packing_bound", spy)
+        rep = iota_solve(g, 1)
+        assert (rep.iota, rep.optimal_set) == (3, frozenset({2, 5, 8}))
+        assert (rep.nodes_expanded, rep.bound_prunes, rep.incumbent_updates) == (10, 7, 1)
+        # At least one extension, started without a clique, reached its limit.
+        assert any(clique == 0 and count >= limit for clique, limit, count in calls)
+
     def test_long_path_at_low_recursion_limit(self):
         # The search is one node deeper per chosen vertex: 100 deep here.
         out = run_at_low_recursion_limit(
@@ -406,12 +428,60 @@ class TestBounds:
                     mask_of([name[v] for v in start], g.n),
                     mask_of([name[v] for v in forbidden], g.n),
                     limit,
-                )
+                )[0]
             )
         least = naive_least_isolator(g, pool, k, forbidden)
         # Reaching the limit claims only that no allowed set below it exists.
         if least is not None and least < limit:
             assert max(bounds) <= least
+
+    @given(BOUND_GRAPHS, st.integers(min_value=1, max_value=3), st.data())
+    @settings(max_examples=120)
+    def test_inherited_packing_is_a_lower_bound_for_a_child(self, g, k, data):
+        # A parent packs its pool from a clique C; a child takes a vertex u of
+        # C's allowed hitters and forbids more of them.  The parent's other
+        # packed cliques, extended outside their reach, bound the child.
+        pool = set(range(g.n)) - vertex_subset(g, data)
+        forbidden = vertex_subset(g, data)
+        cliques = list(naive_k_cliques(g, k, pool))
+        if not cliques:
+            return
+        start = data.draw(st.sampled_from(cliques))
+        hitters = sorted(naive_closed_neighborhood(g, start) - forbidden)
+        if not hitters:
+            return
+        u = data.draw(st.sampled_from(hitters))
+        ball = distance_two_rows(g)
+        count, later = packing_bound(
+            g.adj,
+            ball,
+            mask_of(pool, g.n),
+            k,
+            mask_of(start, g.n),
+            mask_of(forbidden, g.n),
+            g.n + 1,
+        )
+        if count > g.n:
+            return  # some packed clique has no allowed hitter: the parent prunes
+        inherited = count - 1
+        # Most draws pack one clique, which leaves nothing to inherit.
+        target(float(inherited))
+        child_pool = pool - naive_closed_neighborhood(g, [u])
+        child_forbidden = forbidden | data.draw(st.sets(st.sampled_from(hitters))) - {u}
+        limit = data.draw(st.integers(min_value=1, max_value=g.n + 1))
+        bound = inherited + packing_bound(
+            g.adj,
+            ball,
+            mask_of(child_pool, g.n) & ~later,
+            k,
+            0,
+            mask_of(child_forbidden, g.n),
+            limit - inherited,
+        )[0]
+        least = naive_least_isolator(g, child_pool, k, child_forbidden)
+        # Reaching the limit claims only that no allowed set below it exists.
+        if least is not None and least < limit:
+            assert bound <= least
 
     @given(graphs(max_n=9), st.data())
     def test_degree_relabel_matches_renaming_by_degree(self, g, data):
@@ -541,6 +611,17 @@ class TestHittingSetILP:
     def test_solve_random_anchor(self):
         g = gen_random_connected(60, 0.1, 2)
         assert len(ilp_isolator(g, 2)) == iota_solve(g, 2).iota == 6
+
+    def test_sparse_80_vertex_graph_at_k1(self):
+        # A graph where the node count, not the cost per node, decides the
+        # solver's time: about 357,000 nodes.
+        g = gen_random_connected(80, 0.06, 1)
+        rep = iota_solve(g, 1)
+        assert rep.optimal_set == frozenset(
+            {0, 15, 17, 19, 25, 34, 54, 55, 56, 59, 63, 66, 72, 75}
+        )
+        assert (rep.iota, rep.incumbent_updates) == (14, 11)
+        assert len(ilp_isolator(g, 1)) == 14
 
 
 class TestGolden:
