@@ -273,25 +273,25 @@ def iota_solve(g: Graph, k: int) -> SolveReport:
     alone is a packing of one, so a node with slack at most one is pruned
     without calling the bound.  For the same reason a component whose greedy
     set is a single vertex is not searched: that vertex is returned with the
-    counts of the root's own prune (one node, one bound prune, no update).
-    A node with slack two is settled without children or the bound: it looks
-    for the lowest candidate that alone isolates the rest, and counts a bound
-    prune when there is none.  A node
-    with slack three settles its children, slack-two nodes, in place, lowest
-    first, without pushing them; each still counts as a node.  It remembers
-    the cliques of its residual that these children find: a child whose rest
-    still holds one is no leaf, and only a vertex next to that clique can be
-    its last, so it searches only when no remembered clique is left.  At
-    slack four or more a candidate u is not branched on when a lower
-    candidate w has N[u] ∩ R ⊆ N[w] ∩ R, R the residual: a set below u is no
-    smaller with w in u's place, and w is searched first; u stays forbidden
-    in the later branches.  A valid bound never prunes an ancestor of the
-    first optimal leaf, and a skipped branch could not have improved the
-    incumbent, so the bound and the skip decide how many nodes are visited,
-    never which set is returned or how often the incumbent improves.  The
-    report counts nodes, bound prunes and incumbent updates over all
-    components.  The search keeps its nodes on an explicit stack, so its
-    depth, one level per chosen vertex, never meets Python's recursion limit.
+    counts of the root's own prune (one node, one bound prune, no update).  A
+    node with slack two is settled without children or the bound: it looks for
+    the lowest candidate that alone isolates the rest, and counts a bound
+    prune when there is none.  A node with slack three settles its children,
+    slack-two nodes, in place, lowest first, without pushing them; each still
+    counts as a node.  It remembers the cliques of its residual that these
+    children find: a child whose rest still holds one is no leaf, and only a
+    vertex next to that clique can be its last, so it searches only when no
+    remembered clique is left.  At slack four or more a candidate u is not
+    branched on when a lower candidate w has N[u] ∩ R ⊆ N[w] ∩ R, R the
+    residual: a set below u is no smaller with w in u's place, and w is
+    searched first; u stays forbidden in the later branches.  A valid bound
+    never prunes an ancestor of the first optimal leaf, and a skipped branch
+    could not have improved the incumbent, so the bound and the skip decide
+    how many nodes are visited, never which set is returned or how often the
+    incumbent improves.  The report counts nodes, bound prunes and incumbent
+    updates over all components.  The search keeps its nodes on an explicit
+    stack, so its depth, one level per chosen vertex, never meets Python's
+    recursion limit.
     """
     require_k(k)
     start = time.perf_counter()
@@ -310,9 +310,9 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
     ``(chosen, covered, forbidden, size, dcovered, dforbidden, later,
     inherited)``.  A node's children are pushed highest candidate first, each
     with the candidates below it forbidden, so they are popped lowest first,
-    exactly in the order of a recursive search.  A candidate lies in N[C] for a clique C of the
-    residual, so it is never a chosen vertex, and only ``forbidden`` is
-    masked out of N[C].
+    exactly in the order of a recursive search.  A candidate lies in N[C] for
+    a clique C of the residual, so it is never a chosen vertex, and only
+    ``forbidden`` is masked out of N[C].
 
     At slack two the node's children would be leaves, and ``_last_vertex``
     finds the first of them that isolates the residual, which becomes the
