@@ -67,13 +67,21 @@ def naive_is_isolating(g: Graph, k: int, subset) -> bool:
     return not naive_has_clique(g, k, naive_closed_neighborhood(g, subset))
 
 
-def naive_iota(g: Graph, k: int) -> int:
-    """Minimum k-clique isolating set size by scanning all subsets."""
+def naive_first_isolator(g: Graph, k: int) -> tuple[tuple[int, ...], int]:
+    """The first isolating subset in (size, lexicographic) order and its
+    1-based rank in that order."""
+    rank = 0
     for size in range(g.n + 1):
         for subset in combinations(range(g.n), size):
+            rank += 1
             if naive_is_isolating(g, k, subset):
-                return size
+                return subset, rank
     raise AssertionError("the full vertex set always isolates")
+
+
+def naive_iota(g: Graph, k: int) -> int:
+    """Minimum k-clique isolating set size by scanning all subsets."""
+    return len(naive_first_isolator(g, k)[0])
 
 
 def naive_domination(g: Graph) -> int:

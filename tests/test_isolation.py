@@ -40,8 +40,10 @@ from .support import (
     adjacency_sets,
     disjoint_union,
     graphs,
+    labeled_graphs,
     naive_closed_neighborhood,
     naive_delete,
+    naive_first_isolator,
     naive_iota,
     naive_is_isolating,
     naive_k_cliques,
@@ -188,6 +190,17 @@ class TestOracle:
     def test_cap_refusal_names_the_cap(self):
         with pytest.raises(OracleCapError, match="12"):
             iota_oracle(build_path(13), 2, cap=12)
+
+    def test_set_and_count_are_the_first_isolator_and_its_rank(self):
+        # labeled_graphs(5) starts with the graph with no vertices, whose
+        # first isolator is the empty set at rank 1.
+        for g in labeled_graphs(5):
+            for k in (1, 2, 3):
+                subset, rank = naive_first_isolator(g, k)
+                rep = iota_oracle(g, k)
+                assert (rep.optimal_set, rep.nodes_expanded) == (frozenset(subset), rank), (
+                    g.n, sorted(g.edges()), k
+                )
 
     @given(graphs(max_n=7), st.integers(min_value=1, max_value=3))
     def test_agrees_with_subset_scan(self, g, k):
