@@ -105,12 +105,23 @@ def iota_oracle(g: Graph, k: int, *, cap: int = DEFAULT_ORACLE_CAP) -> SolveRepo
 def oracle_scan(adj: Sequence[int], k: int) -> tuple[tuple[int, ...], int]:
     """The subset scan behind ``iota_oracle``: the first isolating subset of
     the whole graph in (size, lexicographic) order, whose length is the
-    isolation number, and how many subsets were tested."""
+    isolation number, and how many subsets were tested.
+
+    The empty set and then each single vertex are tested before any
+    ``combinations`` generator is built; the order and the count are the same
+    as in one scan, so the single vertex v is subset v + 2.  Nothing is
+    bounded or pruned: every subset before the answer is tested.
+    """
     n = len(adj)
     full = (1 << n) - 1
+    if find_in_mask(adj, full, k) is None:
+        return (), 1
+    for v in range(n):
+        if find_in_mask(adj, full & ~(adj[v] | 1 << v), k) is None:
+            return (v,), v + 2
     closed = [adj[v] | (1 << v) for v in range(n)]
-    tested = 0
-    for size in range(n + 1):
+    tested = n + 1
+    for size in range(2, n + 1):
         for combo in itertools.combinations(range(n), size):
             tested += 1
             covered = 0
