@@ -145,11 +145,14 @@ def _far(adj: Sequence[int], mask: int, y: int) -> int:
     return far & -far
 
 
-def _linkage(adj: Sequence[int], piece: int, k: int, v: int) -> list[_Entry]:
+def _linkage(adj: Sequence[int], piece: int, k: int, v: int) -> tuple[list[_Entry], bool]:
     """(component mask, excluded shape, link mask over N(v)) per residual
-    component."""
+    component, after checking that each touches N(v), and whether any
+    component is exceptional.  Only a component of k vertices, or of five at
+    k = 2, can be."""
     nv = adj[v] & piece
     out = []
+    special = False
     for cm in component_masks(adj, piece & ~(nv | (1 << v))):
         links = 0
         rest = nv
@@ -158,8 +161,15 @@ def _linkage(adj: Sequence[int], piece: int, k: int, v: int) -> list[_Entry]:
             rest ^= low
             if adj[low.bit_length() - 1] & cm:
                 links |= low
-        out.append((cm, exception_kind(adj, cm, k), links))
-    return out
+        _fact(links != 0, "every residual component touches N(pivot)")
+        size = cm.bit_count()
+        if size == k or (size == 5 and k == 2):
+            kind = exception_kind(adj, cm, k)
+            special = special or kind is not NONE
+        else:
+            kind = NONE
+        out.append((cm, kind, links))
+    return out, special
 
 
 def bounded_isolating_set(g: Graph, k: int, *, check: bool = False) -> BoundResult:
@@ -233,7 +243,8 @@ def construct_mask(
     stack = [(root, 0)]
     while stack:
         piece, depth = stack.pop()
-        deepest = max(deepest, depth)
+        if depth > deepest:
+            deepest = depth
         if check:
             if len(component_masks(adj, piece)) != 1 or exception_kind(adj, piece, k) is not NONE:
                 raise AssertionError(
@@ -312,13 +323,11 @@ def _step(adj: Sequence[int], piece: int, k: int) -> _Fired:
     if (adj[pivot] & piece) | vb == piece:
         return BranchTag.DOMINATING_VERTEX, (pivot,), []
 
-    entries = _linkage(adj, piece, k, pivot)
-    _fact(all(lk for _, _, lk in entries), "every residual component touches N(pivot)")
-
-    exceptional = [entry for entry in entries if entry[1] is not NONE]
-    if not exceptional:
+    entries, special = _linkage(adj, piece, k, pivot)
+    if not special:
         return BranchTag.NO_EXCEPTIONAL, (pivot,), [cm for cm, _, _ in entries]
 
+    exceptional = [entry for entry in entries if entry[1] is not NONE]
     for _, _, lk in exceptional:
         if lk.bit_count() == 1:
             return _case_single_link(adj, piece, k, pivot, entries, lk.bit_length() - 1)
@@ -337,15 +346,18 @@ def _excise(
     pivot and the general components that hang on x alone, in residual
     order, after checking that nothing else is left apart."""
     vb = 1 << pivot
-    star_comps = component_masks(adj, piece & ~(xb | cut))
-    gv = next(cm for cm in star_comps if cm & vb)
+    gv = 0
+    rest = []
+    for cm in component_masks(adj, piece & ~(xb | cut)):
+        if cm & vb:
+            gv = cm
+        else:
+            rest.append(cm)
     _fact(((adj[pivot] & piece) | vb) & ~xb & ~gv == 0, "N[pivot] minus x stays in one piece")
-    rest = [cm for cm in star_comps if not cm & vb]
     x_only = [cm for cm, kind, lk in entries if lk == xb and kind is NONE]
-    _fact(
-        sorted(rest) == sorted(x_only),
-        "after the excision only the x-only general components remain apart",
-    )
+    # Both lists come from component_masks, ordered by lowest member, so they
+    # hold the same components exactly when they are equal.
+    _fact(rest == x_only, "after the excision only the x-only general components remain apart")
     return gv, x_only
 
 
