@@ -280,6 +280,7 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
         ("--n-max", args.n_max, 1),
         ("--k-max", args.k_max, 1),
         ("--count", args.count, 0),
+        ("--oracle-cap", args.oracle_cap, 0),
     ):
         if value is not None and value < low:
             return _fail(f"check-theorem {flag} must be at least {low}, got {value}")

@@ -436,6 +436,7 @@ class TestCheckTheorem:
         (["--mode", "random", "--seed", "1", "--count", "5", "--n-max", "0"], "--n-max"),
         (["--mode", "random", "--seed", "1", "--count", "5", "--k-max", "-1"], "--k-max"),
         (["--mode", "random", "--seed", "1", "--count", "-1"], "--count"),
+        (["--oracle-cap", "-1"], "--oracle-cap"),
     ])
     def test_out_of_range_counts_name_the_flag(self, capsys, argv, flag):
         code, reports, err = run(capsys, ["check-theorem", *argv])
