@@ -8,6 +8,7 @@ checked against straightforward code that shares none of their machinery.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -18,7 +19,7 @@ import hypothesis.strategies as st
 
 import cliqueiso
 from cliqueiso import Graph
-from cliqueiso.generators import graph_from_edge_bits, pair_order
+from cliqueiso.generators import _tree_from_pruefer, graph_from_edge_bits, pair_order
 
 
 def adjacency_sets(g: Graph) -> list[set[int]]:
@@ -140,6 +141,30 @@ def labeled_graphs(n_max: int) -> Iterator[Graph]:
         pairs = pair_order(n)
         for edge_bits in range(1 << len(pairs)):
             yield graph_from_edge_bits(n, edge_bits, pairs)
+
+
+def naive_random_connected(n: int, p: float, seed: int) -> Graph:
+    """``gen_random_connected`` as first written: a set of edge tuples, and
+    one membership test and one ``random()`` lookup per vertex pair.  It
+    pins the random stream the fast generator must reproduce."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not 0 < p <= 1:
+        raise ValueError("p must be in (0, 1]")
+    rng = random.Random(seed)
+    if n == 1:
+        return Graph(1, (0,))
+    if n == 2:
+        tree = [(0, 1)]
+    else:
+        seq = [rng.randrange(n) for _ in range(n - 2)]
+        tree = _tree_from_pruefer(seq, n)
+    edges = set(tree)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) not in edges and rng.random() < p:
+                edges.add((u, v))
+    return Graph.from_edges(n, sorted(edges))
 
 
 def disjoint_union(parts: list[Graph]) -> Graph:

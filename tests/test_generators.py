@@ -1,6 +1,8 @@
 """Graph generators: fixed families, the extremal family, seeded random graphs,
 and exhaustive enumeration with its connectivity filter."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -12,12 +14,13 @@ from cliqueiso import (
     build_extremal,
     build_path,
     enumerate_connected,
+    format_edge_list,
     gen_random_connected,
     iota_solve,
 )
 from cliqueiso.generators import graph_from_edge_bits, pair_order
 
-from .support import adjacency_sets, naive_components
+from .support import adjacency_sets, naive_components, naive_random_connected
 
 # Connected labeled graphs on n vertices (OEIS A001187).
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
@@ -143,6 +146,35 @@ class TestRandomConnected:
     def test_bad_n_rejected(self):
         with pytest.raises(ValueError):
             gen_random_connected(0, 0.5, 1)
+
+
+class TestRandomStream:
+    """Every seeded graph is a pure function of (n, p, seed): the Pruefer
+    draws, then one ``random()`` per non-tree pair in lexicographic order.
+    ``naive_random_connected`` spends the stream the same way, pair by pair."""
+
+    @pytest.mark.parametrize("p", [1.0, 0.5, 0.05, 1e-9])
+    def test_matches_pair_by_pair_generator(self, p):
+        for n in range(1, 41):
+            for seed in (0, 1, 7, 2**32 - 1):
+                want = naive_random_connected(n, p, seed).adj
+                assert gen_random_connected(n, p, seed).adj == want, (n, p, seed)
+
+    @given(
+        st.integers(min_value=1, max_value=60),
+        st.floats(min_value=0, max_value=1, exclude_min=True),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_pair_by_pair_generator_anywhere(self, n, p, seed):
+        assert gen_random_connected(n, p, seed).adj == naive_random_connected(n, p, seed).adj
+
+    def test_bench_sized_graph_is_pinned(self):
+        # The size of the random graph in perfbench's bound-sparse workload;
+        # the digest was taken from the pair-by-pair generator.
+        text = format_edge_list(gen_random_connected(1600, 0.003125, 0))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "aae14f24703ad33e43682dd46a50b6e68792e40ec9a57dd2d2b8335977dd5dfb"
+        )
 
 
 class TestEdgeBits:
