@@ -86,7 +86,12 @@ def gen_random_connected(n: int, p: float, seed: int) -> Graph:
     """A random connected graph: uniform spanning tree plus extra edges.
 
     Every non-tree pair is added independently with probability ``p``.  The
-    output is fully determined by (n, p, seed).
+    output is fully determined by (n, p, seed), and the order of the draws
+    from ``random.Random(seed)`` is fixed: first the n - 2 ``randrange(n)``
+    draws of the Pruefer sequence, then exactly one ``random()`` per non-tree
+    pair (u, v), u < v, in lexicographic order, the pair becoming an edge
+    when the draw is below ``p``.  That is one draw per vertex pair, so the
+    cost is still quadratic in n, however small ``p`` is.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -100,12 +105,26 @@ def gen_random_connected(n: int, p: float, seed: int) -> Graph:
     else:
         seq = [rng.randrange(n) for _ in range(n - 2)]
         tree = _tree_from_pruefer(seq, n)
-    edges = set(tree)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) not in edges and rng.random() < p:
-                edges.add((u, v))
-    return Graph.from_edges(n, sorted(edges))
+    adj = [0] * n
+    # later[u]: the tree neighbours v > u, where the run of draws for u skips
+    later: list[list[int]] = [[] for _ in range(n)]
+    for u, v in tree:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        later[u].append(v)
+    draw = rng.random
+    for u, stops in enumerate(later):
+        ub = 1 << u
+        start = u + 1
+        stops.sort()
+        stops.append(n)
+        for stop in stops:
+            for v in range(start, stop):
+                if draw() < p:
+                    adj[u] |= 1 << v
+                    adj[v] |= ub
+            start = stop + 1
+    return Graph(n, tuple(adj))
 
 
 def pair_order(n: int) -> list[tuple[int, int]]:
