@@ -132,27 +132,6 @@ def pair_order(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def graph_from_edge_bits(n: int, edge_bits: int, pairs: Sequence[tuple[int, int]] | None = None) -> Graph:
-    """Decode an edge mask over ``pair_order(n)`` into a graph."""
-    if pairs is None:
-        pairs = pair_order(n)
-    if edge_bits < 0 or edge_bits >> len(pairs):
-        raise ValueError("edge bits out of range for this vertex count")
-    return Graph(n, tuple(_adjacency(n, edge_bits, pairs)))
-
-
-def _adjacency(n: int, edge_bits: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
-    adj = [0] * n
-    mask = edge_bits
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        u, v = pairs[low.bit_length() - 1]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
-
-
 def enumerate_connected(n: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Graph]:
     """Every labeled connected graph on n vertices, in increasing edge-mask order.
 

@@ -13,13 +13,13 @@ import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import hypothesis.strategies as st
 
 import cliqueiso
 from cliqueiso import Graph
-from cliqueiso.generators import _tree_from_pruefer, graph_from_edge_bits, pair_order
+from cliqueiso.generators import _tree_from_pruefer, pair_order
 
 
 def adjacency_sets(g: Graph) -> list[set[int]]:
@@ -133,6 +133,29 @@ def run_at_low_recursion_limit(code: str) -> subprocess.CompletedProcess:
         [sys.executable, "-c", "import sys\nsys.setrecursionlimit(120)\n" + code],
         capture_output=True, text=True, env=package_env(), timeout=300,
     )
+
+
+def graph_from_edge_bits(
+    n: int, edge_bits: int, pairs: Sequence[tuple[int, int]] | None = None
+) -> Graph:
+    """Decode an edge mask over ``pair_order(n)`` into a graph."""
+    if pairs is None:
+        pairs = pair_order(n)
+    if edge_bits < 0 or edge_bits >> len(pairs):
+        raise ValueError("edge bits out of range for this vertex count")
+    return Graph(n, tuple(_adjacency(n, edge_bits, pairs)))
+
+
+def _adjacency(n: int, edge_bits: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
+    adj = [0] * n
+    mask = edge_bits
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        u, v = pairs[low.bit_length() - 1]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
 
 
 def labeled_graphs(n_max: int) -> Iterator[Graph]:

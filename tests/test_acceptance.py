@@ -25,10 +25,10 @@ from cliqueiso import (
     iota_solve,
     verify_isolating,
 )
-from cliqueiso.generators import graph_from_edge_bits
 
 from .support import (
     disjoint_union,
+    graph_from_edge_bits,
     naive_closed_neighborhood,
     naive_delete,
     naive_domination,

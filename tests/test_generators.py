@@ -18,9 +18,14 @@ from cliqueiso import (
     gen_random_connected,
     iota_solve,
 )
-from cliqueiso.generators import graph_from_edge_bits, pair_order
+from cliqueiso.generators import pair_order
 
-from .support import adjacency_sets, naive_components, naive_random_connected
+from .support import (
+    adjacency_sets,
+    graph_from_edge_bits,
+    naive_components,
+    naive_random_connected,
+)
 
 # Connected labeled graphs on n vertices (OEIS A001187).
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
