@@ -73,6 +73,18 @@ class BranchTag(Enum):
     CASE2 = "Case2"
 
 
+# The members under plain module names, as graph.py binds ExceptionKind's:
+# every step returns one, and each attribute lookup on the enum costs time.
+BASE_SMALL = BranchTag.BASE_SMALL
+NO_CLIQUE = BranchTag.NO_CLIQUE
+DOMINATING_VERTEX = BranchTag.DOMINATING_VERTEX
+NO_EXCEPTIONAL = BranchTag.NO_EXCEPTIONAL
+CASE1_SUB1 = BranchTag.CASE1_SUB1
+CASE1_SUB2 = BranchTag.CASE1_SUB2
+CASE1_SUB3 = BranchTag.CASE1_SUB3
+CASE2 = BranchTag.CASE2
+
+
 # One step of the trace: the rule's tag and the vertices it added to the set.
 _Record = tuple[BranchTag, tuple[int, ...]]
 # What a rule returns: its record's two fields, then the child pieces.
@@ -299,14 +311,14 @@ def _step(adj: Sequence[int], piece: int, k: int) -> _Fired:
     """Fire the rule that applies to one piece."""
     if piece.bit_count() <= 2:
         if find_in_mask(adj, piece, k) is None:
-            return BranchTag.BASE_SMALL, (), []
+            return BASE_SMALL, (), []
         # connected, non-exceptional, n <= 2 with a k-clique forces k = 1 on an edge
         _fact(k == 1 and piece.bit_count() == 2, "a small piece with a k-clique is an edge")
-        return BranchTag.BASE_SMALL, ((piece & -piece).bit_length() - 1,), []
+        return BASE_SMALL, ((piece & -piece).bit_length() - 1,), []
 
     clique = find_in_mask(adj, piece, k)
     if clique is None:
-        return BranchTag.NO_CLIQUE, (), []
+        return NO_CLIQUE, (), []
 
     pivot = -1
     outer = piece & ~clique
@@ -321,11 +333,11 @@ def _step(adj: Sequence[int], piece: int, k: int) -> _Fired:
     vb = 1 << pivot
 
     if (adj[pivot] & piece) | vb == piece:
-        return BranchTag.DOMINATING_VERTEX, (pivot,), []
+        return DOMINATING_VERTEX, (pivot,), []
 
     entries, special = _linkage(adj, piece, k, pivot)
     if not special:
-        return BranchTag.NO_EXCEPTIONAL, (pivot,), [cm for cm, _, _ in entries]
+        return NO_EXCEPTIONAL, (pivot,), [cm for cm, _, _ in entries]
 
     exceptional = [entry for entry in entries if entry[1] is not NONE]
     for _, _, lk in exceptional:
@@ -391,7 +403,7 @@ def _case_single_link(
         direct |= _far(adj, gv, pivot)
     else:
         children = [gv] + children
-    return BranchTag.CASE2, tuple(bits(direct)), children
+    return CASE2, tuple(bits(direct)), children
 
 
 def _case_multi_link(
@@ -425,7 +437,7 @@ def _case_multi_link(
     gv_kind = exception_kind(adj, gv, k)
     if gv_kind is NONE:
         # Subcase 1: the pivot-side piece is pushed as-is
-        return BranchTag.CASE1_SUB1, tuple(bits(d_prime)), [gv] + x_only
+        return CASE1_SUB1, tuple(bits(d_prime)), [gv] + x_only
     if gv_kind is K_CLIQUE:
         return _pivot_side_clique(adj, piece, k, pivot, x, h_mask, h_kind, y, y2b, gv, x_only)
     return _pivot_side_cycle(adj, piece, k, pivot, h_mask, y, gv, x_only)
@@ -464,7 +476,7 @@ def _pivot_side_clique(
     c_y = find_in_mask(adj, leftover, k)
 
     if c_y is None:
-        return BranchTag.CASE1_SUB2, tuple(bits(d_pp)), x_only
+        return CASE1_SUB2, tuple(bits(d_pp)), x_only
 
     cy_gv = c_y & gv
     cy_h = c_y & h_mask
@@ -477,7 +489,7 @@ def _pivot_side_clique(
         gz_mask = piece & ~zone
         _fact(len(component_masks(adj, gz_mask)) == 1, "the remainder is connected")
         _fact(exception_kind(adj, gz_mask, k) is NONE, "the remainder is not exceptional")
-        return BranchTag.CASE1_SUB2, (z,), [gz_mask]
+        return CASE1_SUB2, (z,), [gz_mask]
 
     # No x-only pieces: the whole piece is gv + x + the excised component.
     if h_kind is K_CLIQUE:
@@ -503,7 +515,7 @@ def _pivot_side_clique(
         d = (1 << y) | cy_h
 
     _fact(_isolates(adj, piece, d, k), "terminal pattern must isolate")
-    return BranchTag.CASE1_SUB2, tuple(bits(d)), []
+    return CASE1_SUB2, tuple(bits(d)), []
 
 
 def _pivot_side_cycle(
@@ -547,6 +559,6 @@ def _pivot_side_cycle(
         )
         d = vb | v3b if adj[v3] >> y & 1 else vb | v1b
         _fact(_isolates(adj, piece, d, k), "terminal pattern must isolate")
-        return BranchTag.CASE1_SUB3, tuple(bits(d)), []
+        return CASE1_SUB3, tuple(bits(d)), []
 
-    return BranchTag.CASE1_SUB3, (v3,), [rest_mask]
+    return CASE1_SUB3, (v3,), [rest_mask]
