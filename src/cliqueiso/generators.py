@@ -106,7 +106,7 @@ def gen_random_connected(n: int, p: float, seed: int) -> Graph:
         seq = [rng.randrange(n) for _ in range(n - 2)]
         tree = _tree_from_pruefer(seq, n)
     adj = [0] * n
-    # later[u]: the tree neighbours v > u, where the run of draws for u skips
+    # later[u]: u's tree neighbours v > u, the pairs (u, v) that take no draw
     later: list[list[int]] = [[] for _ in range(n)]
     for u, v in tree:
         adj[u] |= 1 << v

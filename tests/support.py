@@ -167,9 +167,9 @@ def labeled_graphs(n_max: int) -> Iterator[Graph]:
 
 
 def naive_random_connected(n: int, p: float, seed: int) -> Graph:
-    """``gen_random_connected`` as first written: a set of edge tuples, and
-    one membership test and one ``random()`` lookup per vertex pair.  It
-    pins the random stream the fast generator must reproduce."""
+    """``gen_random_connected`` as first written: a set of edge tuples, one
+    membership test per vertex pair and one ``rng.random()`` per non-tree
+    pair.  It pins the random stream the fast generator must reproduce."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0 < p <= 1:
