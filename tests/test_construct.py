@@ -7,6 +7,7 @@ Regenerate the corpus only when a construction output is meant to change:
 """
 
 import hashlib
+import inspect
 import json
 import random
 import subprocess
@@ -17,11 +18,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import cliqueiso.construct as construct
 from cliqueiso import (
     BranchTag,
     ExceptionKind,
     ExceptionalGraphError,
     Graph,
+    TraceStep,
     bounded_isolating_set,
     bounded_sets_per_component,
     build_complete,
@@ -35,7 +38,13 @@ from cliqueiso import (
     verify_isolating,
 )
 
-from .support import connected_graphs, disjoint_union, naive_components, package_env
+from .support import (
+    adjacency_sets,
+    connected_graphs,
+    disjoint_union,
+    naive_components,
+    package_env,
+)
 
 
 def assert_sound(g: Graph, k: int, res) -> None:
@@ -200,6 +209,96 @@ class TestSweeps:
                 if classify_exception(g, k) is not ExceptionKind.NONE:
                     continue
                 assert_sound(g, k, bounded_isolating_set(g, k, check=True))
+
+
+def _pieces_apart(nbrs: list[set[int]], alive: set[int], first: int) -> list[set[int]]:
+    """The components of the subgraph on ``alive``: the one holding ``first``,
+    then the rest by lowest vertex, found by a search over explicit sets."""
+    comps = []
+    left = set(alive)
+    for start in sorted(alive):
+        if start not in left:
+            continue
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            u = frontier.pop()
+            for w in nbrs[u] & left:
+                if w not in comp:
+                    comp.add(w)
+                    frontier.append(w)
+        left -= comp
+        comps.append(comp)
+    return sorted(comps, key=lambda comp: first not in comp)
+
+
+def _members(mask: int) -> set[int]:
+    return {u for u in range(mask.bit_length()) if mask >> u & 1}
+
+
+class TestExcision:
+    """Every Case step drops x and the cut from its piece.  What is left must
+    split into the pivot's piece and the x-only general components exactly as
+    a plain search over vertex sets splits it."""
+
+    @pytest.fixture
+    def excisions(self, monkeypatch):
+        real = construct._excise
+        signature = inspect.signature(real)
+        calls = []
+
+        def recording(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append((signature.bind(*args, **kwargs).arguments, out))
+            return out
+
+        monkeypatch.setattr(construct, "_excise", recording)
+        return calls
+
+    @staticmethod
+    def _check(g: Graph, k: int, calls) -> int:
+        nbrs = adjacency_sets(g)
+        for args, out in calls:
+            alive = _members(args["piece"]) - _members(args["xb"]) - _members(args["cut"])
+            found = [_members(out[0])] + [_members(cm) for cm in out[-1]]
+            assert found == _pieces_apart(nbrs, alive, args["pivot"]), (g.edges(), k)
+        count = len(calls)
+        calls.clear()
+        return count
+
+    def test_every_small_connected_graph(self, excisions):
+        count = 0
+        for n in range(1, 7):
+            for g in enumerate_connected(n):
+                for k in (1, 2):
+                    if classify_exception(g, k) is ExceptionKind.NONE:
+                        bounded_isolating_set(g, k)
+                        count += self._check(g, k, excisions)
+        assert count == 30_729
+
+    def test_branch_cases(self, excisions):
+        count = 0
+        for _, edges, n, k, _, _ in BRANCH_CASES:
+            g = Graph.from_edges(n, edges)
+            bounded_isolating_set(g, k, check=True)
+            count += self._check(g, k, excisions)
+        assert count > 0
+
+
+class TestLargePiece:
+    def test_extremal_2000_peels_one_block_per_case2(self):
+        # The piece from path vertex 2i on has pivot 2i.  Without N[2i], the
+        # triangle of 2i+1 hangs on 2i+1 alone, so Case2 takes 2i+1 and pushes
+        # 2i with its own triangle, which 2i dominates, then the path from
+        # 2i+2 on.
+        res = bounded_isolating_set(build_extremal(2000, 3), 3, check=True)
+        assert res.set == frozenset(range(500))
+        assert res.depth == 250
+        expected = []
+        for i in range(250):
+            expected.append(TraceStep(BranchTag.CASE2, (2 * i + 1,)))
+            expected.append(TraceStep(BranchTag.DOMINATING_VERTEX, (2 * i,)))
+        assert list(res.trace) == expected
 
 
 class TestNoRecursion:
