@@ -20,6 +20,9 @@ by which neighbours of v they attach to, and fires one rule:
   5-cycle shapes bottom out in small finite constructions that are verified
   before being returned.
 
+Both Case rules read the piece containing v off that one split: it is all that
+is left but the components attached to x alone, so no step splits twice.
+
 Each rule returns its tag, the vertices it adds to the set and the child
 pieces, which are pushed in reverse, so the trace is in pre-order and the
 steps of every piece form one contiguous run.  The set is the union of the
@@ -349,28 +352,33 @@ def _step(adj: Sequence[int], piece: int, k: int) -> _Fired:
 def _excise(
     adj: Sequence[int],
     piece: int,
+    k: int,
     pivot: int,
     xb: int,
     cut: int,
     entries: list[_Entry],
-) -> tuple[int, list[int]]:
-    """Drop x and the cut from the piece.  Returns the component holding the
-    pivot and the general components that hang on x alone, in residual
-    order, after checking that nothing else is left apart."""
-    vb = 1 << pivot
-    gv = 0
-    rest = []
-    for cm in component_masks(adj, piece & ~(xb | cut)):
-        if cm & vb:
-            gv = cm
-        else:
-            rest.append(cm)
-    _fact(((adj[pivot] & piece) | vb) & ~xb & ~gv == 0, "N[pivot] minus x stays in one piece")
-    x_only = [cm for cm, kind, lk in entries if lk == xb and kind is NONE]
-    # Both lists come from component_masks, ordered by lowest member, so they
-    # hold the same components exactly when they are equal.
-    _fact(rest == x_only, "after the excision only the x-only general components remain apart")
-    return gv, x_only
+) -> tuple[int, ExceptionKind, list[int]]:
+    """Drop x and the cut from the piece.  Returns the part holding the pivot,
+    its excluded shape and the general components that hang on x alone, in
+    residual order.  No second split is needed: the residual components are
+    pairwise non-adjacent and each touches N(pivot), so the pivot's part is
+    everything left but the components linked to x alone, and each of those
+    stands apart."""
+    gv = piece & ~(xb | cut)
+    x_only = []
+    for cm, kind, lk in entries:
+        if lk == xb:
+            gv &= ~cm
+            if kind is NONE:
+                x_only.append(cm)
+            else:
+                _fact(cm & ~cut == 0, "components hanging only on x are general here")
+    gv_kind = exception_kind(adj, gv, k)
+    if gv_kind is K_CLIQUE:
+        # x alone breaks it: the part is exactly N[pivot] minus x
+        nv_closed = (adj[pivot] & piece) | 1 << pivot
+        _fact(gv == nv_closed & ~xb, "a complete pivot side is N[pivot] minus x")
+    return gv, gv_kind, x_only
 
 
 def _case_single_link(
@@ -393,15 +401,10 @@ def _case_single_link(
                 contact = adj[x] & cm
                 direct |= _far(adj, cm, (contact & -contact).bit_length() - 1)
 
-    gv, children = _excise(adj, piece, pivot, xb, cut, entries)
-    gv_kind = exception_kind(adj, gv, k)
-    if gv_kind is K_CLIQUE:
-        # x alone breaks it: the piece is exactly N[pivot] minus x
-        nv_closed = (adj[pivot] & piece) | 1 << pivot
-        _fact(gv == nv_closed & ~xb, "a complete pivot side is N[pivot] minus x")
-    elif gv_kind is FIVE_CYCLE:
+    gv, gv_kind, children = _excise(adj, piece, k, pivot, xb, cut, entries)
+    if gv_kind is FIVE_CYCLE:
         direct |= _far(adj, gv, pivot)
-    else:
+    elif gv_kind is NONE:
         children = [gv] + children
     return CASE2, tuple(bits(direct)), children
 
@@ -421,10 +424,6 @@ def _case_multi_link(
 
     xb = h_links & -h_links
     x = xb.bit_length() - 1
-    _fact(
-        all(kind is NONE for _, kind, lk in entries if lk == xb),
-        "components hanging only on x are general here",
-    )
 
     contact = adj[x] & h_mask
     _fact(contact != 0, "x is linked to the excised component")
@@ -433,8 +432,7 @@ def _case_multi_link(
     y2b = 0 if h_kind is K_CLIQUE else _far(adj, h_mask, y)
     d_prime = 1 << y | y2b
 
-    gv, x_only = _excise(adj, piece, pivot, xb, h_mask, entries)
-    gv_kind = exception_kind(adj, gv, k)
+    gv, gv_kind, x_only = _excise(adj, piece, k, pivot, xb, h_mask, entries)
     if gv_kind is NONE:
         # Subcase 1: the pivot-side piece is pushed as-is
         return CASE1_SUB1, tuple(bits(d_prime)), [gv] + x_only
@@ -461,7 +459,6 @@ def _pivot_side_clique(
     n = piece.bit_count()
     vb = 1 << pivot
     xb = 1 << x
-    _fact(gv == ((adj[pivot] & piece) | vb) & ~xb, "a complete pivot side is N[pivot] minus x")
 
     if h_kind is K_CLIQUE:
         shield = 1 << y
