@@ -99,18 +99,21 @@ def naive_domination(g: Graph) -> int:
     raise AssertionError("unreachable")
 
 
-def naive_components(g: Graph) -> list[set[int]]:
+def naive_components(g: Graph, within: Iterable[int] | None = None) -> list[set[int]]:
+    """The components of ``g``, or of its subgraph on ``within``, ordered by
+    lowest vertex."""
     nbrs = adjacency_sets(g)
+    alive = set(range(g.n) if within is None else within)
     seen: set[int] = set()
     out: list[set[int]] = []
-    for start in range(g.n):
+    for start in sorted(alive):
         if start in seen:
             continue
         comp = {start}
         frontier = [start]
         while frontier:
             u = frontier.pop()
-            for w in nbrs[u]:
+            for w in nbrs[u] & alive:
                 if w not in comp:
                     comp.add(w)
                     frontier.append(w)

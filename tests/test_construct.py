@@ -38,13 +38,7 @@ from cliqueiso import (
     verify_isolating,
 )
 
-from .support import (
-    adjacency_sets,
-    connected_graphs,
-    disjoint_union,
-    naive_components,
-    package_env,
-)
+from .support import connected_graphs, disjoint_union, naive_components, package_env
 
 
 def assert_sound(g: Graph, k: int, res) -> None:
@@ -211,27 +205,6 @@ class TestSweeps:
                 assert_sound(g, k, bounded_isolating_set(g, k, check=True))
 
 
-def _pieces_apart(nbrs: list[set[int]], alive: set[int], first: int) -> list[set[int]]:
-    """The components of the subgraph on ``alive``: the one holding ``first``,
-    then the rest by lowest vertex, found by a search over explicit sets."""
-    comps = []
-    left = set(alive)
-    for start in sorted(alive):
-        if start not in left:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for w in nbrs[u] & left:
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        left -= comp
-        comps.append(comp)
-    return sorted(comps, key=lambda comp: first not in comp)
-
-
 def _members(mask: int) -> set[int]:
     return {u for u in range(mask.bit_length()) if mask >> u & 1}
 
@@ -257,11 +230,12 @@ class TestExcision:
 
     @staticmethod
     def _check(g: Graph, k: int, calls) -> int:
-        nbrs = adjacency_sets(g)
         for args, out in calls:
             alive = _members(args["piece"]) - _members(args["xb"]) - _members(args["cut"])
             found = [_members(out[0])] + [_members(cm) for cm in out[-1]]
-            assert found == _pieces_apart(nbrs, alive, args["pivot"]), (g.edges(), k)
+            # the pivot's component first, the rest by lowest vertex
+            expected = sorted(naive_components(g, alive), key=lambda c: args["pivot"] not in c)
+            assert found == expected, (g.edges(), k)
         count = len(calls)
         calls.clear()
         return count
