@@ -259,6 +259,31 @@ class TestExcision:
         assert count > 0
 
 
+class TestOneSplitPerStep:
+    """``_linkage`` is the construction's only per-step component split: one
+    split of the whole graph, then one per step that removes a pivot's
+    neighbourhood (NoExceptional and the Case rules)."""
+
+    @pytest.mark.parametrize("make,k,expected", [
+        (lambda: build_extremal(2000, 3), 3, 1 + 250),  # 250 Case2
+        (lambda: build_path(1000), 1, 1 + 499),  # 499 NoExceptional
+        # 250 NoExceptional and 29 Case2
+        (lambda: gen_random_connected(1600, 0.003125, 3), 2, 1 + 250 + 29),
+    ], ids=["extremal-2000", "path-1000", "random-1600"])
+    def test_split_count(self, monkeypatch, make, k, expected):
+        g = make()
+        real = construct.component_masks
+        calls = []
+
+        def counting(adj, within):
+            calls.append(within)
+            return real(adj, within)
+
+        monkeypatch.setattr(construct, "component_masks", counting)
+        bounded_isolating_set(g, k)
+        assert len(calls) == expected
+
+
 class TestLargePiece:
     def test_extremal_2000_peels_one_block_per_case2(self):
         # The piece from path vertex 2i on has pivot 2i.  Without N[2i], the
