@@ -21,14 +21,13 @@ def find_in_mask(adj: Sequence[int], pool: int, k: int) -> int | None:
     """Lexicographically smallest k-clique inside ``pool``, as a mask, or None.
 
     Shared by the verifier, the solvers and the constructive builder so that
-    every "which clique" decision in the package agrees.
+    every "which clique" decision in the package agrees.  Requires k >= 1,
+    which every public entry checks with ``require_k``.
     """
     if k == 1:
         return pool & -pool or None
     if k == 2:
         return _edge(adj, pool)
-    if k == 0:
-        return 0
     return _descend(adj, pool, k)
 
 

@@ -163,8 +163,7 @@ def _far(adj: Sequence[int], mask: int, y: int) -> int:
 def _linkage(adj: Sequence[int], piece: int, k: int, v: int) -> tuple[list[_Entry], bool]:
     """(component mask, excluded shape, link mask over N(v)) per residual
     component, after checking that each touches N(v), and whether any
-    component is exceptional.  Only a component of k vertices, or of five at
-    k = 2, can be."""
+    component is exceptional."""
     nv = adj[v] & piece
     out = []
     special = False
@@ -177,12 +176,8 @@ def _linkage(adj: Sequence[int], piece: int, k: int, v: int) -> tuple[list[_Entr
             if adj[low.bit_length() - 1] & cm:
                 links |= low
         _fact(links != 0, "every residual component touches N(pivot)")
-        size = cm.bit_count()
-        if size == k or (size == 5 and k == 2):
-            kind = exception_kind(adj, cm, k)
-            special = special or kind is not NONE
-        else:
-            kind = NONE
+        kind = exception_kind(adj, cm, k)
+        special = special or kind is not NONE
         out.append((cm, kind, links))
     return out, special
 

@@ -36,12 +36,7 @@ def mask_of(vertices: Iterable[int], n: int) -> int:
 
 
 def set_of(mask: int) -> VertexSet:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
+    return frozenset(bits(mask))
 
 
 class ExceptionKind(Enum):
@@ -80,14 +75,14 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         if len(self.adj) != self.n:
             raise ValueError("adjacency length must equal the vertex count")
-        full = (1 << self.n) - 1
-        for v, m in enumerate(self.adj):
-            if m & ~full:
+        n = self.n
+        adj = self.adj
+        for v, m in enumerate(adj):
+            # The range test comes first: it makes every neighbour a valid index.
+            if m >> n:
                 raise ValueError(f"adjacency of vertex {v} mentions an out-of-range vertex")
             if m >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        adj = self.adj
-        for v, m in enumerate(adj):
             vb = 1 << v
             while m:
                 low = m & -m
@@ -102,8 +97,6 @@ class Graph:
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for a graph on {n} vertices")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return cls(n, tuple(adj))
@@ -166,6 +159,7 @@ def component_masks(adj: Sequence[int], within: int) -> list[int]:
         comp = rest & -rest
         frontier = comp
         while frontier:
+            # Inline, not closed_mask: the call made bound-sparse's constructions 8-10% slower.
             nxt = 0
             while frontier:
                 low = frontier & -frontier

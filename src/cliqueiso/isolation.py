@@ -200,6 +200,8 @@ def packing_bound(
         count += 1
         if count >= limit:
             return count, later
+        # N[C] and N[H] inline, not closed_mask: the call made solve-random's
+        # k = 2 pool 3-4% slower.
         hood = clique
         rest = clique
         while rest:
@@ -270,39 +272,14 @@ def iota_solve(g: Graph, k: int) -> SolveReport:
     """Exact isolation number by branch and bound.
 
     The problem splits over connected components (isolation is additive across
-    them).  Within a component the search starts from the greedy set as its
-    incumbent, branches on the closed neighbourhood of the first residual
-    k-clique (smallest vertex first; each tried vertex is forbidden in the
-    later branches, so no subset is visited twice) and prunes with
-    ``packing_bound``.  That bound packs cliques with disjoint sets of
-    still-allowed hitters, starting from the branching clique and then in
-    ascending-degree order; it prunes at once when some clique has no allowed
-    hitter and stops packing when the count reaches the slack ``best size -
-    size``.  A child inherits the cliques its parent packed after the
-    branching one, which still need their own vertices below it, and packs
-    more outside their reach before it packs afresh.  The branching clique
-    alone is a packing of one, so a node with slack at most one is pruned
-    without calling the bound.  For the same reason a component whose greedy
-    set is a single vertex is not searched: that vertex is returned with the
-    counts of the root's own prune (one node, one bound prune, no update).  A
-    node with slack two is settled without children or the bound: it looks for
-    the lowest candidate that alone isolates the rest, and counts a bound
-    prune when there is none.  A node with slack three settles its children,
-    slack-two nodes, in place, lowest first, without pushing them; each still
-    counts as a node.  It remembers the cliques of its residual that these
-    children find: a child whose rest still holds one is no leaf, and only a
-    vertex next to that clique can be its last, so it searches only when no
-    remembered clique is left.  At slack four or more a candidate u is not
-    branched on when a lower candidate w has N[u] ∩ R ⊆ N[w] ∩ R, R the
-    residual: a set below u is no smaller with w in u's place, and w is
-    searched first; u stays forbidden in the later branches.  A valid bound
-    never prunes an ancestor of the first optimal leaf, and a skipped branch
-    could not have improved the incumbent, so the bound and the skip decide
-    how many nodes are visited, never which set is returned or how often the
-    incumbent improves.  The report counts nodes, bound prunes and incumbent
-    updates over all components.  The search keeps its nodes on an explicit
-    stack, so its depth, one level per chosen vertex, never meets Python's
-    recursion limit.
+    them), and ``solve_mask`` searches each one; its docstring describes the
+    search and every lever it pulls.  The packing bound, the dominance skip
+    and the degree relabeling decide how many nodes are visited, never which
+    set is returned or how often the incumbent improves.  The report sums over
+    all components the nodes expanded (settled children included), the bound
+    prunes (see ``SolveReport``) and the incumbent updates, counted from the
+    greedy set.  The search keeps its nodes on an explicit stack, so its
+    depth, one level per chosen vertex, never meets Python's recursion limit.
     """
     require_k(k)
     start = time.perf_counter()
@@ -317,6 +294,25 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
     minimum isolating set of their union as a mask, plus the node, prune and
     update counts summed over them.
 
+    Each component starts from ``greedy_mask``'s set as its incumbent.  A node
+    branches on the closed neighbourhood N[C] of the first k-clique C of its
+    residual in host labels, smallest vertex first; each tried vertex is
+    forbidden in the later branches, so no subset is visited twice.  A node
+    with no clique left is a leaf, which replaces the incumbent when smaller.
+    ``packing_bound`` packs cliques whose still-allowed hitters are pairwise
+    disjoint, starting from the branching clique and then in ascending-degree
+    order (below); the node is pruned at once when some clique has no allowed
+    hitter, or when the count reaches the slack, the incumbent's size less the
+    node's.  The branching clique alone is a packing of one, so a node with
+    slack at most one is pruned without calling the bound.  For the same
+    reason a component whose greedy set is one vertex is not searched: that
+    vertex is returned with the counts of the root's own prune (one node, one
+    bound prune, no update); an empty greedy set is one leaf node.  A valid
+    bound never prunes an ancestor of the first optimal leaf, and a skipped
+    branch (below) could not have improved the incumbent, so the bound, the
+    skip and the relabeling decide how many nodes are visited, never which set
+    is returned or how often the incumbent improves.
+
     Each component is searched depth first from an explicit stack of nodes
     ``(chosen, covered, forbidden, size, dcovered, dforbidden, later,
     inherited)``.  A node's children are pushed highest candidate first, each
@@ -327,19 +323,20 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
 
     At slack two the node's children would be leaves, and ``_last_vertex``
     finds the first of them that isolates the residual, which becomes the
-    incumbent.  At slack three the children would be slack-two nodes that
-    push nothing, popped one after another, so the node settles them where it
-    stands, lowest candidate first: each still counts as a node and follows
-    the same leaf, prune and slack-two rules, against the incumbent as its
-    earlier siblings left it.  The settle keeps ``seen``, the k-cliques of its
-    residual R found so far by the children's own searches and by
-    ``_last_vertex``, each with its N[C].  A seen C that misses N[u] lies in
-    the child u's rest R - N[u], so that child is no leaf without a search,
-    and its last vertex, which must kill C, lies in N[C]: the candidates
-    start as the intersection of those N[C] outside ``forbidden``.  Only
-    when no seen clique survives does the child search its rest.  Dropping
-    vertices that fail anyway leaves the lowest isolating vertex the answer,
-    so the tree, the set and every counter are as without ``seen``.
+    incumbent; when none does, the node counts a bound prune.  At slack three
+    the children would be slack-two nodes that push nothing, popped one after
+    another, so the node settles them where it stands, lowest candidate first:
+    each still counts as a node and follows the same leaf, prune and slack-two
+    rules, against the incumbent as its earlier siblings left it.  The settle
+    keeps ``seen``, the k-cliques of its residual R found so far by the
+    children's own searches and by ``_last_vertex``, each with its N[C].  A
+    seen C that misses N[u] lies in the child u's rest R - N[u], so that child
+    is no leaf without a search, and its last vertex, which must kill C, lies
+    in N[C]: the candidates start as the intersection of those N[C] outside
+    ``forbidden``.  Only when no seen clique survives does the child search
+    its rest.  Dropping vertices that fail anyway leaves the lowest isolating
+    vertex the answer, so the tree, the set and every counter are as without
+    ``seen``.
 
     At slack four or more a candidate u gets no child when a lower candidate
     w dominates it: N[u] ∩ R ⊆ N[w] ∩ R for the residual R.  A leaf below u
@@ -412,12 +409,7 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
                 prunes += 1
                 continue
             if limit == 2:
-                hood = clique
-                rest = clique
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    hood |= adj[low.bit_length() - 1]
+                hood = closed_mask(adj, clique)
                 last = _last_vertex(adj, residual, hood & ~forbidden, k, [(clique, hood)])
                 if last:
                     best = chosen | last
@@ -484,12 +476,7 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
                                 updates += 1
                             forbidden |= low
                             continue
-                        reach = alive
-                        more = alive
-                        while more:
-                            bit = more & -more
-                            more ^= bit
-                            reach |= adj[bit.bit_length() - 1]
+                        reach = closed_mask(adj, alive)
                         seen.append((alive, reach))
                         allowed &= reach
                     if best_size - size <= 1:
@@ -554,12 +541,7 @@ def _last_vertex(
         clique = find_in_mask(adj, residual & ~(adj[low.bit_length() - 1] | low), k)
         if clique is None:
             return low
-        hood = clique
-        rest = clique
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            hood |= adj[bit.bit_length() - 1]
+        hood = closed_mask(adj, clique)
         seen.append((clique, hood))
         candidates &= hood
     return 0

@@ -66,8 +66,9 @@ class TestConstruction:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 Graph.from_edges(3, [edge])
         message = "adjacency of vertex 1 mentions an out-of-range vertex"
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            Graph(3, (0b000, 0b1000, 0b000))
+        for row in (0b1000, -1):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                Graph(3, (0b000, row, 0b000))
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
