@@ -30,10 +30,18 @@ steps.  A step is kept as a (tag, chosen) pair, whose size does not grow with
 the piece; ``TraceStep`` objects are built only for the public results.
 
 Every choice (clique, pivot, attachment, cycle labeling) takes the smallest
-index available, so the output is a pure function of the input.  The final set
-is always verified; with ``check=True`` every piece is verified as well.  The
-structural facts each rule relies on are always checked.  No check is an
-``assert``, so all of them still run under ``python -O``.
+index available, so the output is a pure function of the input.
+
+Every step is checked against the paper's budget: what it chooses and every
+child piece lie inside its piece, and each chosen vertex is paid for by k + 1
+vertices of the piece that no child keeps, (k+1)·|chosen| <= |piece| −
+Σ|child|.  By induction over the piece tree, a piece's set (its step's chosen
+vertices and its children's sets) then lies inside the piece and has at most
+⌊(|piece| − Σ|child|)/(k+1)⌋ + Σ⌊|child|/(k+1)⌋ <= ⌊|piece|/(k+1)⌋ vertices,
+since ⌊a⌋ + ⌊b⌋ <= ⌊a + b⌋.  So the root's set lies within the bound, and
+only its isolation is tested at the end.  The structural facts each rule
+relies on are checked as well.  No check is an ``assert``, so all of them
+still run under ``python -O``.
 """
 
 from __future__ import annotations
@@ -182,16 +190,16 @@ def _linkage(adj: Sequence[int], piece: int, k: int, v: int) -> tuple[list[_Entr
     return out, special
 
 
-def bounded_isolating_set(g: Graph, k: int, *, check: bool = False) -> BoundResult:
+def bounded_isolating_set(g: Graph, k: int) -> BoundResult:
     """An isolating set of size at most floor(n/(k+1)) for a connected,
     non-exceptional graph.
 
     Raises ``ExceptionalGraphError`` (carrying the kind) for the two excluded
     shapes and ``ValueError`` for disconnected input; both messages point to
-    the per-component route.  The result is verified before it is returned;
-    ``check=True`` additionally verifies every piece the work stack handled,
-    which is what the test suite runs with.  The construction uses no
-    recursion, so input size never meets Python's recursion limit.
+    the per-component route.  Every step is checked against the bound's
+    budget as it fires, and the final set's isolation is verified before it is
+    returned.  The construction uses no recursion, so input size never meets
+    Python's recursion limit.
     """
     kind = classify_exception(g, k)
     if kind is not NONE:
@@ -201,10 +209,10 @@ def bounded_isolating_set(g: Graph, k: int, *, check: bool = False) -> BoundResu
             f"its forced optimal set is available via {_PER_COMPONENT}",
         )
     comps = component_masks(g.adj, g.full_mask)
-    return _result(g.n, k, construct_mask(g.adj, comps, k, check))
+    return _result(g.n, k, construct_mask(g.adj, comps, k))
 
 
-def bounded_sets_per_component(g: Graph, k: int, *, check: bool = False) -> list[ComponentResult]:
+def bounded_sets_per_component(g: Graph, k: int) -> list[ComponentResult]:
     """Apply the construction to every component.
 
     The two exceptional shapes get their forced optimal sets instead: a single
@@ -217,7 +225,7 @@ def bounded_sets_per_component(g: Graph, k: int, *, check: bool = False) -> list
     for cm in component_masks(adj, g.full_mask):
         kind = exception_kind(adj, cm, k)
         if kind is NONE:
-            res = _result(cm.bit_count(), k, construct_mask(adj, [cm], k, check))
+            res = _result(cm.bit_count(), k, construct_mask(adj, [cm], k))
             out.append(ComponentResult(set_of(cm), kind, res.set, res))
             continue
         forced = cm & -cm
@@ -233,15 +241,14 @@ def _result(n: int, k: int, built: tuple[int, list[_Record], int]) -> BoundResul
     return BoundResult(set=set_of(d), bound=n // (k + 1), trace=steps, depth=depth)
 
 
-def construct_mask(
-    adj: Sequence[int], comps: list[int], k: int, check: bool = False
-) -> tuple[int, list[_Record], int]:
+def construct_mask(adj: Sequence[int], comps: list[int], k: int) -> tuple[int, list[_Record], int]:
     """The work stack behind ``bounded_isolating_set``, on a non-exceptional
     graph whose components are ``comps``: the verified set as a mask, the
     trace as (tag, chosen) pairs and the depth of the piece tree.
 
     Raises ``ValueError`` unless ``comps`` is a single component; the caller
-    has already ruled out the two excluded shapes.
+    has already ruled out the two excluded shapes.  Raises ``AssertionError``
+    naming the rule and the piece when a step breaks the bound's budget.
     """
     if len(comps) != 1:
         raise ValueError(f"graph is disconnected; use {_PER_COMPONENT}")
@@ -249,27 +256,29 @@ def construct_mask(
     d = 0
     deepest = 0
     trace: list[_Record] = []
-    records: list[tuple[int, int]] = []  # (piece, depth) of each step, with check
     stack = [(root, 0)]
     while stack:
         piece, depth = stack.pop()
         if depth > deepest:
             deepest = depth
-        if check:
-            if len(component_masks(adj, piece)) != 1 or exception_kind(adj, piece, k) is not NONE:
-                raise AssertionError(
-                    f"the piece {_describe(piece)} must be connected and non-exceptional"
-                )
-            records.append((piece, depth))
         tag, chosen, children = _step(adj, piece, k)
         trace.append((tag, chosen))
+        mine = 0
         for u in chosen:
-            d |= 1 << u
+            mine |= 1 << u
+        outside = mine & ~piece
+        left = piece.bit_count()
         for child in reversed(children):
+            outside |= child & ~piece
+            left -= child.bit_count()
             stack.append((child, depth + 1))
-    if check:
-        _check_piece_sets(adj, k, records, trace)
-    if d & ~root or d.bit_count() > root.bit_count() // (k + 1) or not _isolates(adj, root, d, k):
+        if outside or (k + 1) * mine.bit_count() > left:
+            raise AssertionError(
+                f"the {tag.value} step on the piece {_describe(piece)} must stay inside it "
+                "and spend k + 1 of its vertices per chosen vertex"
+            )
+        d |= mine
+    if not _isolates(adj, root, d, k):
         raise AssertionError("construction broke its own guarantee; this is a bug")
     return d, trace, deepest
 
@@ -277,32 +286,6 @@ def construct_mask(
 def _describe(piece: int) -> str:
     low = (piece & -piece).bit_length() - 1
     return f"of {piece.bit_count()} vertices from vertex {low}"
-
-
-def _check_piece_sets(
-    adj: Sequence[int], k: int, records: list[tuple[int, int]], trace: list[_Record]
-) -> None:
-    """Each piece's steps form a contiguous pre-order run; walking the trace
-    backwards folds every finished run into its parent's, deepest first, and
-    checks that each piece's set lies inside it, isolates it and keeps
-    within floor(|piece|/(k+1))."""
-    done: list[tuple[int, int]] = []  # (depth, set) of runs not yet folded
-    for (piece, depth), (_, chosen) in zip(reversed(records), reversed(trace)):
-        d = 0
-        for u in chosen:
-            d |= 1 << u
-        while done and done[-1][0] > depth:
-            d |= done.pop()[1]
-        if (
-            d & ~piece
-            or d.bit_count() > piece.bit_count() // (k + 1)
-            or not _isolates(adj, piece, d, k)
-        ):
-            raise AssertionError(
-                f"the set built for the piece {_describe(piece)} must isolate it "
-                "within floor(n/(k+1))"
-            )
-        done.append((depth, d))
 
 
 def _step(adj: Sequence[int], piece: int, k: int) -> _Fired:

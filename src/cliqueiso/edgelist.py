@@ -14,10 +14,10 @@ from .graph import Graph
 
 # Largest vertex count a header may declare.  Vertex v's adjacency row is an int
 # as wide as its highest neighbour's label, so memory grows with n^2 even for
-# sparse graphs: a path at this cap takes about n^2/16 bytes (0.6 GB), a star
-# centred on the last vertex about n^2/8 (1.25 GB).  Without the cap a short
+# sparse graphs: a path at this cap takes about n^2/16 bytes (160 MB), a star
+# centred on the last vertex about n^2/8 (310 MB).  Without the cap a short
 # file could ask for any amount of memory.
-MAX_VERTICES = 100_000
+MAX_VERTICES = 50_000
 
 
 class EdgeListError(ValueError):
@@ -29,10 +29,13 @@ class EdgeListError(ValueError):
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse edge-list text into a graph, rejecting malformed input loudly."""
+    """Parse edge-list text into a graph, rejecting malformed input loudly.
+
+    The adjacency rows are built as the lines are read; ``Graph`` still
+    validates them."""
     header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    adj: list[int] = []
+    count = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -52,9 +55,10 @@ def parse_edge_list(text: str) -> Graph:
                     f"header declares {n} vertices, above the limit of {MAX_VERTICES}", lineno
                 )
             header = (n, m)
+            adj = [0] * n
             continue
         n, m = header
-        if len(edges) >= m:
+        if count >= m:
             raise EdgeListError(f"more than the declared {m} edge lines", lineno)
         if len(fields) != 2:
             raise EdgeListError("edge line must be two integers 'u v'", lineno)
@@ -64,16 +68,17 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListError("edge line must be two integers 'u v'", lineno) from None
         if not 0 <= u < v < n:
             raise EdgeListError(f"edge ({u}, {v}) violates 0 <= u < v < n = {n}", lineno)
-        if (u, v) in seen:
+        if adj[u] >> v & 1:
             raise EdgeListError(f"duplicate edge ({u}, {v})", lineno)
-        seen.add((u, v))
-        edges.append((u, v))
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        count += 1
     if header is None:
         raise EdgeListError("missing 'n m' header")
     n, m = header
-    if len(edges) != m:
-        raise EdgeListError(f"declared {m} edges but found {len(edges)}")
-    return Graph.from_edges(n, edges)
+    if count != m:
+        raise EdgeListError(f"declared {m} edges but found {count}")
+    return Graph(n, tuple(adj))
 
 
 def format_edge_list(g: Graph) -> str:

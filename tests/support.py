@@ -13,13 +13,18 @@ import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import hypothesis.strategies as st
 
 import cliqueiso
+import cliqueiso.construct as construct
 from cliqueiso import Graph
+from cliqueiso.cliques import find_in_mask
 from cliqueiso.generators import _tree_from_pruefer, pair_order
+from cliqueiso.graph import NONE, closed_mask, component_masks, exception_kind
+
+T = TypeVar("T")
 
 
 def adjacency_sets(g: Graph) -> list[set[int]]:
@@ -119,6 +124,57 @@ def naive_components(g: Graph, within: Iterable[int] | None = None) -> list[set[
                     frontier.append(w)
         seen |= comp
         out.append(comp)
+    return out
+
+
+def piece_checked(entry: Callable[..., T], g: Graph, k: int) -> T:
+    """``entry(g, k)``, a construction entry point, with every piece checked.
+
+    Each ``construct._step`` call is recorded as (piece, chosen, children), so
+    the records of one work stack are in pre-order.  Walking them backwards,
+    the sets of a step's children are the last ones finished, first child on
+    top; each piece's set is its chosen vertices plus those sets.  Every piece
+    must be connected and non-exceptional, and its set must lie inside it,
+    keep within floor(|piece|/(k+1)) and isolate it.  The checks raise, so
+    they run under ``python -O`` too.  They use the package's bitmask
+    kernels, not the naive helpers above: pieces run to 2,000 vertices.
+    """
+    steps: list[tuple[int, tuple[int, ...], list[int]]] = []
+    real = construct._step
+
+    def recording(adj, piece, k):
+        fired = real(adj, piece, k)
+        steps.append((piece, fired[1], fired[2]))
+        return fired
+
+    construct._step = recording
+    try:
+        out = entry(g, k)
+    finally:
+        construct._step = real
+    adj = g.adj
+    done: list[tuple[int, int]] = []  # (piece, set) not yet folded into a parent
+    for piece, chosen, children in reversed(steps):
+        d = 0
+        for u in chosen:
+            d |= 1 << u
+        for child in children:
+            finished, child_set = done.pop()
+            construct._fact(finished == child, "the steps must run in pre-order")
+            d |= child_set
+        low = (piece & -piece).bit_length() - 1
+        where = f"the piece of {piece.bit_count()} vertices from vertex {low}"
+        construct._fact(len(component_masks(adj, piece)) == 1, f"{where} must be connected")
+        construct._fact(exception_kind(adj, piece, k) is NONE, f"{where} must not be exceptional")
+        construct._fact(
+            not d & ~piece and d.bit_count() <= piece.bit_count() // (k + 1),
+            f"the set of {where} must lie inside it, within floor(n/(k+1))",
+        )
+        construct._fact(
+            find_in_mask(adj, piece & ~closed_mask(adj, d), k) is None,
+            f"the set of {where} must isolate it",
+        )
+        done.append((piece, d))
     return out
 
 

@@ -32,6 +32,7 @@ from .support import (
     naive_closed_neighborhood,
     naive_delete,
     naive_domination,
+    piece_checked,
 )
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
@@ -105,7 +106,7 @@ def test_criterion_04_constructive_soundness():
             for k in (1, 2, 3):
                 if classify_exception(g, k) is not ExceptionKind.NONE:
                     continue
-                res = bounded_isolating_set(g, k, check=True)
+                res = piece_checked(bounded_isolating_set, g, k)
                 assert verify_isolating(g, k, res.set).valid
                 assert len(res.set) * (k + 1) <= g.n
                 checked += 1
@@ -116,7 +117,7 @@ def test_criterion_04_constructive_soundness():
         for k in (1, 2, 3):
             if classify_exception(g, k) is not ExceptionKind.NONE:
                 continue
-            res = bounded_isolating_set(g, k, check=True)
+            res = piece_checked(bounded_isolating_set, g, k)
             assert verify_isolating(g, k, res.set).valid
             assert len(res.set) * (k + 1) <= g.n
             checked += 1

@@ -168,7 +168,7 @@ class TestSolve:
     def test_huge_vertex_count_is_input_error(self, capsys, tmp_path):
         # Rejected from the header alone, before any memory is spent on n.
         huge = tmp_path / "huge.edges"
-        for header in ("100001 0\n", "100000000 0\n"):
+        for header in ("50001 0\n", "100000000 0\n"):
             huge.write_text(header)
             for verb in ("solve", "bound"):
                 code, reports, err = run(capsys, [verb, str(huge), "--k", "2"])
@@ -364,10 +364,10 @@ class TestGen:
                      "gen_random_connected"):
             monkeypatch.setattr(cli, name, lambda *a: pytest.fail("a graph was built"))
         out = tmp_path / "p.edges"
-        code, reports, err = run(capsys, ["gen", "path", "--n", "100001", "--out", str(out)])
+        code, reports, err = run(capsys, ["gen", "path", "--n", "50001", "--out", str(out)])
         assert code == 2
         assert not reports
-        assert "100000" in err
+        assert "50000" in err
         assert not out.exists()
 
 
@@ -425,10 +425,10 @@ class TestCheckTheorem:
             cli, "gen_random_connected", lambda *a: pytest.fail("a graph was built")
         )
         code, reports, err = run(capsys, ["check-theorem", "--mode", "random", "--seed", "1",
-                                          "--count", "5", "--n-max", "100001", "--k-max", "1"])
+                                          "--count", "5", "--n-max", "50001", "--k-max", "1"])
         assert code == 2
         assert not reports
-        assert "--n-max" in err and "100000" in err
+        assert "--n-max" in err and "50000" in err
 
     @pytest.mark.parametrize("argv,flag", [
         (["--k-max", "0"], "--k-max"),
@@ -451,7 +451,7 @@ class TestCheckTheorem:
     def test_violations_are_reported_and_counted(self, capsys, monkeypatch, argv):
         # A broken construction: one vertex over the bound, the lowest labels,
         # which fail to isolate wherever a k-clique survives outside them.
-        def oversized(adj, comps, k, check=False):
+        def oversized(adj, comps, k):
             bound = len(adj) // (k + 1)
             return (1 << bound + 1) - 1, [], 0
 

@@ -38,7 +38,13 @@ from cliqueiso import (
     verify_isolating,
 )
 
-from .support import connected_graphs, disjoint_union, naive_components, package_env
+from .support import (
+    connected_graphs,
+    disjoint_union,
+    naive_components,
+    package_env,
+    piece_checked,
+)
 
 
 def assert_sound(g: Graph, k: int, res) -> None:
@@ -59,7 +65,7 @@ class TestExceptionalInputs:
         with pytest.raises(ExceptionalGraphError) as info:
             bounded_isolating_set(build_cycle(5), 2)
         assert info.value.kind is ExceptionKind.FIVE_CYCLE_AT_K2
-        res = bounded_isolating_set(build_cycle(5), 3, check=True)
+        res = piece_checked(bounded_isolating_set, build_cycle(5), 3)
         assert res.set == frozenset()
 
     def test_disconnected_input_redirected(self):
@@ -71,7 +77,7 @@ class TestExceptionalInputs:
 class TestPerComponent:
     def test_exceptional_components_get_forced_optima(self):
         g = disjoint_union([build_complete(2), build_cycle(5), build_path(4)])
-        parts = bounded_sets_per_component(g, 2, check=True)
+        parts = piece_checked(bounded_sets_per_component, g, 2)
         by_kind = {p.exception: p for p in parts}
         k2 = by_kind[ExceptionKind.K_CLIQUE]
         assert k2.set == {min(k2.vertices)} and k2.result is None
@@ -84,7 +90,7 @@ class TestPerComponent:
 
     def test_component_sets_live_inside_their_components(self):
         g = disjoint_union([build_path(5), build_complete(4)])
-        for part in bounded_sets_per_component(g, 3, check=True):
+        for part in piece_checked(bounded_sets_per_component, g, 3):
             assert part.set <= part.vertices
 
     @given(st.lists(connected_graphs(max_n=6), min_size=1, max_size=3),
@@ -92,7 +98,7 @@ class TestPerComponent:
     @settings(max_examples=50)
     def test_union_always_isolates(self, parts, k):
         g = disjoint_union(parts)
-        results = bounded_sets_per_component(g, k, check=True)
+        results = piece_checked(bounded_sets_per_component, g, k)
         union = frozenset().union(*(p.set for p in results)) if results else frozenset()
         assert verify_isolating(g, k, union).valid
 
@@ -147,7 +153,7 @@ class TestBranches:
     )
     def test_branch_fires_and_output_is_sound(self, edges, n, k, tag, frozen):
         g = Graph.from_edges(n, edges)
-        res = bounded_isolating_set(g, k, check=True)
+        res = piece_checked(bounded_isolating_set, g, k)
         assert tag in {step.tag for step in res.trace}
         assert_sound(g, k, res)
         assert iota_oracle(g, k).iota <= len(res.set)
@@ -163,7 +169,7 @@ class TestBranches:
         # holds vacuously with the empty set.
         with pytest.raises(ExceptionalGraphError):
             bounded_isolating_set(Graph.from_edges(1, []), 1)
-        res = bounded_isolating_set(Graph.from_edges(1, []), 2, check=True)
+        res = piece_checked(bounded_isolating_set, Graph.from_edges(1, []), 2)
         assert res.set == frozenset()
 
 
@@ -174,7 +180,7 @@ class TestSweeps:
             for g in enumerate_connected(n, cap=5):
                 if classify_exception(g, k) is not ExceptionKind.NONE:
                     continue
-                res = bounded_isolating_set(g, k, check=True)
+                res = piece_checked(bounded_isolating_set, g, k)
                 assert_sound(g, k, res)
 
     @given(connected_graphs(min_n=1, max_n=9), st.integers(min_value=1, max_value=3))
@@ -182,7 +188,7 @@ class TestSweeps:
     def test_arbitrary_connected_instances(self, g, k):
         if classify_exception(g, k) is not ExceptionKind.NONE:
             return
-        res = bounded_isolating_set(g, k, check=True)
+        res = piece_checked(bounded_isolating_set, g, k)
         assert_sound(g, k, res)
 
     def test_random_graphs_stay_within_bound(self):
@@ -192,7 +198,7 @@ class TestSweeps:
             g = gen_random_connected(n, rng.uniform(0.05, 0.6), rng.randrange(2**32))
             for k in (1, 2, 3):
                 if classify_exception(g, k) is ExceptionKind.NONE:
-                    assert_sound(g, k, bounded_isolating_set(g, k, check=True))
+                    assert_sound(g, k, piece_checked(bounded_isolating_set, g, k))
 
     def test_extremal_family_members(self):
         for k in (1, 2, 3):
@@ -202,7 +208,7 @@ class TestSweeps:
                     continue
                 if classify_exception(g, k) is not ExceptionKind.NONE:
                     continue
-                assert_sound(g, k, bounded_isolating_set(g, k, check=True))
+                assert_sound(g, k, piece_checked(bounded_isolating_set, g, k))
 
 
 def _members(mask: int) -> set[int]:
@@ -254,7 +260,7 @@ class TestExcision:
         count = 0
         for _, edges, n, k, _, _ in BRANCH_CASES:
             g = Graph.from_edges(n, edges)
-            bounded_isolating_set(g, k, check=True)
+            piece_checked(bounded_isolating_set, g, k)
             count += self._check(g, k, excisions)
         assert count > 0
 
@@ -290,7 +296,7 @@ class TestLargePiece:
         # triangle of 2i+1 hangs on 2i+1 alone, so Case2 takes 2i+1 and pushes
         # 2i with its own triangle, which 2i dominates, then the path from
         # 2i+2 on.
-        res = bounded_isolating_set(build_extremal(2000, 3), 3, check=True)
+        res = piece_checked(bounded_isolating_set, build_extremal(2000, 3), 3)
         assert res.set == frozenset(range(500))
         assert res.depth == 250
         expected = []
@@ -309,20 +315,31 @@ class TestNoRecursion:
         saved = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
-            res = bounded_isolating_set(build_path(n), k, check=True)
+            res = piece_checked(bounded_isolating_set, build_path(n), k)
         finally:
             sys.setrecursionlimit(saved)
         assert len(res.set) == res.bound == n // (k + 1)
         assert_sound(build_path(n), k, res)
 
 
-# Runs under ``python -O``: one step of the piece {6, 7, 8} of the 9-vertex path
-# loses its vertex, so that piece's set no longer isolates it at k = 1.
-CORRUPT_ONE_STEP = """
+# Runs under ``python -O``, with two broken rules in turn.  Case1_Sub1 also
+# takes x, one vertex more than its piece pays for, on the branch case that
+# reaches it; the per-step check must name the rule.  Then one step of the
+# piece {6, 7, 8} of the 9-vertex path loses its vertex: every step keeps
+# within its budget, but the set no longer isolates that piece at k = 1.
+CORRUPT_RULES = """
 import cliqueiso.construct as construct
-from cliqueiso import build_path, bounded_isolating_set
+from cliqueiso import Graph, build_path, bounded_isolating_set
 
+real_multi = construct._case_multi_link
 real_step = construct._step
+
+def greedy(adj, piece, k, pivot, entries, picked):
+    tag, chosen, children = real_multi(adj, piece, k, pivot, entries, picked)
+    if tag is construct.CASE1_SUB1:
+        links = picked[2]
+        chosen = tuple(sorted(chosen + ((links & -links).bit_length() - 1,)))
+    return tag, chosen, children
 
 def dropping(adj, piece, k):
     tag, chosen, children = real_step(adj, piece, k)
@@ -330,29 +347,35 @@ def dropping(adj, piece, k):
         chosen = ()
     return tag, chosen, children
 
-construct._step = dropping
+sub1 = Graph.from_edges(9, %r)
 assert False, "asserts must be stripped for this check to mean anything"
-for check in (True, False):
+for name, target, mutant, g, k in (
+    ("greedy", "_case_multi_link", greedy, sub1, 2),
+    ("dropping", "_step", dropping, build_path(9), 1),
+):
+    real = getattr(construct, target)
+    setattr(construct, target, mutant)
     try:
-        bounded_isolating_set(build_path(9), 1, check=check)
+        bounded_isolating_set(g, k)
     except AssertionError as exc:
-        print(check, exc)
+        print(name, exc)
     else:
-        print(check, "no error")
-"""
+        print(name, "no error")
+    setattr(construct, target, real)
+""" % (dict((case[0], case[1]) for case in BRANCH_CASES)["sub1_general_remainder"],)
 
 
 class TestChecksUnderOptimize:
     def test_corrupted_piece_raises_under_dash_o(self):
         out = subprocess.run(
-            [sys.executable, "-O", "-c", CORRUPT_ONE_STEP],
+            [sys.executable, "-O", "-c", CORRUPT_RULES],
             capture_output=True, text=True, env=package_env(), timeout=120,
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines() == [
-            "True the set built for the piece of 3 vertices from vertex 6 must "
-            "isolate it within floor(n/(k+1))",
-            "False construction broke its own guarantee; this is a bug",
+            "greedy the Case1_Sub1 step on the piece of 9 vertices from vertex 0 must stay "
+            "inside it and spend k + 1 of its vertices per chosen vertex",
+            "dropping construction broke its own guarantee; this is a bug",
         ]
 
 
@@ -398,11 +421,11 @@ def _trace_record(trace) -> list:
     return [[st.tag.value, list(st.chosen)] for st in trace]
 
 
-def _bound_record(g: Graph, k: int, check: bool = True) -> dict:
+def _bound_record(g: Graph, k: int, checked: bool = True) -> dict:
     kind = classify_exception(g, k)
     if kind is not ExceptionKind.NONE:
         return {"refused": kind.value}
-    res = bounded_isolating_set(g, k, check=check)
+    res = piece_checked(bounded_isolating_set, g, k) if checked else bounded_isolating_set(g, k)
     return {"set": sorted(res.set), "bound": res.bound, "trace": _trace_record(res.trace)}
 
 
@@ -414,7 +437,7 @@ def _per_component_record(g: Graph, k: int) -> list:
             "set": sorted(p.set),
             "trace": None if p.result is None else _trace_record(p.result.trace),
         }
-        for p in bounded_sets_per_component(g, k, check=True)
+        for p in piece_checked(bounded_sets_per_component, g, k)
     ]
 
 
@@ -425,7 +448,7 @@ def _exhaustive_digest() -> str:
     for n in range(1, DIGEST_N_MAX + 1):
         for index, g in enumerate(enumerate_connected(n)):
             for k in GOLDEN_KS:
-                rec = _bound_record(g, k, check=False)
+                rec = _bound_record(g, k, checked=False)
                 h.update(json.dumps([n, index, k, rec], separators=(",", ":")).encode())
                 h.update(b"\n")
     return h.hexdigest()
