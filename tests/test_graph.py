@@ -11,6 +11,7 @@ from cliqueiso import (
     Graph,
     build_complete,
     build_cycle,
+    build_extremal,
     build_path,
     classify_exception,
     induced,
@@ -149,7 +150,23 @@ class TestNeighborhoodsAndSubgraphs:
     def test_components_partition_vertices(self, g):
         comps = [set_of(m) for m in component_masks(g.adj, g.full_mask)]
         assert sorted(u for c in comps for u in c) == list(range(g.n))
-        assert {frozenset(c) for c in naive_components(g)} == set(comps)
+        assert comps == naive_components(g)
+
+    @given(st.one_of(connected_graphs(max_n=40), graphs(max_n=10)), st.data())
+    def test_components_of_a_subset_match_naive(self, g, data):
+        # Dropping a few vertices keeps most of a tree spine, so the split
+        # walks long runs of one-vertex layers.
+        dropped = data.draw(st.sets(st.integers(min_value=0, max_value=max(g.n - 1, 0))))
+        within = set(range(g.n)) - dropped
+        comps = [set_of(m) for m in component_masks(g.adj, mask_of(within, g.n))]
+        assert comps == naive_components(g, within)
+
+    @pytest.mark.parametrize("g", [build_path(300), build_extremal(300, 3)], ids=["path", "extremal"])
+    def test_components_after_removing_a_closed_neighbourhood(self, g):
+        for v in (0, 1, 2, 75, 150, 151, 223, 298, 299):
+            within = set(range(g.n)) - set_of(closed_mask(g.adj, 1 << v))
+            comps = [set_of(m) for m in component_masks(g.adj, mask_of(within, g.n))]
+            assert comps == naive_components(g, within)
 
     @given(graphs(min_n=1, max_n=8), st.data())
     def test_induced_edges_match_parent(self, g, data):
