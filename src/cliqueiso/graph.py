@@ -151,24 +151,37 @@ def component_masks(adj: Sequence[int], within: int) -> list[int]:
     """Connected components of the subgraph induced on ``within``, as masks.
 
     Ordered by smallest member, which makes every traversal that consumes the
-    list deterministic.
+    list deterministic.  Each BFS starts from the lowest vertex that no BFS
+    has reached yet and takes each layer out of ``rest``, those unreached
+    vertices; the component is what left ``rest`` meanwhile.  A one-vertex
+    layer, all there is on a path, reads that vertex's row directly.
+
+    Each layer still costs time linear in ``within``, so a long path splits in
+    quadratic time.  Walking wide layers from the top bit and re-splitting
+    only the components a deletion touches are both faster, but they wait for
+    the benchmark harness to stop keeping each round's output: more rounds in
+    the same time then raise its peak memory past the bound (ROADMAP items 1
+    and 3).
     """
     comps = []
     rest = within
     while rest:
-        comp = rest & -rest
-        frontier = comp
+        before = rest
+        frontier = rest & -rest
+        rest ^= frontier
         while frontier:
-            # Inline, not closed_mask: the call made bound-sparse's constructions 8-10% slower.
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                nxt |= adj[low.bit_length() - 1]
-            frontier = nxt & within & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rest &= ~comp
+            if frontier.bit_count() == 1:
+                nxt = adj[frontier.bit_length() - 1]
+            else:
+                # Inline, not closed_mask: the call made bound-sparse's constructions 8-10% slower.
+                nxt = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    nxt |= adj[low.bit_length() - 1]
+            frontier = nxt & rest
+            rest ^= frontier
+        comps.append(before ^ rest)
     return comps
 
 
