@@ -156,12 +156,12 @@ def component_masks(adj: Sequence[int], within: int) -> list[int]:
     vertices; the component is what left ``rest`` meanwhile.  A one-vertex
     layer, all there is on a path, reads that vertex's row directly.
 
-    Each layer still costs time linear in ``within``, so a long path splits in
-    quadratic time.  Walking wide layers from the top bit and re-splitting
-    only the components a deletion touches are both faster, but they wait for
-    the benchmark harness to stop keeping each round's output: more rounds in
-    the same time then raise its peak memory past the bound (ROADMAP items 1
-    and 3).
+    Each layer still ANDs and XORs bitsets as wide as ``within``, so a long
+    path splits in quadratic time.  Walking wide layers from the top bit and
+    re-splitting only the components a deletion touches are both faster, but
+    they wait until the benchmark harness stops keeping every round's output:
+    until then the extra rounds a faster split fits in its run raise its peak
+    memory past the bound (see ROADMAP).
     """
     comps = []
     rest = within
