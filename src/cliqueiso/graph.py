@@ -154,7 +154,8 @@ def component_masks(adj: Sequence[int], within: int) -> list[int]:
     list deterministic.  Each BFS starts from the lowest vertex that no BFS
     has reached yet and takes each layer out of ``rest``, those unreached
     vertices; the component is what left ``rest`` meanwhile.  A one-vertex
-    layer, all there is on a path, reads that vertex's row directly.
+    layer, all a path walked from one end has, reads that vertex's row
+    directly.
 
     Each layer still ANDs and XORs bitsets as wide as ``within``, so a long
     path splits in quadratic time.  Walking wide layers from the top bit and
