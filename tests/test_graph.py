@@ -30,9 +30,11 @@ from .support import (
     adjacency_sets,
     connected_graphs,
     graphs,
+    hubs,
     labeled_graphs,
     naive_components,
     naive_delete,
+    spines,
 )
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
@@ -152,10 +154,10 @@ class TestNeighborhoodsAndSubgraphs:
         assert sorted(u for c in comps for u in c) == list(range(g.n))
         assert comps == naive_components(g)
 
-    @given(st.one_of(connected_graphs(max_n=40), graphs(max_n=10)), st.data())
+    @given(st.one_of(connected_graphs(max_n=40), graphs(max_n=10), spines(), hubs()), st.data())
     def test_components_of_a_subset_match_naive(self, g, data):
         # A drawn set of dropped vertices is usually small, so most of each
-        # tree survives; the fixed cases below carry the long one-vertex runs.
+        # graph survives: spines keep long one-vertex runs and hubs wide layers.
         dropped = data.draw(st.sets(st.integers(min_value=0, max_value=max(g.n - 1, 0))))
         within = set(range(g.n)) - dropped
         comps = [set_of(m) for m in component_masks(g.adj, mask_of(within, g.n))]
