@@ -175,11 +175,12 @@ def component_masks(adj: Sequence[int], within: int) -> list[int]:
                 nxt = adj[frontier.bit_length() - 1]
             else:
                 # Inline, not closed_mask: the call made bound-sparse's constructions 8-10% slower.
+                # From the top bit, so each removal shortens the int it works on.
                 nxt = 0
                 while frontier:
-                    low = frontier & -frontier
-                    frontier ^= low
-                    nxt |= adj[low.bit_length() - 1]
+                    top = frontier.bit_length() - 1
+                    frontier ^= 1 << top
+                    nxt |= adj[top]
             frontier = nxt & rest
             rest ^= frontier
         comps.append(before ^ rest)
