@@ -207,8 +207,10 @@ def _check_graph(
     adj = g.adj
     full = g.full_mask
     comps = component_masks(adj, full)
+    previous = None  # iota at k - 1, None when that instance was excluded
     for k in ks:
         if exception_kind(adj, full, k) is not NONE:
+            previous = None
             yield None, [], None
             continue
         bound = g.n // (k + 1)
@@ -218,6 +220,9 @@ def _check_graph(
         iota = best.bit_count()
         if iota > bound:
             problems.append(f"iota {iota} exceeds bound {bound}")
+        if previous is not None and iota > previous:
+            problems.append(f"iota {iota} at k={k} exceeds iota {previous} at k={k - 1}")
+        previous = iota
         if find_in_mask(adj, full & ~closed_mask(adj, best), k) is not None:
             problems.append("solver set does not isolate")
         try:
@@ -264,17 +269,18 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
     The corpus is a list of batches, each a summary-row head and a graph
     iterator: one batch per n in exhaustive mode, one seeded batch in random
     mode.  An instance is a violation when the solver's iota exceeds the
-    bound, the solver's set does not isolate, the constructed set does not
-    isolate, exceeds the bound or could not be built, or, up to
-    ``--oracle-cap`` vertices, the oracle finds another iota; its record
-    lists every problem found.  Violation records are emitted as they are
-    found, then one summary row per (batch, k); ``violations`` in a summary
-    row is the running total over every row so far, not the count for that
-    row.  Timing-dependent stats go to stderr: per summary row the largest
-    iota of a non-excluded instance, the floor at the largest n of the batch,
-    how many construction steps each rule produced (``bound``'s histogram),
-    the elapsed seconds and the instances per second, plus a progress line
-    every ``PROGRESS_EVERY`` graphs of a batch.
+    bound or the iota of the same graph at k - 1, the solver's set does not
+    isolate, the constructed set does not isolate, exceeds the bound or could
+    not be built, or, up to ``--oracle-cap`` vertices, the oracle finds
+    another iota; its record lists every problem found.  Violation records
+    are emitted as they are found, then one summary row per (batch, k);
+    ``violations`` in a summary row is the running total over every row so
+    far, not the count for that row.  Timing-dependent stats go to stderr:
+    per summary row the largest iota of a non-excluded instance, the floor at
+    the largest n of the batch, how many construction steps each rule
+    produced (``bound``'s histogram), the elapsed seconds and the instances
+    per second, plus a progress line every ``PROGRESS_EVERY`` graphs of a
+    batch.
     """
     for flag, value, low in (
         ("--n-max", args.n_max, 1),
@@ -284,6 +290,12 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
     ):
         if value is not None and value < low:
             return _fail(f"check-theorem {flag} must be at least {low}, got {value}")
+    if args.k_max > args.n_max:
+        # No graph of the corpus has a clique that large, and each k costs a
+        # summary row and a tag table per batch before any graph is read.
+        return _fail(
+            f"check-theorem --k-max must be at most --n-max {args.n_max}, got {args.k_max}"
+        )
     cap = DEFAULT_ENUMERATION_CAP if args.mode == "exhaustive" else MAX_VERTICES
     if args.n_max > cap:
         return _fail(

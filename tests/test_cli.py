@@ -530,6 +530,54 @@ class TestCheckTheorem:
         assert records == rejected
         assert rejected
 
+    def test_iota_growing_with_k_is_reported(self, capsys, monkeypatch):
+        # A broken solver that answers at k = 2, from three vertices up, with
+        # its k = 1 set plus the lowest vertex outside it: a set that still
+        # isolates, one vertex larger than the answer at k = 1.  The oracle
+        # is off, so only the bound and the comparison across k can tell.
+        solve = cli.solve_mask
+
+        def grows_at_two(adj, comps, k):
+            if k != 2 or len(adj) < 3:
+                return solve(adj, comps, k)
+            best, *counts = solve(adj, comps, 1)
+            return best | (best + 1) & ~best, *counts
+
+        monkeypatch.setattr(cli, "solve_mask", grows_at_two)
+        code, reports, _ = run(capsys, ["check-theorem", "--mode", "exhaustive", "--n-max", "4",
+                                        "--k-max", "2", "--oracle-cap", "0"])
+        assert code == 3
+        records = [rep for rep in reports if rep.get("violation")]
+        # Every instance at k = 2 with a solved k = 1 instance beside it:
+        # 4 + 38 connected graphs at n = 3, 4 (K_2 is excluded at k = 2).
+        assert len(records) == 42
+        for rep in records:
+            n, k = rep["n"], rep["k"]
+            assert k == 2
+            iota = iota_solve(parse_edge_list(rep["graph"]), 1).iota
+            problems = [f"iota {iota + 1} at k=2 exceeds iota {iota} at k=1"]
+            if iota + 1 > n // 3:
+                problems.insert(0, f"iota {iota + 1} exceeds bound {n // 3}")
+            assert rep["problems"] == problems
+
+    def test_k_max_above_n_max_is_refused(self, capsys, monkeypatch):
+        # No graph on at most --n-max vertices has a larger clique; refused
+        # before a single graph is enumerated.
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumeration started")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "enumerate_connected", no_enumeration)
+            code, reports, err = run(capsys, ["check-theorem", "--mode", "exhaustive",
+                                              "--n-max", "4", "--k-max", "5"])
+        assert code == 2
+        assert not reports
+        assert "--k-max" in err and "--n-max 4" in err
+        code, reports, _ = run(capsys, ["check-theorem", "--mode", "exhaustive",
+                                        "--n-max", "4", "--k-max", "4"])
+        assert code == 0
+        assert {r["k"] for r in reports if "graphs" in r} == {1, 2, 3, 4}
+
     def test_oracle_disagreement_is_reported(self, capsys, monkeypatch):
         # A broken oracle that finds one vertex more than the solver's answer.
         def one_more(adj, k):
