@@ -155,14 +155,15 @@ def component_masks(adj: Sequence[int], within: int) -> list[int]:
     has reached yet and takes each layer out of ``rest``, those unreached
     vertices; the component is what left ``rest`` meanwhile.  A one-vertex
     layer, all a path walked from one end has, reads that vertex's row
-    directly.
+    directly.  A wider layer is walked from its top bit, so each vertex taken
+    off shortens the int that is left; a layer's union of rows does not
+    depend on that order.
 
     Each layer still ANDs and XORs bitsets as wide as ``within``, so a long
-    path splits in quadratic time.  Walking wide layers from the top bit and
-    re-splitting only the components a deletion touches are both faster, but
-    they wait until the benchmark harness stops keeping every round's output:
-    until then the extra rounds a faster split fits in its run raise its peak
-    memory past the bound (see ROADMAP).
+    path splits in quadratic time.  Re-splitting only the components a
+    deletion touches is faster, but it waits until the benchmark harness
+    stops keeping every round's output: until then the extra rounds a faster
+    split fits in its run raise its peak memory past the bound (see ROADMAP).
     """
     comps = []
     rest = within
@@ -175,7 +176,6 @@ def component_masks(adj: Sequence[int], within: int) -> list[int]:
                 nxt = adj[frontier.bit_length() - 1]
             else:
                 # Inline, not closed_mask: the call made bound-sparse's constructions 8-10% slower.
-                # From the top bit, so each removal shortens the int it works on.
                 nxt = 0
                 while frontier:
                     top = frontier.bit_length() - 1

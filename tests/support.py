@@ -286,26 +286,27 @@ def connected_graphs(draw, min_n: int = 1, max_n: int = 9) -> Graph:
 
 
 @st.composite
-def spines(draw, min_n: int = 1, max_n: int = 60, max_back: int = 3) -> Graph:
-    """Long path-like trees: vertex i hangs on i - 1 - d with d drawn from
-    0..``max_back``, so BFS from vertex 0 runs deep through long runs of
-    one-vertex layers."""
-    n = draw(st.integers(min_value=min_n, max_value=max_n))
+def spines(draw, min_n: int = 1) -> Graph:
+    """Long path-like trees on at most 60 vertices: vertex i hangs on
+    i - 1 - d with d drawn from 0..3, so BFS from vertex 0 runs deep through
+    long runs of one-vertex layers."""
+    n = draw(st.integers(min_value=min_n, max_value=60))
     edges = []
     for i in range(1, n):
-        d = draw(st.integers(min_value=0, max_value=min(max_back, i - 1)))
+        d = draw(st.integers(min_value=0, max_value=min(3, i - 1)))
         edges.append((i - 1 - d, i))
     return Graph.from_edges(n, edges)
 
 
 @st.composite
-def hubs(draw, max_n: int = 60, max_hubs: int = 3) -> Graph:
-    """A spine from ``spines`` plus one to ``max_hubs`` hubs, each joined to
-    about half of the vertices by one fair coin per vertex, so BFS layers are
-    both long and wide."""
-    g = draw(spines(min_n=2, max_n=max_n))
+def hubs(draw) -> Graph:
+    """A spine from ``spines`` plus one to three hubs, each joined to about
+    half of the vertices by one fair coin per vertex, so BFS layers are both
+    long and wide."""
+    g = draw(spines(min_n=2))
     edges = set(g.edges())
-    for hub in draw(st.sets(st.integers(min_value=0, max_value=g.n - 1), min_size=1, max_size=max_hubs)):
+    vertices = st.integers(min_value=0, max_value=g.n - 1)
+    for hub in draw(st.sets(vertices, min_size=1, max_size=3)):
         coins = draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
         edges.update((min(hub, u), max(hub, u)) for u in range(g.n) if coins[u] and u != hub)
     return Graph.from_edges(g.n, sorted(edges))
