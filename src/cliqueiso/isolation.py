@@ -273,13 +273,11 @@ def iota_solve(g: Graph, k: int) -> SolveReport:
 
     The problem splits over connected components (isolation is additive across
     them), and ``solve_mask`` searches each one; its docstring describes the
-    search and every lever it pulls.  The packing bound, the dominance skip
-    and the degree relabeling decide how many nodes are visited, never which
-    set is returned or how often the incumbent improves.  The report sums over
-    all components the nodes expanded (settled children included), the bound
-    prunes (see ``SolveReport``) and the incumbent updates, counted from the
-    greedy set.  The search keeps its nodes on an explicit stack, so its
-    depth, one level per chosen vertex, never meets Python's recursion limit.
+    search and every lever it pulls.  The report sums over all components the
+    nodes expanded (settled children included), the bound prunes (see
+    ``SolveReport``) and the incumbent updates, counted from the greedy set.
+    The search keeps its nodes on an explicit stack, so its depth, one level
+    per chosen vertex, never meets Python's recursion limit.
     """
     require_k(k)
     start = time.perf_counter()
@@ -308,10 +306,9 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
     reason a component whose greedy set is one vertex is not searched: that
     vertex is returned with the counts of the root's own prune (one node, one
     bound prune, no update); an empty greedy set is one leaf node.  A valid
-    bound never prunes an ancestor of the first optimal leaf, and a skipped
-    branch (below) could not have improved the incumbent, so the bound, the
-    skip and the relabeling decide how many nodes are visited, never which set
-    is returned or how often the incumbent improves.
+    bound never prunes an ancestor of the first optimal leaf, so the bound and
+    the relabeling decide how many nodes are visited, never which set is
+    returned or how often the incumbent improves.
 
     Each component is searched depth first from an explicit stack of nodes
     ``(chosen, covered, forbidden, size, dcovered, dforbidden, later,
@@ -337,16 +334,6 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
     its rest.  Dropping vertices that fail anyway leaves the lowest isolating
     vertex the answer, so the tree, the set and every counter are as without
     ``seen``.
-
-    At slack four or more a candidate u gets no child when a lower candidate
-    w dominates it: N[u] ∩ R ⊆ N[w] ∩ R for the residual R.  A leaf below u
-    is chosen ∪ {u} ∪ T with T outside the candidates below u, so
-    chosen ∪ {w} ∪ T isolates too and lies below w, which is searched first
-    (directly, or below the lowest of a chain of dominators); by the time u
-    would be popped the incumbent is already no larger than that leaf.  The
-    higher siblings forbid u as before.  The check intersects, over every x
-    of N[u] ∩ R, the closed rows N[x] with the lower candidates, and stops as
-    soon as nothing is left.
 
     Packing in host labels starts with the low labels, which may be hubs
     whose balls empty the pool.  So a component whose greedy set has at least
@@ -497,18 +484,6 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
                 high = 1 << u
                 candidates ^= high
                 dcandidates ^= dcode[u]
-                # The lower candidates w with N[u] & R inside N[w]: w is in
-                # N[x] for every x of N[u] & R.  The highest x first, since
-                # the lowest are the clique's, whose hoods hold many candidates.
-                dominators = candidates
-                reach = (adj[u] | high) & residual
-                while reach and dominators:
-                    x = reach.bit_length() - 1
-                    low = 1 << x
-                    reach ^= low
-                    dominators &= adj[x] | low
-                if dominators:
-                    continue
                 stack.append((
                     chosen | high,
                     covered | adj[u] | high,

@@ -37,6 +37,7 @@ from cliqueiso import (
     iota_oracle,
     verify_isolating,
 )
+from cliqueiso.isolation import degree_relabel, packing_bound
 
 from .support import (
     connected_graphs,
@@ -304,6 +305,31 @@ class TestLargePiece:
             expected.append(TraceStep(BranchTag.CASE2, (2 * i + 1,)))
             expected.append(TraceStep(BranchTag.DOMINATING_VERTEX, (2 * i,)))
         assert list(res.trace) == expected
+
+
+def _packing_lower_bound(g: Graph, k: int) -> int:
+    """The number of k-cliques ``packing_bound`` packs with pairwise disjoint
+    closed neighbourhoods on the degree-relabeled graph, nothing forbidden and
+    no limit: each needs its own vertex, so this bounds iota from below."""
+    code, closed = [0] * g.n, [0] * g.n
+    rows, balls = degree_relabel(g.adj, g.full_mask, code, closed)
+    return packing_bound(rows, balls, (1 << len(rows)) - 1, k, 0, 0, g.n + 1)[0]
+
+
+class TestSharpnessAtScale:
+    def test_extremal_2000_meets_the_packing_bound(self):
+        # Where the packing, the constructed set (which isolates, or the
+        # construction raises) and floor(n/(k+1)) coincide, iota is
+        # floor(n/(k+1)) without the exact search.
+        for k in range(1, 5):
+            g = build_extremal(2000, k)
+            floor = g.n // (k + 1)
+            assert _packing_lower_bound(g, k) == len(bounded_isolating_set(g, k).set) == floor
+        # The known gap: on the 4000-vertex graph at k = 2 the spine's end
+        # vertex carries no block, has degree 1 and sorts first in the
+        # relabeling, and the packing falls one clique short of the set.
+        g = build_extremal(4000, 2)
+        assert (_packing_lower_bound(g, 2), len(bounded_isolating_set(g, 2).set)) == (1332, 1333)
 
 
 class TestNoRecursion:
