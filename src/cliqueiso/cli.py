@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 import time
@@ -49,6 +50,7 @@ _EXIT_OK = 0
 _EXIT_INVALID = 1
 _EXIT_INPUT = 2
 _EXIT_VIOLATION = 3
+_EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that went away
 
 PROGRESS_EVERY = 100_000  # graphs of a batch between stderr progress lines
 
@@ -430,7 +432,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush inside the try, so that a reader that went away is seen here.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Not an input error: stdout's reader closed it, as ``| head`` does.
+        # Point stdout at devnull, as the Python docs advise, so that the
+        # flush at exit does not fail again, and print nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:  # EdgeListError and ExceptionalGraphError included
         return _fail(str(exc))
 

@@ -7,22 +7,21 @@ checked against straightforward code that shares none of their machinery.
 
 from __future__ import annotations
 
-import os
 import random
 import subprocess
 import sys
 from itertools import combinations
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import hypothesis.strategies as st
 
-import cliqueiso
 import cliqueiso.construct as construct
 from cliqueiso import Graph
 from cliqueiso.cliques import find_in_mask
 from cliqueiso.generators import _tree_from_pruefer, pair_order
 from cliqueiso.graph import NONE, closed_mask, component_masks, exception_kind
+
+from .pins import package_env
 
 T = TypeVar("T")
 
@@ -176,12 +175,6 @@ def piece_checked(entry: Callable[..., T], g: Graph, k: int) -> T:
         )
         done.append((piece, d))
     return out
-
-
-def package_env() -> dict[str, str]:
-    """The environment for a fresh interpreter that imports this checkout's
-    package."""
-    return {**os.environ, "PYTHONPATH": str(Path(cliqueiso.__file__).resolve().parents[1])}
 
 
 def run_at_low_recursion_limit(code: str) -> subprocess.CompletedProcess:

@@ -1,5 +1,6 @@
 """The package's public surface: the names it exports and the README's tour."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -53,3 +54,16 @@ def test_readme_library_tour_runs():
     block = re.search(r"```python\n(.*?)```", tour, re.S)
     assert block is not None, "the Library tour has no python block"
     exec(compile(block.group(1), "README.md (Library tour)", "exec"), {})
+
+
+def test_package_holds_no_assert_statement():
+    # python -O strips assert statements, and the -O test run cannot see a
+    # check that vanished with them, so the package must hold none.
+    package = Path(cliqueiso.__file__).resolve().parent
+    found = [
+        f"{path}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -6,11 +6,13 @@ this digest as it is.  A second digest leaves out the search-tree counters
 (``nodes_expanded`` and ``bound_prunes``), so a change to the bound or the
 pruning, which may only change those two, must leave it as it is.  Recompute
 them only when an output is meant to change:
-``PYTHONPATH=src python -m tests.test_behaviour_pin`` prints both.
+``PYTHONPATH=src python -m tests.test_behaviour_pin`` prints both, and exits
+1 when either differs from its pin, without pytest.
 """
 
 import hashlib
 import json
+import sys
 
 from cliqueiso import ExceptionalGraphError, bounded_isolating_set, enumerate_connected, iota_solve
 
@@ -57,5 +59,6 @@ def test_outputs_without_search_tree_counts_are_pinned():
 
 
 if __name__ == "__main__":
-    print(behaviour_digest())
-    print(behaviour_digest(tree=False))
+    digests = (behaviour_digest(), behaviour_digest(tree=False))
+    print(*digests, sep="\n")
+    sys.exit(0 if digests == (PIN_SHA256, PIN_WITHOUT_TREE_SHA256) else 1)

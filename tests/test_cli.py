@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -32,11 +33,11 @@ from cliqueiso import (
 from cliqueiso.cli import main
 from cliqueiso.isolation import greedy_mask, oracle_scan
 
-from .support import disjoint_union, package_env, run_at_low_recursion_limit
+from .pins import PINS, failures, package_env
+from .support import disjoint_union, run_at_low_recursion_limit
 
-# SHA-256 of the stdout of `check-theorem --mode exhaustive --n-max 5 --k-max 3`.
-# The reports are promised byte-identical, so a change here must be deliberate.
-CHECK_THEOREM_N5_K3_SHA256 = "fe4b5d21dc64f7ba50682c6c7ec0f6b5a4c670c85645c6faa47659acf54a799e"
+# The reports are promised byte-identical, so a change to a SHA here must be
+# deliberate; tests/pins.py holds the pins of the longer runs.
 # SHA-256 of the stdout of the README's
 # `check-theorem --mode random --count 200 --n-max 10 --k-max 2 --seed 7`.
 CHECK_THEOREM_RANDOM_S7_SHA256 = "b24eaf8abca861ef8ed7f11e8fe4add99039d6c2873dfec871c43a73ad6330eb"
@@ -756,11 +757,19 @@ class TestProcessLevel:
         assert len(outputs) == 1
         assert len(files) == 1
 
+    def test_closed_stdout_exits_as_sigpipe_without_a_message(self, tmp_path):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the command writes anything
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "cliqueiso.cli", "gen", "path", "--n", "5",
+                 "--out", str(tmp_path / "p5.edges")],
+                stdout=write, stderr=subprocess.PIPE, env=package_env(), timeout=300,
+            )
+        finally:
+            os.close(write)
+        assert (out.returncode, out.stderr) == (141, b"")
+
     def test_check_theorem_bytes_are_pinned(self):
-        out = subprocess.run(
-            [sys.executable, "-m", "cliqueiso.cli", "check-theorem", "--mode", "exhaustive",
-             "--n-max", "5", "--k-max", "3"],
-            capture_output=True, env=package_env(), timeout=300,
-        )
-        assert out.returncode == 0, out.stderr
-        assert hashlib.sha256(out.stdout).hexdigest() == CHECK_THEOREM_N5_K3_SHA256
+        (pin,) = [pin for pin in PINS if pin.name == "exhaustive-n5-k3"]
+        assert failures([pin]) == []
