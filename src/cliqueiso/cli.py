@@ -23,6 +23,7 @@ import random
 import sys
 import time
 from collections import Counter
+from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
 from .cliques import find_in_mask
@@ -53,6 +54,13 @@ _EXIT_VIOLATION = 3
 _EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that went away
 
 PROGRESS_EVERY = 100_000  # graphs of a batch between stderr progress lines
+# Graphs that check-theorem checks together, one stage at a time
+# (_check_chunk).  The same work in that order runs faster from a chunk of 8
+# up.  The n <= 6, k <= 3 sweep in-process on a 2-core box, median of 9:
+# 3.14 s at 1, 2.37 at 8, 2.30 at 32, 2.26 at 64, 2.16 at 128, 2.21 at 256
+# and 2.30 at 1024.  Under perfbench (4 pairs), 64 matched 256 on wall_s,
+# 2.27 against 2.26 s, with 2% less peak_rss_mb.
+CHUNK = 64
 
 
 def _emit(obj: dict) -> None:
@@ -193,63 +201,85 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _check_graph(
-    g: Graph, ks: range, oracle_cap: int
-) -> Iterator[tuple[int | None, list, dict | None]]:
-    """Check every instance (g, k) for k in ``ks``, yielding (iota, the
-    construction's trace, violation-detail) per k; iota is None and the trace
-    empty for an excluded shape, which is not solved, and the trace is empty
-    when the construction fails.
+def _check_chunk(
+    graphs: list[Graph], ks: range, oracle_cap: int
+) -> list[list[tuple[int | None, list, dict | None]]]:
+    """Check every instance (g, k) for g in ``graphs`` and k in ``ks``: per
+    graph, one (iota, the construction's trace, violation-detail) per k.
+    iota is None and the trace empty for an excluded shape, which is not
+    solved, and the trace is empty when the construction fails.
 
-    The components are found once and serve every k, both for the solver and
-    for the construction's connectivity guard.  Each instance then runs on
-    the same kernels as ``iota_solve``, ``bounded_isolating_set``,
-    ``verify_isolating`` and ``iota_oracle``.
+    Each stage runs over every instance of the chunk before the next starts:
+    the component split (once per graph, serving every k) and the
+    classification; the kernels behind ``iota_solve``,
+    ``bounded_isolating_set`` and ``iota_oracle``; then the checks, graph by
+    graph and k by k.  Only a construction failure is caught, per instance;
+    any other exception ends the chunk, and no result of it is returned.
     """
-    adj = g.adj
-    full = g.full_mask
-    comps = component_masks(adj, full)
-    previous = None  # iota at k - 1, None when that instance was excluded
-    for k in ks:
-        if exception_kind(adj, full, k) is not NONE:
-            previous = None
-            yield None, [], None
-            continue
-        bound = g.n // (k + 1)
-        problems: list[str] = []
-        trace = []
-        best = solve_mask(adj, comps, k)[0]
-        iota = best.bit_count()
-        if iota > bound:
-            problems.append(f"iota {iota} exceeds bound {bound}")
-        if previous is not None and iota > previous:
-            problems.append(f"iota {iota} at k={k} exceeds iota {previous} at k={k - 1}")
-        previous = iota
-        if find_in_mask(adj, full & ~closed_mask(adj, best), k) is not None:
-            problems.append("solver set does not isolate")
+    instances = []  # (adj, comps, k) in corpus order; None for an excluded shape
+    for g in graphs:
+        adj = g.adj
+        full = g.full_mask
+        comps = component_masks(adj, full)
+        instances += [(adj, comps, k) if exception_kind(adj, full, k) is NONE else None for k in ks]
+    solved = [inst for inst in instances if inst is not None]
+    bests = [solve_mask(adj, comps, k)[0] for adj, comps, k in solved]
+    built = []
+    for adj, comps, k in solved:
         try:
             d, trace, _ = construct_mask(adj, comps, k)
-            if find_in_mask(adj, full & ~closed_mask(adj, d), k) is not None:
-                problems.append("constructed set does not isolate")
-            if d.bit_count() > bound:
-                problems.append(f"constructed set size {d.bit_count()} exceeds bound {bound}")
+            built.append((d, trace, None))
         except Exception as exc:  # a construction crash is a finding, not a CLI crash
-            problems.append(f"construction failed: {exc}")
-        if g.n <= oracle_cap:
-            oracle_iota = len(oracle_scan(adj, k)[0])
-            if oracle_iota != iota:
+            built.append((0, [], f"construction failed: {exc}"))
+    oracle = [
+        len(oracle_scan(adj, k)[0]) if len(adj) <= oracle_cap else None for adj, _, k in solved
+    ]
+    pending = iter(instances)
+    outcomes = zip(bests, built, oracle)
+    checked = []
+    for g in graphs:
+        adj = g.adj
+        full = g.full_mask
+        previous = None  # iota at k - 1, None when that instance was excluded
+        row = []
+        for k in ks:
+            if next(pending) is None:
+                previous = None
+                row.append((None, [], None))
+                continue
+            best, (d, trace, failure), oracle_iota = next(outcomes)
+            bound = g.n // (k + 1)
+            problems: list[str] = []
+            iota = best.bit_count()
+            if iota > bound:
+                problems.append(f"iota {iota} exceeds bound {bound}")
+            if previous is not None and iota > previous:
+                problems.append(f"iota {iota} at k={k} exceeds iota {previous} at k={k - 1}")
+            previous = iota
+            if find_in_mask(adj, full & ~closed_mask(adj, best), k) is not None:
+                problems.append("solver set does not isolate")
+            if failure is not None:
+                problems.append(failure)
+            else:
+                if find_in_mask(adj, full & ~closed_mask(adj, d), k) is not None:
+                    problems.append("constructed set does not isolate")
+                if d.bit_count() > bound:
+                    problems.append(f"constructed set size {d.bit_count()} exceeds bound {bound}")
+            if oracle_iota is not None and oracle_iota != iota:
                 problems.append(f"solver {iota} disagrees with oracle {oracle_iota}")
-        if not problems:
-            yield iota, trace, None
-            continue
-        yield iota, trace, {
-            "command": "check-theorem",
-            "violation": True,
-            "n": g.n,
-            "k": k,
-            "problems": problems,
-            "graph": format_edge_list(g),
-        }
+            if not problems:
+                row.append((iota, trace, None))
+                continue
+            row.append((iota, trace, {
+                "command": "check-theorem",
+                "violation": True,
+                "n": g.n,
+                "k": k,
+                "problems": problems,
+                "graph": format_edge_list(g),
+            }))
+        checked.append(row)
+    return checked
 
 
 def _random_graphs(seed: int, count: int, n_max: int) -> Iterator[Graph]:
@@ -274,15 +304,18 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
     bound or the iota of the same graph at k - 1, the solver's set does not
     isolate, the constructed set does not isolate, exceeds the bound or could
     not be built, or, up to ``--oracle-cap`` vertices, the oracle finds
-    another iota; its record lists every problem found.  Violation records
-    are emitted as they are found, then one summary row per (batch, k);
-    ``violations`` in a summary row is the running total over every row so
-    far, not the count for that row.  Timing-dependent stats go to stderr:
-    per summary row the largest iota of a non-excluded instance, the floor at
-    the largest n of the batch, how many construction steps each rule
-    produced (``bound``'s histogram), the elapsed seconds and the instances
-    per second, plus a progress line every ``PROGRESS_EVERY`` graphs of a
-    batch.
+    another iota; its record lists every problem found.  A batch is read
+    ``CHUNK`` graphs at a time, and each chunk is checked whole before its
+    violation records are emitted, still in corpus order (graph by graph,
+    then k by k); so an exception from the solver or the oracle ends the
+    sweep before any record of its chunk.  One summary row per (batch, k)
+    follows the batch's records; ``violations`` in a summary row is the
+    running total over every row so far, not the count for that row.
+    Timing-dependent stats go to stderr: per summary row the largest iota of
+    a non-excluded instance, the floor at the largest n of the batch, how
+    many construction steps each rule produced (``bound``'s histogram), the
+    elapsed seconds and the instances per second, plus a progress line every
+    ``PROGRESS_EVERY`` graphs of a batch.
     """
     for flag, value, low in (
         ("--n-max", args.n_max, 1),
@@ -324,25 +357,26 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
         max_iota = dict.fromkeys(ks, 0)
         tags = {k: dict.fromkeys((tag.value for tag in BranchTag), 0) for k in ks}
         seen = n_seen = 0
-        for g in graphs:
-            seen += 1
-            n_seen = max(n_seen, g.n)
-            for k, (iota, trace, detail) in zip(ks, _check_graph(g, ks, args.oracle_cap)):
-                if iota is None:
-                    exceptional[k] += 1
-                elif iota > max_iota[k]:
-                    max_iota[k] = iota
-                # Keyed by the plain ``_value_`` attribute: hashing an Enum
-                # member or reading ``.value`` runs Python code, once per step.
-                counts = tags[k]
-                for tag, _ in trace:
-                    counts[tag._value_] += 1
-                if detail is not None:
-                    violations += 1
-                    _emit(detail)
-            checked += len(ks)
-            if seen % PROGRESS_EVERY == 0:
-                print(f"{label}: {seen} graphs {_throughput(checked, start)}", file=sys.stderr)
+        while chunk := list(islice(graphs, CHUNK)):
+            for g, row in zip(chunk, _check_chunk(chunk, ks, args.oracle_cap)):
+                seen += 1
+                n_seen = max(n_seen, g.n)
+                for k, (iota, trace, detail) in zip(ks, row):
+                    if iota is None:
+                        exceptional[k] += 1
+                    elif iota > max_iota[k]:
+                        max_iota[k] = iota
+                    # Keyed by the plain ``_value_`` attribute: hashing an Enum
+                    # member or reading ``.value`` runs Python code, once per step.
+                    counts = tags[k]
+                    for tag, _ in trace:
+                        counts[tag._value_] += 1
+                    if detail is not None:
+                        violations += 1
+                        _emit(detail)
+                checked += len(ks)
+                if seen % PROGRESS_EVERY == 0:
+                    print(f"{label}: {seen} graphs {_throughput(checked, start)}", file=sys.stderr)
         for k in ks:
             _emit(
                 {

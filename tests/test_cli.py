@@ -33,7 +33,7 @@ from cliqueiso import (
 from cliqueiso.cli import main
 from cliqueiso.isolation import greedy_mask, oracle_scan
 
-from .pins import PINS, failures, package_env
+from .pins import PINS, TIMING, failures, package_env
 from .support import disjoint_union, run_at_low_recursion_limit
 
 # The reports are promised byte-identical, so a change to a SHA here must be
@@ -51,6 +51,10 @@ BOUND_PER_COMPONENT_K2_SHA256 = "595a16a93826d4460ddb81940c1fc2b277df48073213454
 # SHA-256 of the stdout of `verify g.edges --k 2 "0 1"` then `verify g.edges --k 2 "2"`
 # on build_extremal(7, 2): one valid set, then one invalid set.
 VERIFY_B7_K2_SHA256 = "604aa925823458e6d79306d5299b3b552b35f91ed29cd0006a235f34b53b4bdb"
+
+# check-theorem's chunk sizes that the record and stats tests run at: one that
+# ends chunks inside a batch at every n >= 4, and the default.
+CHUNKS = (7, cli.CHUNK)
 
 
 @pytest.fixture
@@ -457,34 +461,48 @@ class TestCheckTheorem:
             return (1 << bound + 1) - 1, [], 0
 
         monkeypatch.setattr(cli, "construct_mask", oversized)
-        code, reports, _ = run(capsys, ["check-theorem", *argv])
-        assert code == 3
-        records = 0
-        non_exceptional = 0
-        for rep in reports:
-            if "graphs" in rep:
-                non_exceptional += rep["graphs"] - rep["exceptional"]
-                assert rep["violations"] == records
-                continue
-            records += 1
-            assert rep["violation"] is True
-            g = parse_edge_list(rep["graph"])
-            assert rep["n"] == g.n
-            bound = g.n // (rep["k"] + 1)
-            problems = [f"constructed set size {bound + 1} exceeds bound {bound}"]
-            if not verify_isolating(g, rep["k"], range(bound + 1)).valid:
-                problems.insert(0, "constructed set does not isolate")
-            assert rep["problems"] == problems
-        assert records == non_exceptional > 0
+        # Every instance that is not excluded, graph by graph, then k by k.
         if "exhaustive" in argv:
-            # {0, 1, 2} leaves vertex 4 of the path 0-1-2-3-4 undominated.
-            path = format_edge_list(build_path(5))
-            (rec,) = [r for r in reports if r.get("graph") == path]
-            assert (rec["n"], rec["k"]) == (5, 1)
-            assert rec["problems"] == [
-                "constructed set does not isolate",
-                "constructed set size 3 exceeds bound 2",
-            ]
+            corpus = [g for n in range(1, 6) for g in enumerate_connected(n)]
+            ks = (1,)
+        else:
+            corpus = list(cli._random_graphs(3, 30, 8))
+            ks = (1, 2)
+        instances = [
+            (format_edge_list(g), k) for g in corpus for k in ks
+            if classify_exception(g, k) is ExceptionKind.NONE
+        ]
+        for chunk in CHUNKS:
+            monkeypatch.setattr(cli, "CHUNK", chunk)
+            code, reports, _ = run(capsys, ["check-theorem", *argv])
+            assert code == 3
+            assert [(r["graph"], r["k"]) for r in reports if "problems" in r] == instances
+            records = 0
+            non_exceptional = 0
+            for rep in reports:
+                if "graphs" in rep:
+                    non_exceptional += rep["graphs"] - rep["exceptional"]
+                    assert rep["violations"] == records
+                    continue
+                records += 1
+                assert rep["violation"] is True
+                g = parse_edge_list(rep["graph"])
+                assert rep["n"] == g.n
+                bound = g.n // (rep["k"] + 1)
+                problems = [f"constructed set size {bound + 1} exceeds bound {bound}"]
+                if not verify_isolating(g, rep["k"], range(bound + 1)).valid:
+                    problems.insert(0, "constructed set does not isolate")
+                assert rep["problems"] == problems
+            assert records == non_exceptional > 0
+            if "exhaustive" in argv:
+                # {0, 1, 2} leaves vertex 4 of the path 0-1-2-3-4 undominated.
+                path = format_edge_list(build_path(5))
+                (rec,) = [r for r in reports if r.get("graph") == path]
+                assert (rec["n"], rec["k"]) == (5, 1)
+                assert rec["problems"] == [
+                    "constructed set does not isolate",
+                    "constructed set size 3 exceeds bound 2",
+                ]
 
     def test_solver_over_the_bound_is_reported(self, capsys, monkeypatch):
         # A broken solver that answers with every vertex: over the bound, and
@@ -535,7 +553,10 @@ class TestCheckTheorem:
         # A broken solver that answers at k = 2, from three vertices up, with
         # its k = 1 set plus the lowest vertex outside it: a set that still
         # isolates, one vertex larger than the answer at k = 1.  The oracle
-        # is off, so only the bound and the comparison across k can tell.
+        # is off, so only the bound and the comparison across k can tell.  At
+        # k = 3 the solver answers right again, at most its true iota at k = 2,
+        # so every record is at k = 2; a triangle-free graph's iota of 0 at
+        # k = 3 is followed by the next graph's k = 1 in the same chunk.
         solve = cli.solve_mask
 
         def grows_at_two(adj, comps, k):
@@ -545,21 +566,23 @@ class TestCheckTheorem:
             return best | (best + 1) & ~best, *counts
 
         monkeypatch.setattr(cli, "solve_mask", grows_at_two)
-        code, reports, _ = run(capsys, ["check-theorem", "--mode", "exhaustive", "--n-max", "4",
-                                        "--k-max", "2", "--oracle-cap", "0"])
-        assert code == 3
-        records = [rep for rep in reports if rep.get("violation")]
-        # Every instance at k = 2 with a solved k = 1 instance beside it:
-        # 4 + 38 connected graphs at n = 3, 4 (K_2 is excluded at k = 2).
-        assert len(records) == 42
-        for rep in records:
-            n, k = rep["n"], rep["k"]
-            assert k == 2
-            iota = iota_solve(parse_edge_list(rep["graph"]), 1).iota
-            problems = [f"iota {iota + 1} at k=2 exceeds iota {iota} at k=1"]
-            if iota + 1 > n // 3:
-                problems.insert(0, f"iota {iota + 1} exceeds bound {n // 3}")
-            assert rep["problems"] == problems
+        for chunk in CHUNKS:
+            monkeypatch.setattr(cli, "CHUNK", chunk)
+            code, reports, _ = run(capsys, ["check-theorem", "--mode", "exhaustive",
+                                            "--n-max", "4", "--k-max", "3", "--oracle-cap", "0"])
+            assert code == 3
+            records = [rep for rep in reports if rep.get("violation")]
+            # Every instance at k = 2 with a solved k = 1 instance beside it:
+            # 4 + 38 connected graphs at n = 3, 4 (K_2 is excluded at k = 2).
+            assert len(records) == 42
+            for rep in records:
+                n, k = rep["n"], rep["k"]
+                assert k == 2
+                iota = iota_solve(parse_edge_list(rep["graph"]), 1).iota
+                problems = [f"iota {iota + 1} at k=2 exceeds iota {iota} at k=1"]
+                if iota + 1 > n // 3:
+                    problems.insert(0, f"iota {iota + 1} exceeds bound {n // 3}")
+                assert rep["problems"] == problems
 
     def test_k_max_above_n_max_is_refused(self, capsys, monkeypatch):
         # No graph on at most --n-max vertices has a larger clique; refused
@@ -622,20 +645,37 @@ class TestCheckTheorem:
 
     def test_stats_and_progress_go_to_stderr(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "PROGRESS_EVERY", 10)
-        code, reports, err = run(capsys, ["check-theorem", "--mode", "exhaustive",
-                                          "--n-max", "4", "--k-max", "1"])
-        assert code == 0
-        assert len(reports) == 4
-        lines = err.splitlines()
-        # 38 connected graphs at n = 4: progress after 10, 20 and 30 of them.
-        progress = [line for line in lines if "graphs elapsed_s=" in line]
-        assert [line.split(": ")[1].split()[0] for line in progress] == ["10", "20", "30"]
-        (row,) = [line for line in lines if line.startswith("check-theorem mode=exhaustive n=4 k=1:")]
-        fields = dict(field.split("=") for field in row.split(": ")[1].split())
-        # Ore: a connected graph on n >= 2 vertices has a dominating set of size n/2.
-        assert fields["max_iota"] == fields["floor"] == "2"
-        assert float(fields["elapsed_s"]) >= 0
-        assert float(fields["instances_per_s"]) > 0
+        for chunk in CHUNKS:
+            monkeypatch.setattr(cli, "CHUNK", chunk)
+            code, reports, err = run(capsys, ["check-theorem", "--mode", "exhaustive",
+                                              "--n-max", "4", "--k-max", "1"])
+            assert code == 0
+            assert len(reports) == 4
+            lines = err.splitlines()
+            # 38 connected graphs at n = 4: progress after 10, 20 and 30 of them.
+            progress = [line for line in lines if "graphs elapsed_s=" in line]
+            assert [line.split(": ")[1].split()[0] for line in progress] == ["10", "20", "30"]
+            (row,) = [
+                line for line in lines if line.startswith("check-theorem mode=exhaustive n=4 k=1:")
+            ]
+            fields = dict(field.split("=") for field in row.split(": ")[1].split())
+            # Ore: a connected graph on n >= 2 vertices has a dominating set of size n/2.
+            assert fields["max_iota"] == fields["floor"] == "2"
+            assert float(fields["elapsed_s"]) >= 0
+            assert float(fields["instances_per_s"]) > 0
+
+    def test_chunk_size_leaves_the_output_unchanged(self, capsys, monkeypatch):
+        # The pinned sweep in-process: its 728 graphs at n = 5 end a chunk of
+        # 7 more than 100 times inside one batch.
+        (pin,) = [pin for pin in PINS if pin.name == "exhaustive-n5-k3"]
+        errs = set()
+        for chunk in (1, 7, cli.CHUNK):
+            monkeypatch.setattr(cli, "CHUNK", chunk)
+            assert main(pin.commands[0].split()) == 0
+            out = capsys.readouterr()
+            assert hashlib.sha256(out.out.encode()).hexdigest() == pin.sha256
+            errs.add(TIMING.sub(b"", out.err.encode()))
+        assert len(errs) == 1
 
     def test_branch_histogram_per_row_on_stderr(self, capsys):
         code, _, err = run(capsys, ["check-theorem", "--mode", "exhaustive",
