@@ -37,9 +37,7 @@ from .generators import (
 from .graph import (
     ExceptionKind,
     Graph,
-    Subgraph,
     classify_exception,
-    induced,
 )
 from .isolation import (
     IsolationCertificate,
@@ -64,7 +62,6 @@ __all__ = [
     "IsolationCertificate",
     "OracleCapError",
     "SolveReport",
-    "Subgraph",
     "TraceStep",
     "bounded_isolating_set",
     "bounded_sets_per_component",
@@ -76,7 +73,6 @@ __all__ = [
     "enumerate_connected",
     "format_edge_list",
     "gen_random_connected",
-    "induced",
     "iota_oracle",
     "iota_solve",
     "parse_edge_list",

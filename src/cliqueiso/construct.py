@@ -20,14 +20,17 @@ by which neighbours of v they attach to, and fires one rule:
   5-cycle shapes bottom out in small finite constructions that are verified
   before being returned.
 
-Both Case rules read the piece containing v off that one split: it is all that
-is left but the components attached to x alone, so no step splits twice.
+Each case of the proof is one function: ``_case_single_link`` is Case 2 and
+``_case_multi_link`` holds Case 1 with its three subcases.  Both read the
+piece containing v off that one split: it is all that is left but the
+components attached to x alone, so no step splits twice.
 
-Each rule returns its tag, the vertices it adds to the set and the child
-pieces, which are pushed in reverse, so the trace is in pre-order and the
-steps of every piece form one contiguous run.  The set is the union of the
-steps.  A step is kept as a (tag, chosen) pair, whose size does not grow with
-the piece; ``TraceStep`` objects are built only for the public results.
+Each rule returns its tag, the vertices it adds to the set as a mask, and the
+child pieces, which are pushed in reverse, so the trace is in pre-order and
+the steps of every piece form one contiguous run.  The set is the union of the
+steps.  A step is kept as a (tag, chosen mask) pair; ``TraceStep`` objects,
+with the chosen vertices as a sorted tuple, are built only for the public
+results.
 
 Every choice (clique, pivot, attachment, cycle labeling) takes the smallest
 index available, so the output is a pure function of the input.
@@ -96,10 +99,11 @@ CASE1_SUB3 = BranchTag.CASE1_SUB3
 CASE2 = BranchTag.CASE2
 
 
-# One step of the trace: the rule's tag and the vertices it added to the set.
-_Record = tuple[BranchTag, tuple[int, ...]]
+# One step of the trace: the rule's tag and the vertices it added to the set,
+# as a mask.
+_Record = tuple[BranchTag, int]
 # What a rule returns: its record's two fields, then the child pieces.
-_Fired = tuple[BranchTag, tuple[int, ...], list[int]]
+_Fired = tuple[BranchTag, int, list[int]]
 
 
 @dataclass(frozen=True)
@@ -192,14 +196,14 @@ def _linkage(adj: Sequence[int], piece: int, k: int, v: int) -> tuple[list[_Entr
 
 def bounded_isolating_set(g: Graph, k: int) -> BoundResult:
     """An isolating set of size at most floor(n/(k+1)) for a connected,
-    non-exceptional graph.
+    non-exceptional graph, or the empty set for the 0-vertex graph.
 
     Raises ``ExceptionalGraphError`` (carrying the kind) for the two excluded
-    shapes and ``ValueError`` for disconnected input; both messages point to
-    the per-component route.  Every step is checked against the bound's
-    budget as it fires, and the final set's isolation is verified before it is
-    returned.  The construction uses no recursion, so input size never meets
-    Python's recursion limit.
+    shapes and ``ValueError`` for input with two or more components; both
+    messages point to the per-component route.  Every step is checked against
+    the bound's budget as it fires, and the final set's isolation is verified
+    before it is returned.  The construction uses no recursion, so input size
+    never meets Python's recursion limit.
     """
     kind = classify_exception(g, k)
     if kind is not NONE:
@@ -237,22 +241,23 @@ def bounded_sets_per_component(g: Graph, k: int) -> list[ComponentResult]:
 
 def _result(n: int, k: int, built: tuple[int, list[_Record], int]) -> BoundResult:
     d, trace, depth = built
-    steps = tuple(TraceStep(tag, chosen) for tag, chosen in trace)
+    steps = tuple(TraceStep(tag, tuple(bits(chosen))) for tag, chosen in trace)
     return BoundResult(set=set_of(d), bound=n // (k + 1), trace=steps, depth=depth)
 
 
 def construct_mask(adj: Sequence[int], comps: list[int], k: int) -> tuple[int, list[_Record], int]:
     """The work stack behind ``bounded_isolating_set``, on a non-exceptional
     graph whose components are ``comps``: the verified set as a mask, the
-    trace as (tag, chosen) pairs and the depth of the piece tree.
+    trace as (tag, chosen mask) pairs and the depth of the piece tree.
 
-    Raises ``ValueError`` unless ``comps`` is a single component; the caller
+    Raises ``ValueError`` when ``comps`` holds two or more components; an
+    empty list is the 0-vertex graph, whose root piece is empty.  The caller
     has already ruled out the two excluded shapes.  Raises ``AssertionError``
     naming the rule and the piece when a step breaks the bound's budget.
     """
-    if len(comps) != 1:
+    if len(comps) > 1:
         raise ValueError(f"graph is disconnected; use {_PER_COMPONENT}")
-    root = comps[0]
+    root = comps[0] if comps else 0
     d = 0
     deepest = 0
     trace: list[_Record] = []
@@ -263,21 +268,18 @@ def construct_mask(adj: Sequence[int], comps: list[int], k: int) -> tuple[int, l
             deepest = depth
         tag, chosen, children = _step(adj, piece, k)
         trace.append((tag, chosen))
-        mine = 0
-        for u in chosen:
-            mine |= 1 << u
-        outside = mine & ~piece
+        outside = chosen & ~piece
         left = piece.bit_count()
         for child in reversed(children):
             outside |= child & ~piece
             left -= child.bit_count()
             stack.append((child, depth + 1))
-        if outside or (k + 1) * mine.bit_count() > left:
+        if outside or (k + 1) * chosen.bit_count() > left:
             raise AssertionError(
                 f"the {tag.value} step on the piece {_describe(piece)} must stay inside it "
                 "and spend k + 1 of its vertices per chosen vertex"
             )
-        d |= mine
+        d |= chosen
     if not _isolates(adj, root, d, k):
         raise AssertionError("construction broke its own guarantee; this is a bug")
     return d, trace, deepest
@@ -292,14 +294,14 @@ def _step(adj: Sequence[int], piece: int, k: int) -> _Fired:
     """Fire the rule that applies to one piece."""
     if piece.bit_count() <= 2:
         if find_in_mask(adj, piece, k) is None:
-            return BASE_SMALL, (), []
+            return BASE_SMALL, 0, []
         # connected, non-exceptional, n <= 2 with a k-clique forces k = 1 on an edge
         _fact(k == 1 and piece.bit_count() == 2, "a small piece with a k-clique is an edge")
-        return BASE_SMALL, ((piece & -piece).bit_length() - 1,), []
+        return BASE_SMALL, piece & -piece, []
 
     clique = find_in_mask(adj, piece, k)
     if clique is None:
-        return NO_CLIQUE, (), []
+        return NO_CLIQUE, 0, []
 
     pivot = -1
     outer = piece & ~clique
@@ -314,11 +316,11 @@ def _step(adj: Sequence[int], piece: int, k: int) -> _Fired:
     vb = 1 << pivot
 
     if (adj[pivot] & piece) | vb == piece:
-        return DOMINATING_VERTEX, (pivot,), []
+        return DOMINATING_VERTEX, vb, []
 
     entries, special = _linkage(adj, piece, k, pivot)
     if not special:
-        return NO_EXCEPTIONAL, (pivot,), [cm for cm, _, _ in entries]
+        return NO_EXCEPTIONAL, vb, [cm for cm, _, _ in entries]
 
     exceptional = [entry for entry in entries if entry[1] is not NONE]
     for _, _, lk in exceptional:
@@ -384,7 +386,7 @@ def _case_single_link(
         direct |= _far(adj, gv, pivot)
     elif gv_kind is NONE:
         children = [gv] + children
-    return CASE2, tuple(bits(direct)), children
+    return CASE2, direct, children
 
 
 def _case_multi_link(
@@ -396,7 +398,9 @@ def _case_multi_link(
     picked: _Entry,
 ) -> _Fired:
     """Every exceptional residual component attaches to at least two
-    neighbours of the pivot; excise the first one plus one attachment."""
+    neighbours of the pivot; excise the first one plus one attachment x, then
+    split on the shape of the part holding the pivot: general (Case1_Sub1),
+    complete on k vertices (Case1_Sub2) or, at k = 2, a 5-cycle (Case1_Sub3)."""
     h_mask, h_kind, h_links = picked
     _fact(h_links.bit_count() >= 2, "the excised component has two attachments")
 
@@ -405,122 +409,85 @@ def _case_multi_link(
 
     contact = adj[x] & h_mask
     _fact(contact != 0, "x is linked to the excised component")
-    y = (contact & -contact).bit_length() - 1
+    yb = contact & -contact
+    y = yb.bit_length() - 1
     # a complete part is broken by y alone; a 5-cycle also needs a far vertex
     y2b = 0 if h_kind is K_CLIQUE else _far(adj, h_mask, y)
-    d_prime = 1 << y | y2b
 
     gv, gv_kind, x_only = _excise(adj, piece, k, pivot, xb, h_mask, entries)
     if gv_kind is NONE:
         # Subcase 1: the pivot-side piece is pushed as-is
-        return CASE1_SUB1, tuple(bits(d_prime)), [gv] + x_only
+        return CASE1_SUB1, yb | y2b, [gv] + x_only
+
+    vb = 1 << pivot
     if gv_kind is K_CLIQUE:
-        return _pivot_side_clique(adj, piece, k, pivot, x, h_mask, h_kind, y, y2b, gv, x_only)
-    return _pivot_side_cycle(adj, piece, k, pivot, h_mask, y, gv, x_only)
-
-
-def _pivot_side_clique(
-    adj: Sequence[int],
-    piece: int,
-    k: int,
-    pivot: int,
-    x: int,
-    h_mask: int,
-    h_kind: ExceptionKind,
-    y: int,
-    y2b: int,
-    gv: int,
-    x_only: list[int],
-) -> _Fired:
-    """The piece containing the pivot is itself a k-clique, so it equals
-    N[pivot] minus x and the construction bottoms out in finite patterns."""
-    n = piece.bit_count()
-    vb = 1 << pivot
-    xb = 1 << x
-
-    if h_kind is K_CLIQUE:
-        shield = 1 << y
-        d_pp = xb
-    else:
-        # k = 2, excised component is a 5-cycle: shield y, the chosen far
-        # vertex and that vertex's two cycle neighbours
-        shield = (1 << y) | y2b | (adj[(y2b.bit_length() - 1)] & h_mask)
-        d_pp = xb | y2b
-
-    leftover = ((xb | h_mask | gv) & ~(vb | xb | shield))
-    c_y = find_in_mask(adj, leftover, k)
-
-    if c_y is None:
-        return CASE1_SUB2, tuple(bits(d_pp)), x_only
-
-    cy_gv = c_y & gv
-    cy_h = c_y & h_mask
-    _fact(cy_gv != 0 and cy_h != 0, "a clique inside the leftover must straddle both sides")
-    zb = cy_gv & -cy_gv
-    z = zb.bit_length() - 1
-    zone = gv | c_y  # within N[z]: z sees all of gv and all of c_y
-
-    if x_only:
-        gz_mask = piece & ~zone
-        _fact(len(component_masks(adj, gz_mask)) == 1, "the remainder is connected")
-        _fact(exception_kind(adj, gz_mask, k) is NONE, "the remainder is not exceptional")
-        return CASE1_SUB2, (z,), [gz_mask]
-
-    # No x-only pieces: the whole piece is gv + x + the excised component.
-    if h_kind is K_CLIQUE:
-        _fact(n == 2 * k + 1, "two k-cliques and x make up the piece")
-        if zone.bit_count() >= k + 2:
-            d = zb
+        # Subcase 2: the pivot side is N[pivot] minus x, a k-clique, and the
+        # construction bottoms out in finite patterns
+        if h_kind is K_CLIQUE:
+            shield = yb
+            d_pp = xb
         else:
-            _fact(zone.bit_count() == k + 1 and cy_h.bit_count() == 1, "the overlap is one vertex")
-            if k >= 3:
-                d = cy_h
+            # k = 2, excised component is a 5-cycle: shield y, the chosen far
+            # vertex and that vertex's two cycle neighbours
+            shield = yb | y2b | (adj[y2b.bit_length() - 1] & h_mask)
+            d_pp = xb | y2b
+
+        c_y = find_in_mask(adj, (h_mask | gv) & ~(vb | shield), k)
+        if c_y is None:
+            return CASE1_SUB2, d_pp, x_only
+
+        cy_gv = c_y & gv
+        cy_h = c_y & h_mask
+        _fact(cy_gv != 0 and cy_h != 0, "a clique inside the leftover must straddle both sides")
+        zb = cy_gv & -cy_gv
+        zone = gv | c_y  # within N[z]: z sees all of gv and all of c_y
+
+        if x_only:
+            gz_mask = piece & ~zone
+            _fact(len(component_masks(adj, gz_mask)) == 1, "the remainder is connected")
+            _fact(exception_kind(adj, gz_mask, k) is NONE, "the remainder is not exceptional")
+            return CASE1_SUB2, zb, [gz_mask]
+
+        # No x-only pieces: the whole piece is gv + x + the excised component.
+        n = piece.bit_count()
+        if h_kind is K_CLIQUE:
+            _fact(n == 2 * k + 1, "two k-cliques and x make up the piece")
+            if zone.bit_count() >= k + 2:
+                d = zb
             else:
-                # five vertices around a cycle with a chord somewhere
-                w = -1
-                for u in bits(piece):
-                    if (adj[u] & piece).bit_count() >= 3:
-                        w = u
-                        break
-                _fact(w >= 0, "a non-cycle on five vertices has a degree-3 vertex")
-                d = 1 << w
-    else:
-        _fact(k == 2 and n == 8, "an edge, x and a 5-cycle make up the piece")
-        _fact(cy_h.bit_count() == 1, "the leftover edge meets the 5-cycle once")
-        d = (1 << y) | cy_h
+                _fact(zone.bit_count() == k + 1 and cy_h.bit_count() == 1, "the overlap is one vertex")
+                if k >= 3:
+                    d = cy_h
+                else:
+                    # five vertices around a cycle with a chord somewhere
+                    w = -1
+                    for u in bits(piece):
+                        if (adj[u] & piece).bit_count() >= 3:
+                            w = u
+                            break
+                    _fact(w >= 0, "a non-cycle on five vertices has a degree-3 vertex")
+                    d = 1 << w
+        else:
+            _fact(k == 2 and n == 8, "an edge, x and a 5-cycle make up the piece")
+            _fact(cy_h.bit_count() == 1, "the leftover edge meets the 5-cycle once")
+            d = yb | cy_h
 
-    _fact(_isolates(adj, piece, d, k), "terminal pattern must isolate")
-    return CASE1_SUB2, tuple(bits(d)), []
+        _fact(_isolates(adj, piece, d, k), "terminal pattern must isolate")
+        return CASE1_SUB2, d, []
 
-
-def _pivot_side_cycle(
-    adj: Sequence[int],
-    piece: int,
-    k: int,
-    pivot: int,
-    h_mask: int,
-    y: int,
-    gv: int,
-    x_only: list[int],
-) -> _Fired:
-    """k = 2 and the piece containing the pivot is a 5-cycle: cut out the
-    three far cycle vertices and push what is left, unless what is left is
-    itself a 5-cycle, which bottoms out in a two-vertex pattern."""
+    # Subcase 3: k = 2 and the pivot side is a 5-cycle: cut out its three far
+    # vertices and push what is left, unless what is left is itself a 5-cycle,
+    # which bottoms out in a two-vertex pattern
     _fact(k == 2, "a 5-cycle pivot side needs k = 2")
-    vb = 1 << pivot
-
     around = adj[pivot] & gv
     _fact(around.bit_count() == 2, "the pivot has two cycle neighbours")
     v1b = around & -around
-    v1 = v1b.bit_length() - 1
-    v2b = (adj[v1] & gv) & ~vb
+    v2b = (adj[v1b.bit_length() - 1] & gv) & ~vb
     _fact(v2b.bit_count() == 1, "the cycle continues past v1")
-    v2 = v2b.bit_length() - 1
-    v3b = (adj[v2] & gv) & ~v1b
+    v3b = (adj[v2b.bit_length() - 1] & gv) & ~v1b
     _fact(v3b.bit_count() == 1, "the cycle continues past v2")
-    v3 = v3b.bit_length() - 1
     v4b = around ^ v1b
-    _fact((adj[v3] & gv) == v2b | v4b, "the cycle closes")
+    _fact((adj[v3b.bit_length() - 1] & gv) == v2b | v4b, "the cycle closes")
 
     rest_mask = piece & ~(v2b | v3b | v4b)
     _fact(len(component_masks(adj, rest_mask)) == 1, "removing the far arc keeps one piece")
@@ -532,8 +499,8 @@ def _pivot_side_cycle(
             piece.bit_count() == 8 and h_mask.bit_count() == 2 and not x_only,
             "a 5-cycle remainder leaves eight vertices",
         )
-        d = vb | v3b if adj[v3] >> y & 1 else vb | v1b
+        d = vb | v1b
         _fact(_isolates(adj, piece, d, k), "terminal pattern must isolate")
-        return CASE1_SUB3, tuple(bits(d)), []
+        return CASE1_SUB3, d, []
 
-    return CASE1_SUB3, (v3,), [rest_mask]
+    return CASE1_SUB3, v3b, [rest_mask]

@@ -187,6 +187,8 @@ def component_masks(adj: Sequence[int], within: int) -> list[int]:
     return comps
 
 
+# Not exported: the benchmark tracer (perfbench/tracer.py) wraps ``induced`` by
+# name, so it and ``Subgraph`` stay until its rows for them go.
 def induced(g: Graph, s: Iterable[int]) -> Subgraph:
     """The subgraph induced on S, with survivors relabeled 0..|S|-1 in order."""
     keep = mask_of(s, g.n)

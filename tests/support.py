@@ -129,16 +129,16 @@ def naive_components(g: Graph, within: Iterable[int] | None = None) -> list[set[
 def piece_checked(entry: Callable[..., T], g: Graph, k: int) -> T:
     """``entry(g, k)``, a construction entry point, with every piece checked.
 
-    Each ``construct._step`` call is recorded as (piece, chosen, children), so
-    the records of one work stack are in pre-order.  Walking them backwards,
-    the sets of a step's children are the last ones finished, first child on
-    top; each piece's set is its chosen vertices plus those sets.  Every piece
-    must be connected and non-exceptional, and its set must lie inside it,
-    keep within floor(|piece|/(k+1)) and isolate it.  The checks raise, so
+    Each ``construct._step`` call is recorded as (piece, chosen mask,
+    children), so the records of one work stack are in pre-order.  Walking
+    them backwards, the sets of a step's children are the last ones finished,
+    first child on top; each piece's set is its chosen mask plus those sets.
+    Every piece must be connected and non-exceptional, and its set must lie
+    inside it, keep within floor(|piece|/(k+1)) and isolate it.  The checks raise, so
     they run under ``python -O`` too.  They use the package's bitmask
     kernels, not the naive helpers above: pieces run to 2,000 vertices.
     """
-    steps: list[tuple[int, tuple[int, ...], list[int]]] = []
+    steps: list[tuple[int, int, list[int]]] = []
     real = construct._step
 
     def recording(adj, piece, k):
@@ -153,10 +153,7 @@ def piece_checked(entry: Callable[..., T], g: Graph, k: int) -> T:
         construct._step = real
     adj = g.adj
     done: list[tuple[int, int]] = []  # (piece, set) not yet folded into a parent
-    for piece, chosen, children in reversed(steps):
-        d = 0
-        for u in chosen:
-            d |= 1 << u
+    for piece, d, children in reversed(steps):
         for child in children:
             finished, child_set = done.pop()
             construct._fact(finished == child, "the steps must run in pre-order")

@@ -18,7 +18,6 @@ PUBLIC_NAMES = [
     "IsolationCertificate",
     "OracleCapError",
     "SolveReport",
-    "Subgraph",
     "TraceStep",
     "bounded_isolating_set",
     "bounded_sets_per_component",
@@ -30,7 +29,6 @@ PUBLIC_NAMES = [
     "enumerate_connected",
     "format_edge_list",
     "gen_random_connected",
-    "induced",
     "iota_oracle",
     "iota_solve",
     "parse_edge_list",

@@ -14,6 +14,7 @@ from cliqueiso import (
     BranchTag,
     ExceptionKind,
     ExceptionalGraphError,
+    Graph,
     bounded_isolating_set,
     build_complete,
     build_cycle,
@@ -243,6 +244,22 @@ class TestBound:
         code, _, err = run(capsys, ["bound", str(path), "--k", "2"])
         assert code == 2
         assert "--per-component" in err
+
+    def test_empty_graph_is_accepted_by_every_verb(self, capsys, tmp_path):
+        # No component at all is not two or more: bound builds the empty set
+        # with one BaseSmall step, as it does for one vertex at k = 2.
+        path = str(tmp_path / "empty.edges")
+        write_graph(path, Graph.from_edges(0, []))
+        code, (rep,), _ = run(capsys, ["solve", path, "--k", "1"])
+        assert (code, rep["iota"], rep["set"], rep["valid"]) == (0, 0, [], True)
+        code, (rep,), err = run(capsys, ["bound", path, "--k", "1"])
+        assert (code, rep["size"], rep["bound"], rep["set"], rep["valid"]) == (0, 0, 0, [], True)
+        assert rep["trace"] == [{"chosen": [], "tag": "BaseSmall"}]
+        assert dict(stats_line(err, "bound"))["depth"] == "0"
+        code, (rep,), _ = run(capsys, ["bound", path, "--k", "1", "--per-component"])
+        assert (code, rep["components"]) == (0, [])
+        code, (rep,), _ = run(capsys, ["verify", path, "--k", "1", ""])
+        assert (code, rep["valid"], rep["witness"]) == (0, True, None)
 
     def test_per_component_covers_exceptional_parts(self, capsys, tmp_path):
         path = tmp_path / "mixed.edges"

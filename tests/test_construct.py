@@ -20,6 +20,7 @@ import hypothesis.strategies as st
 
 import cliqueiso.construct as construct
 from cliqueiso import (
+    BoundResult,
     BranchTag,
     ExceptionKind,
     ExceptionalGraphError,
@@ -35,6 +36,7 @@ from cliqueiso import (
     enumerate_connected,
     gen_random_connected,
     iota_oracle,
+    iota_solve,
     verify_isolating,
 )
 from cliqueiso.isolation import degree_relabel, packing_bound
@@ -172,6 +174,19 @@ class TestBranches:
             bounded_isolating_set(Graph.from_edges(1, []), 1)
         res = piece_checked(bounded_isolating_set, Graph.from_edges(1, []), 2)
         assert res.set == frozenset()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_empty_graph_needs_no_vertex(self, k):
+        # The 0-vertex graph has no component, so it is neither disconnected
+        # nor exceptional: its root piece is empty and takes one BaseSmall step.
+        g = Graph.from_edges(0, [])
+        assert bounded_isolating_set(g, k) == BoundResult(
+            frozenset(), 0, (TraceStep(BranchTag.BASE_SMALL, ()),), 0
+        )
+        assert bounded_sets_per_component(g, k) == []
+        for report in (iota_solve(g, k), iota_oracle(g, k)):
+            assert report.iota == 0
+            assert report.optimal_set == frozenset()
 
 
 class TestSweeps:
@@ -364,13 +379,13 @@ def greedy(adj, piece, k, pivot, entries, picked):
     tag, chosen, children = real_multi(adj, piece, k, pivot, entries, picked)
     if tag is construct.CASE1_SUB1:
         links = picked[2]
-        chosen = tuple(sorted(chosen + ((links & -links).bit_length() - 1,)))
+        chosen |= links & -links
     return tag, chosen, children
 
 def dropping(adj, piece, k):
     tag, chosen, children = real_step(adj, piece, k)
     if piece == 0b111000000:
-        chosen = ()
+        chosen = 0
     return tag, chosen, children
 
 sub1 = Graph.from_edges(9, %r)

@@ -14,13 +14,13 @@ from cliqueiso import (
     build_extremal,
     build_path,
     classify_exception,
-    induced,
 )
 from cliqueiso.graph import (
     bits,
     closed_mask,
     component_masks,
     exception_kind,
+    induced,
     mask_of,
     require_k,
     set_of,
