@@ -100,11 +100,7 @@ def gen_random_connected(n: int, p: float, seed: int) -> Graph:
     rng = random.Random(seed)
     if n == 1:
         return Graph(1, (0,))
-    if n == 2:
-        tree = [(0, 1)]
-    else:
-        seq = [rng.randrange(n) for _ in range(n - 2)]
-        tree = _tree_from_pruefer(seq, n)
+    tree = _tree_from_pruefer([rng.randrange(n) for _ in range(n - 2)], n)
     adj = [0] * n
     # later[u]: u's tree neighbours v > u, the pairs (u, v) that take no draw
     later: list[list[int]] = [[] for _ in range(n)]

@@ -1,15 +1,18 @@
-"""Every SHA-256 pin of the CLI's byte-identical output, in one table, and the
-runner that checks them.
+"""Every SHA-256 pin of the package's byte-identical outputs, in one table,
+and the runner that checks them.
 
-``PYTHONPATH=src python -m tests.pins`` runs each entry of ``PINS`` and
+``PYTHONPATH=src python -m tests.pins`` checks each entry of ``PINS`` and
 prints every mismatch with the entry's name, the pinned digest and the digest
 it got, so a re-pin is a one-line edit of the table.  It exits 1 on any
-mismatch or failed command.  Entries with the same commands share one run.
+mismatch or failed command.
 
-Each entry runs its commands in order in one fresh temporary directory, so
-that every report's ``"input"`` is a bare file name.  A command is the
-arguments of ``python -m cliqueiso.cli``; a leading ``-O`` runs it under
-``python -O``.  Stderr is always hashed without its timing fields (``TIMING``).
+A ``Pin`` runs CLI commands in subprocesses; entries with the same commands
+share one run.  Each runs its commands in order in one fresh temporary
+directory, so that every report's ``"input"`` is a bare file name.  A command
+is the arguments of ``python -m cliqueiso.cli``; a leading ``-O`` runs it
+under ``python -O``.  Stderr is always hashed without its timing fields
+(``TIMING``).  A ``Digest`` hashes bytes made in this process, and
+``tests/test_pins.py`` checks each one in tier 1 too.
 
 This module imports nothing outside the standard library and the package, so
 it runs whole on a Python that has nothing installed.
@@ -17,19 +20,29 @@ it runs whole on a Python that has nothing installed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import io
+import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import cliqueiso
-from cliqueiso import BranchTag
+from cliqueiso import (
+    BranchTag, ExceptionKind, ExceptionalGraphError, Graph, bounded_isolating_set, build_extremal,
+    classify_exception, enumerate_connected, format_edge_list, gen_random_connected, iota_solve,
+    write_graph,
+)
+from cliqueiso.cli import main
 
 # The two fields that end every check-theorem stderr row and vary from run to run.
 TIMING = re.compile(rb" elapsed_s=[^ \n]+ instances_per_s=[^ \n]+$", re.M)
@@ -73,8 +86,98 @@ class Pin:
     sha256: str
 
     def check(self, outputs: Callable[[tuple[str, ...]], Outputs]) -> str | None:
-        actual = hashlib.sha256(outputs(self.commands)[self.output]).hexdigest()
-        return None if actual == self.sha256 else f"expected {self.sha256}, got {actual}"
+        return _mismatch(outputs(self.commands)[self.output], self.sha256)
+
+
+@dataclass(frozen=True)
+class Digest:
+    """The SHA-256 of the bytes that ``produce()`` makes in this process."""
+
+    name: str
+    produce: Callable[[], bytes]
+    sha256: str
+
+    def check(self, outputs: Callable[[tuple[str, ...]], Outputs]) -> str | None:
+        return _mismatch(self.produce(), self.sha256)
+
+
+def _mismatch(data: bytes, sha256: str) -> str | None:
+    actual = hashlib.sha256(data).hexdigest()
+    return None if actual == sha256 else f"expected {sha256}, got {actual}"
+
+
+def _line(record) -> bytes:
+    return json.dumps(record, separators=(",", ":")).encode() + b"\n"
+
+
+def trace_record(trace) -> list:
+    return [[step.tag.value, list(step.chosen)] for step in trace]
+
+
+@functools.lru_cache(maxsize=None)
+def behaviour() -> tuple[bytes, bytes]:
+    """What ``iota_solve`` and ``bounded_isolating_set`` return on every
+    labeled connected graph with n <= 5 at k <= 3, one JSON line per instance;
+    then the same without ``nodes_expanded`` and ``bound_prunes``, which are
+    all that a change to the bound or the pruning may change."""
+    lines: tuple[list[bytes], list[bytes]] = ([], [])
+    for n in range(1, 6):
+        for index, g in enumerate(enumerate_connected(n)):
+            for k in (1, 2, 3):
+                rep = iota_solve(g, k)
+                try:
+                    res = bounded_isolating_set(g, k)
+                    built = [sorted(res.set), trace_record(res.trace), res.depth]
+                except ExceptionalGraphError as exc:
+                    built = exc.kind.value
+                head = [rep.iota, sorted(rep.optimal_set)]
+                tree = [*head, rep.nodes_expanded, rep.bound_prunes, rep.incumbent_updates]
+                for out, solve in zip(lines, (tree, [*head, rep.incumbent_updates])):
+                    out.append(_line([n, index, k, [solve, built]]))
+    return b"".join(lines[0]), b"".join(lines[1])
+
+
+def bound_record(g: Graph, k: int, construct=bounded_isolating_set) -> dict:
+    """``construct(g, k)`` as the construction's golden corpus records it: the
+    set, the bound and the trace, or the kind of exception that refuses g."""
+    kind = classify_exception(g, k)
+    if kind is not ExceptionKind.NONE:
+        return {"refused": kind.value}
+    res = construct(g, k)
+    return {"set": sorted(res.set), "bound": res.bound, "trace": trace_record(res.trace)}
+
+
+def construction() -> bytes:
+    """``bound_record`` on every labeled connected graph with n <= 6 at
+    k <= 4, one JSON line per instance."""
+    return b"".join(
+        _line([n, index, k, bound_record(g, k)])
+        for n in range(1, 7)
+        for index, g in enumerate(enumerate_connected(n))
+        for k in (1, 2, 3, 4)
+    )
+
+
+def cli_stdout(commands: dict[str, int], g: Graph | None = None) -> bytes:
+    """The stdout of ``cliqueiso.cli.main`` on each of ``commands``, split as
+    a shell splits them, in a fresh temporary directory that holds ``g`` as
+    ``g.edges``.  Raise ``subprocess.CalledProcessError`` for the first that
+    does not exit with the code it maps to."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+        os.chdir(tmp)
+        try:
+            if g is not None:
+                write_graph("g.edges", g)
+            for command, code in commands.items():
+                args = shlex.split(command)
+                got = main(args)
+                if got != code:
+                    raise subprocess.CalledProcessError(got, args, stderr=err.getvalue().encode())
+        finally:
+            os.chdir(cwd)
+    return out.getvalue().encode()
 
 
 def tag_counts(stderr: bytes) -> Counter:
@@ -156,6 +259,39 @@ PINS = (
     Pin("random-40k-stderr", RANDOM_40K, "stderr",
         "e9c98f9449831fd8db82010a53ac9afe8c8d10d1a522c03f0a7ac3ccc3f3bf42"),
     RuleCoverage("rule-coverage", RANDOM_40K, EXHAUSTIVE_N6),
+    # What the CLI's reports do not show: search counters and construction traces.
+    Digest("behaviour", lambda: behaviour()[0],
+           "1daf363493fd43ad2b6314ddd51f364da32716c2aba0a36436e6825a2aa184c4"),
+    Digest("behaviour-without-tree-counts", lambda: behaviour()[1],
+           "bff3cfcabdd09a50d0b8c9cb438a660417e44772cb829e1a5d5bb7a3bbd8f017"),
+    Digest("construction-n6-k4", construction,
+           "41fa6145a98c634f0172d77f08d86483ca3e2a41a81478d7113914b3e2860427"),
+    # The size of the random graph in perfbench's bound-sparse workload; the
+    # digest was taken from the pair-by-pair generator of tests/support.py.
+    Digest("gen-random-1600",
+           lambda: format_edge_list(gen_random_connected(1600, 0.003125, 0)).encode(),
+           "aae14f24703ad33e43682dd46a50b6e68792e40ec9a57dd2d2b8335977dd5dfb"),
+    # Short reports of each verb.  The verify pair is one valid set, then one
+    # invalid set; the per-component graph is K_2 on 0-1, the 5-cycle on 2..6
+    # and the path on 7..13.
+    Digest("solve-random-30",
+           lambda: cli_stdout({"solve g.edges --k 2": 0}, gen_random_connected(30, 0.15, 3)),
+           "0732734fed32ce67fa7bd22fc2f96b4712b2085792499d5a51100a6ea34514da"),
+    Digest("bound-extremal-200",
+           lambda: cli_stdout({"bound g.edges --k 3": 0}, build_extremal(200, 3)),
+           "c57a6cc9159dec1822abf21aad6a23e292091e3b42909ef065589597841db4f7"),
+    Digest("bound-per-component-k2", lambda: cli_stdout(
+        {"bound g.edges --k 2 --per-component": 0},
+        Graph.from_edges(14, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 6), (2, 6),
+                              *((u, u + 1) for u in range(7, 13))]),
+    ), "595a16a93826d4460ddb81940c1fc2b277df48073213454e7cc50a790072d370"),
+    Digest("verify-extremal-7", lambda: cli_stdout(
+        {"verify g.edges --k 2 '0 1'": 0, "verify g.edges --k 2 2": 1}, build_extremal(7, 2),
+    ), "604aa925823458e6d79306d5299b3b552b35f91ed29cd0006a235f34b53b4bdb"),
+    # The README's random sweep.
+    Digest("random-200-seed-7", lambda: cli_stdout(
+        {"check-theorem --mode random --count 200 --n-max 10 --k-max 2 --seed 7": 0},
+    ), "b24eaf8abca861ef8ed7f11e8fe4add99039d6c2873dfec871c43a73ad6330eb"),
 )
 
 
@@ -173,7 +309,7 @@ def failures(entries) -> list[str]:
         try:
             problem = entry.check(outputs)
         except subprocess.CalledProcessError as exc:
-            problem = f"{' '.join(exc.cmd)} exited {exc.returncode}: {exc.stderr.decode()[-2000:]}"
+            problem = f"{shlex.join(exc.cmd)} exited {exc.returncode}: {exc.stderr.decode()[-2000:]}"
         except subprocess.TimeoutExpired as exc:
             problem = str(exc)
         if problem is not None:

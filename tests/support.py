@@ -7,10 +7,12 @@ checked against straightforward code that shares none of their machinery.
 
 from __future__ import annotations
 
+import json
 import random
 import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import hypothesis.strategies as st
@@ -133,8 +135,9 @@ def piece_checked(entry: Callable[..., T], g: Graph, k: int) -> T:
     children), so the records of one work stack are in pre-order.  Walking
     them backwards, the sets of a step's children are the last ones finished,
     first child on top; each piece's set is its chosen mask plus those sets.
-    Every piece must be connected and non-exceptional, and its set must lie
-    inside it, keep within floor(|piece|/(k+1)) and isolate it.  The checks raise, so
+    Every piece must be non-exceptional and connected, but for the empty root
+    of the 0-vertex graph, which has no component; its set must lie inside
+    it, keep within floor(|piece|/(k+1)) and isolate it.  The checks raise, so
     they run under ``python -O`` too.  They use the package's bitmask
     kernels, not the naive helpers above: pieces run to 2,000 vertices.
     """
@@ -160,7 +163,8 @@ def piece_checked(entry: Callable[..., T], g: Graph, k: int) -> T:
             d |= child_set
         low = (piece & -piece).bit_length() - 1
         where = f"the piece of {piece.bit_count()} vertices from vertex {low}"
-        construct._fact(len(component_masks(adj, piece)) == 1, f"{where} must be connected")
+        connected = piece == 0 or len(component_masks(adj, piece)) == 1
+        construct._fact(connected, f"{where} must be connected")
         construct._fact(exception_kind(adj, piece, k) is NONE, f"{where} must not be exceptional")
         construct._fact(
             not d & ~piece and d.bit_count() <= piece.bit_count() // (k + 1),
@@ -172,6 +176,15 @@ def piece_checked(entry: Callable[..., T], g: Graph, k: int) -> T:
         )
         done.append((piece, d))
     return out
+
+
+def write_corpus(path: Path, corpus: dict[str, list]) -> None:
+    """Write a golden corpus as the committed files lay it out: each list
+    under its key, one compact JSON record per line."""
+    rows = {key: ",\n".join("    " + json.dumps(item, separators=(",", ":")) for item in items)
+            for key, items in corpus.items()}
+    lists = ",\n".join(f"  {json.dumps(key)}: [\n{text}\n  ]" for key, text in rows.items())
+    path.write_text("{\n" + lists + "\n}\n")
 
 
 def run_at_low_recursion_limit(code: str) -> subprocess.CompletedProcess:

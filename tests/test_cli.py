@@ -37,22 +37,6 @@ from cliqueiso.isolation import greedy_mask, oracle_scan
 from .pins import PINS, TIMING, failures, package_env
 from .support import disjoint_union, run_at_low_recursion_limit
 
-# The reports are promised byte-identical, so a change to a SHA here must be
-# deliberate; tests/pins.py holds the pins of the longer runs.
-# SHA-256 of the stdout of the README's
-# `check-theorem --mode random --count 200 --n-max 10 --k-max 2 --seed 7`.
-CHECK_THEOREM_RANDOM_S7_SHA256 = "b24eaf8abca861ef8ed7f11e8fe4add99039d6c2873dfec871c43a73ad6330eb"
-# SHA-256 of the stdout of `solve g.edges --k 2` on gen_random_connected(30, 0.15, 3).
-SOLVE_R30_K2_SHA256 = "0732734fed32ce67fa7bd22fc2f96b4712b2085792499d5a51100a6ea34514da"
-# SHA-256 of the stdout of `bound g.edges --k 3` on build_extremal(200, 3).
-BOUND_B200_K3_SHA256 = "c57a6cc9159dec1822abf21aad6a23e292091e3b42909ef065589597841db4f7"
-# SHA-256 of the stdout of `bound g.edges --k 2 --per-component` on the disjoint
-# union of K_2, C_5 and the path on 7 vertices.
-BOUND_PER_COMPONENT_K2_SHA256 = "595a16a93826d4460ddb81940c1fc2b277df48073213454e7cc50a790072d370"
-# SHA-256 of the stdout of `verify g.edges --k 2 "0 1"` then `verify g.edges --k 2 "2"`
-# on build_extremal(7, 2): one valid set, then one invalid set.
-VERIFY_B7_K2_SHA256 = "604aa925823458e6d79306d5299b3b552b35f91ed29cd0006a235f34b53b4bdb"
-
 # check-theorem's chunk sizes that the record and stats tests run at: one that
 # ends chunks inside a batch at every n >= 4, and the default.
 CHUNKS = (7, cli.CHUNK)
@@ -77,16 +61,6 @@ def run(capsys, argv):
     out = capsys.readouterr()
     reports = [json.loads(line) for line in out.out.splitlines() if line]
     return code, reports, out.err
-
-
-def pinned_stdout(capsys, monkeypatch, tmp_path, g, argvs) -> tuple[list[int], str]:
-    """Exit codes and the SHA-256 of the concatenated stdout of ``argvs`` run
-    on ``g`` written to ``g.edges``; the relative path keeps the bytes fixed."""
-    monkeypatch.chdir(tmp_path)
-    write_graph("g.edges", g)
-    codes = [main([argv[0], "g.edges", *argv[1:]]) for argv in argvs]
-    out = capsys.readouterr().out
-    return codes, hashlib.sha256(out.encode()).hexdigest()
 
 
 def stats_line(err: str, verb: str) -> list[tuple[str, str]]:
@@ -132,7 +106,8 @@ class TestSolve:
         code = main(["solve", "g.edges", "--k", "2"])
         out = capsys.readouterr()
         assert code == 0
-        assert hashlib.sha256(out.out.encode()).hexdigest() == SOLVE_R30_K2_SHA256
+        (pin,) = [pin for pin in PINS if pin.name == "solve-random-30"]
+        assert hashlib.sha256(out.out.encode()).hexdigest() == pin.sha256
         fields = stats_line(out.err, "solve")
         assert [key for key, _ in fields] == [
             "nodes", "bound_prunes", "incumbent_updates", "elapsed_s",
@@ -146,18 +121,15 @@ class TestSolve:
         assert 0 < stats["bound_prunes"] < stats["nodes"]
         assert stats["elapsed_s"] >= 0
 
-    def test_rejected_call_leaves_the_shared_parser_intact(self, capsys, monkeypatch, tmp_path):
+    def test_rejected_call_leaves_the_shared_parser_intact(self, capsys):
         # The parser is built once per process; a call that argparse rejects
         # must not change how the next call parses or what it prints.
-        monkeypatch.chdir(tmp_path)
-        write_graph("g.edges", gen_random_connected(30, 0.15, 3))
         with pytest.raises(SystemExit) as exc:
             main(["solve", "g.edges", "--k", "two"])
         assert exc.value.code == 2
         assert "invalid int value" in capsys.readouterr().err
-        assert main(["solve", "g.edges", "--k", "2"]) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_R30_K2_SHA256
+        (pin,) = [pin for pin in PINS if pin.name == "solve-random-30"]
+        assert failures([pin]) == []
         assert cli._build_parser() is cli._build_parser()
 
     def test_no_update_when_greedy_is_optimal(self, capsys, k5_file):
@@ -278,21 +250,6 @@ class TestBound:
         union = [u for c in comps for u in c["set"]]
         assert verify_isolating(read_graph(path), 3, union).valid
 
-    def test_stdout_pinned(self, capsys, monkeypatch, tmp_path):
-        codes, digest = pinned_stdout(
-            capsys, monkeypatch, tmp_path, build_extremal(200, 3), [["bound", "--k", "3"]]
-        )
-        assert codes == [0]
-        assert digest == BOUND_B200_K3_SHA256
-
-    def test_per_component_stdout_pinned(self, capsys, monkeypatch, tmp_path):
-        g = disjoint_union([build_complete(2), build_cycle(5), build_path(7)])
-        codes, digest = pinned_stdout(
-            capsys, monkeypatch, tmp_path, g, [["bound", "--k", "2", "--per-component"]]
-        )
-        assert codes == [0]
-        assert digest == BOUND_PER_COMPONENT_K2_SHA256
-
 
 class TestVerify:
     def test_valid_set_exits_zero(self, capsys, k5_file):
@@ -306,21 +263,6 @@ class TestVerify:
         (rep,) = reports
         assert rep["valid"] is False
         assert rep["witness"] == [0, 1, 2, 3]
-
-    def test_extremal_path_heads_isolate(self, capsys, tmp_path):
-        path = tmp_path / "b72.edges"
-        write_graph(path, build_extremal(7, 2))
-        code, reports, _ = run(capsys, ["verify", str(path), "--k", "2", "0 1"])
-        assert code == 0
-        assert reports[0]["valid"] is True
-
-    def test_stdout_pinned(self, capsys, monkeypatch, tmp_path):
-        codes, digest = pinned_stdout(
-            capsys, monkeypatch, tmp_path, build_extremal(7, 2),
-            [["verify", "--k", "2", "0 1"], ["verify", "--k", "2", "2"]],
-        )
-        assert codes == [0, 1]
-        assert digest == VERIFY_B7_K2_SHA256
 
     def test_comma_separated_set(self, capsys, c5_file):
         code, reports, _ = run(capsys, ["verify", c5_file, "--k", "2", "0,2"])
@@ -652,13 +594,6 @@ class TestCheckTheorem:
                 "construction failed: graph is disconnected; "
                 "use bounded_sets_per_component or bound --per-component"
             ]
-
-    def test_random_mode_stdout_pinned(self, capsys):
-        code = main(["check-theorem", "--mode", "random", "--count", "200", "--n-max", "10",
-                     "--k-max", "2", "--seed", "7"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == CHECK_THEOREM_RANDOM_S7_SHA256
 
     def test_stats_and_progress_go_to_stderr(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "PROGRESS_EVERY", 10)

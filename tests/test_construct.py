@@ -6,12 +6,12 @@ Regenerate the corpus only when a construction output is meant to change:
 ``PYTHONPATH=src python -m tests.test_construct``.
 """
 
-import hashlib
 import inspect
 import json
 import random
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -41,12 +41,14 @@ from cliqueiso import (
 )
 from cliqueiso.isolation import degree_relabel, packing_bound
 
+from .pins import bound_record, trace_record
 from .support import (
     connected_graphs,
     disjoint_union,
     naive_components,
     package_env,
     piece_checked,
+    write_corpus,
 )
 
 
@@ -180,7 +182,7 @@ class TestBranches:
         # The 0-vertex graph has no component, so it is neither disconnected
         # nor exceptional: its root piece is empty and takes one BaseSmall step.
         g = Graph.from_edges(0, [])
-        assert bounded_isolating_set(g, k) == BoundResult(
+        assert piece_checked(bounded_isolating_set, g, k) == BoundResult(
             frozenset(), 0, (TraceStep(BranchTag.BASE_SMALL, ()),), 0
         )
         assert bounded_sets_per_component(g, k) == []
@@ -422,7 +424,7 @@ class TestChecksUnderOptimize:
 
 GOLDEN = Path(__file__).with_name("golden_construct.json")
 GOLDEN_KS = (1, 2, 3, 4)
-DIGEST_N_MAX = 6
+CHECKED = partial(piece_checked, bounded_isolating_set)
 
 
 def _golden_graphs() -> list[tuple[str, Graph]]:
@@ -458,41 +460,16 @@ def _golden_unions() -> list[tuple[str, Graph]]:
     ]
 
 
-def _trace_record(trace) -> list:
-    return [[st.tag.value, list(st.chosen)] for st in trace]
-
-
-def _bound_record(g: Graph, k: int, checked: bool = True) -> dict:
-    kind = classify_exception(g, k)
-    if kind is not ExceptionKind.NONE:
-        return {"refused": kind.value}
-    res = piece_checked(bounded_isolating_set, g, k) if checked else bounded_isolating_set(g, k)
-    return {"set": sorted(res.set), "bound": res.bound, "trace": _trace_record(res.trace)}
-
-
 def _per_component_record(g: Graph, k: int) -> list:
     return [
         {
             "vertices": sorted(p.vertices),
             "exception": p.exception.value,
             "set": sorted(p.set),
-            "trace": None if p.result is None else _trace_record(p.result.trace),
+            "trace": None if p.result is None else trace_record(p.result.trace),
         }
         for p in piece_checked(bounded_sets_per_component, g, k)
     ]
-
-
-def _exhaustive_digest() -> str:
-    """SHA-256 over the construction's output on every labeled connected graph
-    with at most DIGEST_N_MAX vertices, at every k in GOLDEN_KS."""
-    h = hashlib.sha256()
-    for n in range(1, DIGEST_N_MAX + 1):
-        for index, g in enumerate(enumerate_connected(n)):
-            for k in GOLDEN_KS:
-                rec = _bound_record(g, k, checked=False)
-                h.update(json.dumps([n, index, k, rec], separators=(",", ":")).encode())
-                h.update(b"\n")
-    return h.hexdigest()
 
 
 def _golden_corpus() -> dict:
@@ -502,7 +479,7 @@ def _golden_corpus() -> dict:
                 "name": name,
                 "n": g.n,
                 "edges": [list(e) for e in g.edges()],
-                "results": {str(k): _bound_record(g, k) for k in GOLDEN_KS},
+                "results": {str(k): bound_record(g, k, CHECKED) for k in GOLDEN_KS},
             }
             for name, g in _golden_graphs()
         ],
@@ -515,11 +492,6 @@ def _golden_corpus() -> dict:
             }
             for name, g in _golden_unions()
         ],
-        "exhaustive": {
-            "n_max": DIGEST_N_MAX,
-            "ks": list(GOLDEN_KS),
-            "sha256": _exhaustive_digest(),
-        },
     }
 
 
@@ -551,7 +523,7 @@ class TestGolden:
         for inst in golden["instances"]:
             g = Graph.from_edges(inst["n"], [tuple(e) for e in inst["edges"]])
             for k in GOLDEN_KS:
-                assert _bound_record(g, k) == inst["results"][str(k)], (inst["name"], k)
+                assert bound_record(g, k, CHECKED) == inst["results"][str(k)], (inst["name"], k)
 
     def test_per_component_match(self, golden):
         for inst in golden["per_component"]:
@@ -559,19 +531,6 @@ class TestGolden:
             for k in GOLDEN_KS:
                 assert _per_component_record(g, k) == inst["results"][str(k)], (inst["name"], k)
 
-    def test_exhaustive_digest(self, golden):
-        recorded = golden["exhaustive"]
-        assert (recorded["n_max"], tuple(recorded["ks"])) == (DIGEST_N_MAX, GOLDEN_KS)
-        assert _exhaustive_digest() == recorded["sha256"]
-
 
 if __name__ == "__main__":
-    corpus = _golden_corpus()
-    lines = ",\n".join(
-        f"  {json.dumps(key)}: " + (
-            "[\n" + ",\n".join("    " + json.dumps(item, separators=(",", ":")) for item in value)
-            + "\n  ]" if isinstance(value, list) else json.dumps(value)
-        )
-        for key, value in corpus.items()
-    )
-    GOLDEN.write_text("{\n" + lines + "\n}\n")
+    write_corpus(GOLDEN, _golden_corpus())

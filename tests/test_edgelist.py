@@ -17,6 +17,22 @@ from cliqueiso.edgelist import MAX_VERTICES
 
 from .support import graphs
 
+# Malformed text, the line its error names and the message after "line N: ".
+PARSE_ERRORS = [
+    ("", None, "missing 'n m' header"),
+    ("x y\n", 1, "header must be two integers 'n m'"),
+    ("3 1 2\n", 1, "header must be two integers 'n m'"),  # three header fields
+    ("-1 0\n", 1, "header counts must be non-negative"),
+    ("2 1\n", None, "declared 1 edges but found 0"),
+    ("2 0\n0 1\n", 2, "more than the declared 0 edge lines"),
+    ("3 1\n2 1\n", 2, "edge (2, 1) violates 0 <= u < v < n = 3"),  # endpoints out of order
+    ("3 1\n0 3\n", 2, "edge (0, 3) violates 0 <= u < v < n = 3"),  # vertex out of range
+    ("3 1\n1 1\n", 2, "edge (1, 1) violates 0 <= u < v < n = 3"),  # self-loop
+    ("3 2\n0 1\n0 1\n", 3, "duplicate edge (0, 1)"),
+    ("3 1\n0 a\n", 2, "edge line must be two integers 'u v'"),  # non-integer endpoint
+    ("3 1\n0 1 2\n", 2, "edge line must be two integers 'u v'"),  # three edge fields
+]
+
 
 class TestParse:
     def test_basic(self):
@@ -36,26 +52,13 @@ class TestParse:
         g = parse_edge_list("4 1\n1 2\n")
         assert g.n == 4 and g.adj[0] == g.adj[3] == 0
 
-    @pytest.mark.parametrize(
-        "text,line",
-        [
-            ("", None),  # missing header
-            ("x y\n", 1),  # malformed header
-            ("2 1\n", None),  # declared edge missing
-            ("2 0\n0 1\n", 2),  # undeclared edge present
-            ("3 1\n2 1\n", 2),  # endpoints out of order
-            ("3 1\n0 3\n", 2),  # vertex out of range
-            ("3 1\n1 1\n", 2),  # self-loop
-            ("3 2\n0 1\n0 1\n", 3),  # duplicate edge
-            ("3 1\n0 a\n", 2),  # non-integer endpoint
-        ],
-    )
-    def test_errors_carry_line_numbers(self, text, line):
+    @pytest.mark.parametrize("text,line,message", PARSE_ERRORS,
+                             ids=[f"{text}-{line}" for text, line, _ in PARSE_ERRORS])
+    def test_errors_carry_line_numbers(self, text, line, message):
         with pytest.raises(EdgeListError) as info:
             parse_edge_list(text)
-        if line is not None:
-            assert info.value.line == line
-            assert f"line {line}" in str(info.value)
+        assert info.value.line == line
+        assert str(info.value) == (message if line is None else f"line {line}: {message}")
 
     @pytest.mark.parametrize("n", [MAX_VERTICES + 1, 1_000_001, 100_000_000])
     def test_vertex_count_above_cap_is_refused(self, n):

@@ -91,6 +91,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(-1, ())
 
+    def test_adjacency_length_must_match_n(self):
+        with pytest.raises(ValueError, match="^adjacency length must equal the vertex count$"):
+            Graph(2, (0,))
+
     def test_empty_graph(self):
         g = Graph.from_edges(0, [])
         assert g.n == 0

@@ -49,6 +49,7 @@ from .support import (
     naive_is_isolating,
     naive_k_cliques,
     run_at_low_recursion_limit,
+    write_corpus,
 )
 
 
@@ -717,10 +718,4 @@ def _corpus_changes(old: dict, new: dict) -> str:
 if __name__ == "__main__":
     corpus = _golden_corpus()
     print(_corpus_changes(json.loads(GOLDEN.read_text()), corpus))
-    GOLDEN.write_text(
-        "{\n  \"instances\": [\n"
-        + ",\n".join(
-            "    " + json.dumps(item, separators=(",", ":")) for item in corpus["instances"]
-        )
-        + "\n  ]\n}\n"
-    )
+    write_corpus(GOLDEN, corpus)

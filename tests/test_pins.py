@@ -1,15 +1,26 @@
-"""The pin runner of tests/pins.py, on small in-memory entries."""
+"""The pin runner of tests/pins.py, on small in-memory entries, and every
+in-process digest of its table."""
 
 import hashlib
 import re
 from pathlib import Path
 
-from cliqueiso import BranchTag
+import pytest
 
-from .pins import PINS, TIMING, Pin, RuleCoverage, failures, run
+from cliqueiso import BranchTag, build_extremal
 
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+from .pins import PINS, TIMING, Digest, Pin, RuleCoverage, cli_stdout, failures, run
+
+TESTS = Path(__file__).resolve().parent
+WORKFLOW = TESTS.parent / ".github" / "workflows" / "tests.yml"
 PATH5 = ("gen path --n 5 --out p5.edges",)
+HEX64 = re.compile(r"\b[0-9a-f]{64}\b")
+DIGESTS = [entry for entry in PINS if isinstance(entry, Digest)]
+
+
+@pytest.mark.parametrize("digest", DIGESTS, ids=[digest.name for digest in DIGESTS])
+def test_digest_holds(digest):
+    assert failures([digest]) == []
 
 
 def test_a_wrong_digest_names_the_entry_and_both_digests():
@@ -25,6 +36,13 @@ def test_a_failed_command_names_the_entry():
     (line,) = failures([Pin("no-seed", ("gen random --n 5 --p 0.5 --out r.edges",), "r.edges", "0" * 64)])
     assert line.startswith("no-seed: ")
     assert "exited 2" in line and "requires an explicit --seed" in line
+
+
+def test_an_unexpected_exit_code_names_the_entry():
+    # An invalid set exits 1 where the entry expects 0.
+    produce = lambda: cli_stdout({"verify g.edges --k 2 ''": 0}, build_extremal(7, 2))
+    (line,) = failures([Digest("verify", produce, "0" * 64)])
+    assert line.startswith("verify: verify g.edges --k 2 '' exited 1: ")
 
 
 def test_the_stderr_cut_removes_only_the_two_timing_fields():
@@ -74,5 +92,10 @@ def test_entry_names_are_unique():
 
 def test_no_pin_lives_in_the_workflow():
     text = WORKFLOW.read_text()
-    assert re.search(r"\b[0-9a-f]{64}\b", text) is None
+    assert HEX64.search(text) is None
     assert "sha256sum" not in text
+    # Nor in another test file or a golden corpus.
+    others = [path for path in TESTS.glob("*.py") if path.name != "pins.py"]
+    assert [path.name for path in others if HEX64.search(path.read_text())] == []
+    corpora = TESTS.rglob("*.json")
+    assert [path.name for path in corpora if re.search(r'"sha256"\s*:', path.read_text())] == []
