@@ -264,6 +264,23 @@ class TestVerify:
         assert rep["valid"] is False
         assert rep["witness"] == [0, 1, 2, 3]
 
+    def test_extremal_path_heads_isolate(self, capsys, tmp_path):
+        path = tmp_path / "b72.edges"
+        write_graph(path, build_extremal(7, 2))
+        code, reports, _ = run(capsys, ["verify", str(path), "--k", "2", "0 1"])
+        assert code == 0
+        assert reports[0]["valid"] is True
+
+    def test_stdout_pinned(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)  # a relative input path keeps the report's bytes fixed
+        write_graph("g.edges", build_extremal(7, 2))
+        codes = [main(["verify", "g.edges", "--k", "2", "0 1"]),
+                 main(["verify", "g.edges", "--k", "2", "2"])]
+        out = capsys.readouterr().out
+        assert codes == [0, 1]
+        (pin,) = [pin for pin in PINS if pin.name == "verify-extremal-7"]
+        assert hashlib.sha256(out.encode()).hexdigest() == pin.sha256
+
     def test_comma_separated_set(self, capsys, c5_file):
         code, reports, _ = run(capsys, ["verify", c5_file, "--k", "2", "0,2"])
         assert code == 0
