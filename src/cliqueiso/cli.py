@@ -10,7 +10,8 @@ of the reports and go to stderr: ``solve`` writes one line of search counters,
 ``bound`` one line with the construction's step count, piece-tree depth and
 branch-tag histogram, and ``check-theorem`` per-row stats, the same histogram
 among them, and progress.  Exit status: 0 success or valid, 1 invalid
-verification, 2 input error, 3 bound violation found.
+verification, 2 input error, 3 bound violation found, 141 (128 + SIGPIPE)
+when the reader of stdout closed it early.
 """
 
 from __future__ import annotations
@@ -203,26 +204,27 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _check_chunk(
     graphs: list[Graph], ks: range, oracle_cap: int
-) -> list[list[tuple[int | None, list, dict | None]]]:
-    """Check every instance (g, k) for g in ``graphs`` and k in ``ks``: per
-    graph, one (iota, the construction's trace, violation-detail) per k.
-    iota is None and the trace empty for an excluded shape, which is not
-    solved, and the trace is empty when the construction fails.
+) -> list[tuple[Graph, int, int | None, list, list[str]]]:
+    """Check every instance (g, k) for g in ``graphs`` and k in ``ks``, in
+    corpus order (graph by graph, then k by k): one (g, k, iota, the
+    construction's trace, problems) per instance.  iota is None, the trace
+    empty and no problem listed for an excluded shape, which is not solved,
+    and the trace is empty when the construction fails.
 
     Each stage runs over every instance of the chunk before the next starts:
     the component split (once per graph, serving every k) and the
     classification; the kernels behind ``iota_solve``,
-    ``bounded_isolating_set`` and ``iota_oracle``; then the checks, graph by
-    graph and k by k.  Only a construction failure is caught, per instance;
-    any other exception ends the chunk, and no result of it is returned.
+    ``bounded_isolating_set`` and ``iota_oracle``; then the checks.  Only a
+    construction failure is caught, per instance; any other exception ends
+    the chunk, and no finding of it is returned.
     """
-    instances = []  # (adj, comps, k) in corpus order; None for an excluded shape
+    instances = []  # (g, comps, k) in corpus order; comps is None for an excluded shape
     for g in graphs:
         adj = g.adj
         full = g.full_mask
         comps = component_masks(adj, full)
-        instances += [(adj, comps, k) if exception_kind(adj, full, k) is NONE else None for k in ks]
-    solved = [inst for inst in instances if inst is not None]
+        instances += [(g, comps if exception_kind(adj, full, k) is NONE else None, k) for k in ks]
+    solved = [(g.adj, comps, k) for g, comps, k in instances if comps is not None]
     bests = [solve_mask(adj, comps, k)[0] for adj, comps, k in solved]
     built = []
     for adj, comps, k in solved:
@@ -234,52 +236,38 @@ def _check_chunk(
     oracle = [
         len(oracle_scan(adj, k)[0]) if len(adj) <= oracle_cap else None for adj, _, k in solved
     ]
-    pending = iter(instances)
     outcomes = zip(bests, built, oracle)
-    checked = []
-    for g in graphs:
+    findings = []
+    previous = None  # iota of the instance before, None when that one was excluded
+    for g, comps, k in instances:
+        if comps is None:
+            previous = None
+            findings.append((g, k, None, [], []))
+            continue
+        best, (d, trace, failure), oracle_iota = next(outcomes)
         adj = g.adj
         full = g.full_mask
-        previous = None  # iota at k - 1, None when that instance was excluded
-        row = []
-        for k in ks:
-            if next(pending) is None:
-                previous = None
-                row.append((None, [], None))
-                continue
-            best, (d, trace, failure), oracle_iota = next(outcomes)
-            bound = g.n // (k + 1)
-            problems: list[str] = []
-            iota = best.bit_count()
-            if iota > bound:
-                problems.append(f"iota {iota} exceeds bound {bound}")
-            if previous is not None and iota > previous:
-                problems.append(f"iota {iota} at k={k} exceeds iota {previous} at k={k - 1}")
-            previous = iota
-            if find_in_mask(adj, full & ~closed_mask(adj, best), k) is not None:
-                problems.append("solver set does not isolate")
-            if failure is not None:
-                problems.append(failure)
-            else:
-                if find_in_mask(adj, full & ~closed_mask(adj, d), k) is not None:
-                    problems.append("constructed set does not isolate")
-                if d.bit_count() > bound:
-                    problems.append(f"constructed set size {d.bit_count()} exceeds bound {bound}")
-            if oracle_iota is not None and oracle_iota != iota:
-                problems.append(f"solver {iota} disagrees with oracle {oracle_iota}")
-            if not problems:
-                row.append((iota, trace, None))
-                continue
-            row.append((iota, trace, {
-                "command": "check-theorem",
-                "violation": True,
-                "n": g.n,
-                "k": k,
-                "problems": problems,
-                "graph": format_edge_list(g),
-            }))
-        checked.append(row)
-    return checked
+        bound = g.n // (k + 1)
+        problems = []
+        iota = best.bit_count()
+        if iota > bound:
+            problems.append(f"iota {iota} exceeds bound {bound}")
+        if k > 1 and previous is not None and iota > previous:
+            problems.append(f"iota {iota} at k={k} exceeds iota {previous} at k={k - 1}")
+        previous = iota
+        if find_in_mask(adj, full & ~closed_mask(adj, best), k) is not None:
+            problems.append("solver set does not isolate")
+        if failure is not None:
+            problems.append(failure)
+        else:
+            if find_in_mask(adj, full & ~closed_mask(adj, d), k) is not None:
+                problems.append("constructed set does not isolate")
+            if d.bit_count() > bound:
+                problems.append(f"constructed set size {d.bit_count()} exceeds bound {bound}")
+        if oracle_iota is not None and oracle_iota != iota:
+            problems.append(f"solver {iota} disagrees with oracle {oracle_iota}")
+        findings.append((g, k, iota, trace, problems))
+    return findings
 
 
 def _random_graphs(seed: int, count: int, n_max: int) -> Iterator[Graph]:
@@ -305,12 +293,14 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
     isolate, the constructed set does not isolate, exceeds the bound or could
     not be built, or, up to ``--oracle-cap`` vertices, the oracle finds
     another iota; its record lists every problem found.  A batch is read
-    ``CHUNK`` graphs at a time, and each chunk is checked whole before its
-    violation records are emitted, still in corpus order (graph by graph,
-    then k by k); so an exception from the solver or the oracle ends the
-    sweep before any record of its chunk.  One summary row per (batch, k)
-    follows the batch's records; ``violations`` in a summary row is the
-    running total over every row so far, not the count for that row.
+    ``CHUNK`` graphs at a time: ``_check_chunk`` checks each chunk whole and
+    returns one finding per instance, and this verb then tallies the
+    findings and builds and emits the violation records, still in corpus
+    order (graph by graph, then k by k); so an exception from the solver or
+    the oracle ends the sweep before any record of its chunk.  One summary
+    row per (batch, k) follows the batch's records; ``violations`` in a
+    summary row is the running total over every row so far, not the count
+    for that row.
     Timing-dependent stats go to stderr: per summary row the largest iota of
     a non-excluded instance, the floor at the largest n of the batch, how
     many construction steps each rule produced (``bound``'s histogram), the
@@ -358,36 +348,34 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
         tags = {k: dict.fromkeys((tag.value for tag in BranchTag), 0) for k in ks}
         seen = n_seen = 0
         while chunk := list(islice(graphs, CHUNK)):
-            for g, row in zip(chunk, _check_chunk(chunk, ks, args.oracle_cap)):
-                seen += 1
+            for g, k, iota, trace, problems in _check_chunk(chunk, ks, args.oracle_cap):
+                if iota is None:
+                    exceptional[k] += 1
+                elif iota > max_iota[k]:
+                    max_iota[k] = iota
+                # Keyed by the plain ``_value_`` attribute: hashing an Enum
+                # member or reading ``.value`` runs Python code, once per step.
+                counts = tags[k]
+                for tag, _ in trace:
+                    counts[tag._value_] += 1
+                if problems:
+                    violations += 1
+                    _emit(dict(
+                        command="check-theorem", violation=True, n=g.n, k=k, problems=problems,
+                        graph=format_edge_list(g),
+                    ))
+                checked += 1
+                if k < args.k_max:
+                    continue
+                seen += 1  # the graph's last instance is checked
                 n_seen = max(n_seen, g.n)
-                for k, (iota, trace, detail) in zip(ks, row):
-                    if iota is None:
-                        exceptional[k] += 1
-                    elif iota > max_iota[k]:
-                        max_iota[k] = iota
-                    # Keyed by the plain ``_value_`` attribute: hashing an Enum
-                    # member or reading ``.value`` runs Python code, once per step.
-                    counts = tags[k]
-                    for tag, _ in trace:
-                        counts[tag._value_] += 1
-                    if detail is not None:
-                        violations += 1
-                        _emit(detail)
-                checked += len(ks)
                 if seen % PROGRESS_EVERY == 0:
                     print(f"{label}: {seen} graphs {_throughput(checked, start)}", file=sys.stderr)
         for k in ks:
-            _emit(
-                {
-                    "command": "check-theorem",
-                    **head,
-                    "k": k,
-                    "graphs": seen,
-                    "exceptional": exceptional[k],
-                    "violations": violations,
-                }
-            )
+            _emit({
+                "command": "check-theorem", **head, "k": k, "graphs": seen,
+                "exceptional": exceptional[k], "violations": violations,
+            })
             print(
                 f"{label} k={k}: max_iota={max_iota[k]} floor={n_seen // (k + 1)} "
                 f"{_tag_fields(tags[k])} {_throughput(checked, start)}",

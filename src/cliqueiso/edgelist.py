@@ -33,33 +33,34 @@ def parse_edge_list(text: str) -> Graph:
 
     The adjacency rows are built as the lines are read; ``Graph`` still
     validates them."""
-    header: tuple[int, int] | None = None
-    adj: list[int] = []
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            break
+    else:
+        raise EdgeListError("missing 'n m' header")
+    if len(fields) != 2:
+        raise EdgeListError("header must be two integers 'n m'", lineno)
+    try:
+        n, m = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise EdgeListError("header must be two integers 'n m'", lineno) from None
+    if n < 0 or m < 0:
+        raise EdgeListError("header counts must be non-negative", lineno)
+    if n > MAX_VERTICES:
+        raise EdgeListError(
+            f"header declares {n} vertices, above the limit of {MAX_VERTICES}", lineno
+        )
+    adj = [0] * n
     count = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, raw in lines:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 2:
-                raise EdgeListError("header must be two integers 'n m'", lineno)
-            try:
-                n, m = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise EdgeListError("header must be two integers 'n m'", lineno) from None
-            if n < 0 or m < 0:
-                raise EdgeListError("header counts must be non-negative", lineno)
-            if n > MAX_VERTICES:
-                raise EdgeListError(
-                    f"header declares {n} vertices, above the limit of {MAX_VERTICES}", lineno
-                )
-            header = (n, m)
-            adj = [0] * n
-            continue
-        n, m = header
         if count >= m:
-            raise EdgeListError(f"more than the declared {m} edge lines", lineno)
+            lines_word = "edge line" if m == 1 else "edge lines"
+            raise EdgeListError(f"more than the declared {m} {lines_word}", lineno)
         if len(fields) != 2:
             raise EdgeListError("edge line must be two integers 'u v'", lineno)
         try:
@@ -73,11 +74,9 @@ def parse_edge_list(text: str) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
         count += 1
-    if header is None:
-        raise EdgeListError("missing 'n m' header")
-    n, m = header
     if count != m:
-        raise EdgeListError(f"declared {m} edges but found {count}")
+        edges_word = "edge" if m == 1 else "edges"
+        raise EdgeListError(f"declared {m} {edges_word} but found {count}")
     return Graph(n, tuple(adj))
 
 

@@ -63,6 +63,13 @@ def run(capsys, argv):
     return code, reports, out.err
 
 
+def oversized(adj, comps, k):
+    """A broken construction: one vertex over the bound, the lowest labels,
+    which fail to isolate wherever a k-clique survives outside them."""
+    bound = len(adj) // (k + 1)
+    return (1 << bound + 1) - 1, [], 0
+
+
 def stats_line(err: str, verb: str) -> list[tuple[str, str]]:
     """The ``key=value`` fields of the one stderr stats line of ``verb``."""
     (line,) = err.splitlines()
@@ -430,12 +437,6 @@ class TestCheckTheorem:
         ["--mode", "random", "--count", "30", "--n-max", "8", "--k-max", "2", "--seed", "3"],
     ])
     def test_violations_are_reported_and_counted(self, capsys, monkeypatch, argv):
-        # A broken construction: one vertex over the bound, the lowest labels,
-        # which fail to isolate wherever a k-clique survives outside them.
-        def oversized(adj, comps, k):
-            bound = len(adj) // (k + 1)
-            return (1 << bound + 1) - 1, [], 0
-
         monkeypatch.setattr(cli, "construct_mask", oversized)
         # Every instance that is not excluded, graph by graph, then k by k.
         if "exhaustive" in argv:
@@ -559,6 +560,79 @@ class TestCheckTheorem:
                 if iota + 1 > n // 3:
                     problems.insert(0, f"iota {iota + 1} exceeds bound {n // 3}")
                 assert rep["problems"] == problems
+
+    def test_iota_growing_after_an_excluded_instance_is_not_compared(self, capsys, monkeypatch):
+        # A broken solver that answers at k = 3, from two vertices up, with
+        # its k = 1 set plus the lowest vertex outside it: one vertex more
+        # than its answer at k = 1, so more than the true iota at k = 2.
+        # The comparison across k must skip the graphs whose k = 2 instance
+        # is excluded, K_2 and the twelve labelled 5-cycles; the oracle is off.
+        solve = cli.solve_mask
+
+        def grows_at_three(adj, comps, k):
+            if k != 3 or len(adj) < 2:
+                return solve(adj, comps, k)
+            best, *counts = solve(adj, comps, 1)
+            return best | (best + 1) & ~best, *counts
+
+        monkeypatch.setattr(cli, "solve_mask", grows_at_three)
+        expected = {}
+        for g in (g for n in range(2, 6) for g in enumerate_connected(n)):
+            if classify_exception(g, 3) is not ExceptionKind.NONE:
+                continue  # K_3
+            iota, bound = iota_solve(g, 1).iota + 1, g.n // 4
+            problems = [f"iota {iota} exceeds bound {bound}"] if iota > bound else []
+            if classify_exception(g, 2) is ExceptionKind.NONE:
+                problems.append(f"iota {iota} at k=3 exceeds iota {iota_solve(g, 2).iota} at k=2")
+            expected[format_edge_list(g)] = problems
+        exempt = [g for g, problems in expected.items() if not any("at k=2" in p for p in problems)]
+        assert len(exempt) == 13
+        for chunk in CHUNKS:
+            monkeypatch.setattr(cli, "CHUNK", chunk)
+            code, reports, _ = run(capsys, ["check-theorem", "--mode", "exhaustive",
+                                            "--n-max", "5", "--k-max", "3", "--oracle-cap", "0"])
+            assert code == 3
+            records = [rep for rep in reports if rep.get("violation")]
+            assert {rep["k"] for rep in records} == {3}
+            assert {rep["graph"]: rep["problems"] for rep in records} == expected
+            assert len(records) == len(expected)
+
+    def test_an_exception_leaves_none_of_its_chunk_printed(self, capsys, monkeypatch):
+        # Every instance has a record, and the solver fails on one instance
+        # in the middle of the n = 4 batch's second chunk of 7 graphs: the
+        # exception leaves main after the records of the chunks before it,
+        # and with none of its own chunk's.
+        four = list(enumerate_connected(4))
+        doomed = four[10].adj
+        solve = cli.solve_mask
+
+        def fails_once(adj, comps, k):
+            if adj == doomed and k == 2:
+                raise RuntimeError("solver crashed")
+            return solve(adj, comps, k)
+
+        monkeypatch.setattr(cli, "construct_mask", oversized)
+        monkeypatch.setattr(cli, "solve_mask", fails_once)
+        monkeypatch.setattr(cli, "CHUNK", 7)
+        with pytest.raises(RuntimeError, match="solver crashed"):
+            main(["check-theorem", "--mode", "exhaustive", "--n-max", "4", "--k-max", "2"])
+
+        def records(graphs):
+            return [
+                ("record", format_edge_list(g), k) for g in graphs for k in (1, 2)
+                if classify_exception(g, k) is ExceptionKind.NONE
+            ]
+
+        expected = []
+        for n in (1, 2, 3):
+            expected += records(enumerate_connected(n)) + [("summary", n, k) for k in (1, 2)]
+        expected += records(four[:7])
+        got = [
+            ("record", rep["graph"], rep["k"]) if rep.get("violation")
+            else ("summary", rep["n"], rep["k"])
+            for rep in map(json.loads, capsys.readouterr().out.splitlines())
+        ]
+        assert got == expected
 
     def test_k_max_above_n_max_is_refused(self, capsys, monkeypatch):
         # No graph on at most --n-max vertices has a larger clique; refused

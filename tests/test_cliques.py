@@ -1,7 +1,5 @@
 """Clique detection (``find_in_mask``) against naive combination scans."""
 
-from itertools import combinations
-
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -15,7 +13,7 @@ from cliqueiso import (
 from cliqueiso.cliques import find_in_mask
 from cliqueiso.graph import mask_of, set_of
 
-from .support import adjacency_sets, graphs, labeled_graphs, naive_k_cliques
+from .support import graphs, labeled_graphs, naive_k_cliques
 
 
 SMALL_GRAPHS = st.one_of(graphs(max_n=10), graphs(min_n=7, max_n=10, coin=True))
@@ -24,15 +22,6 @@ SMALL_GRAPHS = st.one_of(graphs(max_n=10), graphs(min_n=7, max_n=10, coin=True))
 def first_clique(g: Graph, k: int) -> frozenset[int] | None:
     hit = find_in_mask(g.adj, g.full_mask, k)
     return None if hit is None else set_of(hit)
-
-
-def naive_all_cliques(g: Graph, k: int) -> list[frozenset[int]]:
-    nbrs = adjacency_sets(g)
-    return [
-        frozenset(combo)
-        for combo in combinations(range(g.n), k)
-        if all(b in nbrs[a] for a, b in combinations(combo, 2))
-    ]
 
 
 class TestDetection:
@@ -72,30 +61,25 @@ class TestFind:
         assert first_clique(g, 2) == frozenset({0, 4})
 
     # Every k up to 6 on up to ten vertices, half of the graphs dense, so the
-    # descent stacks several levels and backtracks across them.
+    # descent stacks several levels and backtracks across them.  The smallest
+    # clique is the first of the naive lexicographic list.
     @given(SMALL_GRAPHS)
     def test_find_matches_naive_minimum(self, g):
         for k in range(1, 7):
-            naive = naive_all_cliques(g, k)
+            naive = next(naive_k_cliques(g, k), None)
             got = first_clique(g, k)
             # The public route to the same clique: the witness against the empty set.
             assert verify_isolating(g, k, ()).witness == got
-            if not naive:
-                assert got is None
-            else:
-                assert got == min(naive, key=sorted)
+            assert got == (None if naive is None else frozenset(naive))
 
     @given(SMALL_GRAPHS, st.data())
     def test_sub_pools_match_naive_minimum(self, g, data):
         pool = data.draw(st.sets(st.integers(min_value=0, max_value=max(g.n - 1, 0))))
         pool = {u for u in pool if u < g.n}
         for k in range(1, 7):
-            naive = [c for c in naive_all_cliques(g, k) if c <= pool]
+            naive = next(naive_k_cliques(g, k, within=pool), None)
             got = find_in_mask(g.adj, mask_of(pool, g.n), k)
-            if not naive:
-                assert got is None
-            else:
-                assert set_of(got) == min(naive, key=sorted)
+            assert got == (None if naive is None else mask_of(naive, g.n))
 
     def test_every_pool_of_every_small_graph(self):
         # Every vertex mask of every labeled graph with n <= 5 at k = 1..4,

@@ -23,8 +23,9 @@ PARSE_ERRORS = [
     ("x y\n", 1, "header must be two integers 'n m'"),
     ("3 1 2\n", 1, "header must be two integers 'n m'"),  # three header fields
     ("-1 0\n", 1, "header counts must be non-negative"),
-    ("2 1\n", None, "declared 1 edges but found 0"),
+    ("2 1\n", None, "declared 1 edge but found 0"),
     ("2 0\n0 1\n", 2, "more than the declared 0 edge lines"),
+    ("3 1\n0 1\n1 2\n", 3, "more than the declared 1 edge line"),
     ("3 1\n2 1\n", 2, "edge (2, 1) violates 0 <= u < v < n = 3"),  # endpoints out of order
     ("3 1\n0 3\n", 2, "edge (0, 3) violates 0 <= u < v < n = 3"),  # vertex out of range
     ("3 1\n1 1\n", 2, "edge (1, 1) violates 0 <= u < v < n = 3"),  # self-loop
