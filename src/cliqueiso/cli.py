@@ -38,14 +38,14 @@ from .construct import (
 from .edgelist import MAX_VERTICES, format_edge_list, read_graph, write_graph
 from .generators import (
     DEFAULT_ENUMERATION_CAP,
+    _connected,
     build_complete,
     build_cycle,
     build_extremal,
     build_path,
-    enumerate_connected,
     gen_random_connected,
 )
-from .graph import NONE, Graph, closed_mask, component_masks, exception_kind
+from .graph import NONE, Graph, closed_mask, exception_kind
 from .isolation import DEFAULT_ORACLE_CAP, iota_solve, oracle_scan, solve_mask, verify_isolating
 
 _EXIT_OK = 0
@@ -203,28 +203,36 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _check_chunk(
-    graphs: list[Graph], ks: range, oracle_cap: int
-) -> list[tuple[Graph, int, int | None, list, list[str]]]:
-    """Check every instance (g, k) for g in ``graphs`` and k in ``ks``, in
-    corpus order (graph by graph, then k by k): one (g, k, iota, the
-    construction's trace, problems) per instance.  iota is None, the trace
-    empty and no problem listed for an excluded shape, which is not solved,
-    and the trace is empty when the construction fails.
+    chunk: list[tuple[int, ...]], ks: range, oracle_cap: int
+) -> list[tuple[tuple[int, ...], int, int | None, list, list[str]]]:
+    """Check every instance (adj, k) for the adjacency rows adj of each graph
+    in ``chunk`` and k in ``ks``, in corpus order (graph by graph, then k by
+    k): one (adj, k, iota, the construction's trace, problems) per instance.
+    iota is None, the trace empty and no problem listed for an excluded
+    shape, which is not solved, and the trace is empty when the construction
+    fails.
+
+    The rows are taken as they come: no ``Graph`` is built and no component
+    split is made.  Both corpora are connected by construction, so the whole
+    vertex set is each graph's one component.  A disconnected graph is still
+    never a clean pass: at k = 1 the construction on it always fails (its
+    pivot, or its one chosen vertex, leaves another component untouched),
+    and that failure is one of the instance's problems.
 
     Each stage runs over every instance of the chunk before the next starts:
-    the component split (once per graph, serving every k) and the
-    classification; the kernels behind ``iota_solve``,
+    the classification; the kernels behind ``iota_solve``,
     ``bounded_isolating_set`` and ``iota_oracle``; then the checks.  Only a
     construction failure is caught, per instance; any other exception ends
     the chunk, and no finding of it is returned.
     """
-    instances = []  # (g, comps, k) in corpus order; comps is None for an excluded shape
-    for g in graphs:
-        adj = g.adj
-        full = g.full_mask
-        comps = component_masks(adj, full)
-        instances += [(g, comps if exception_kind(adj, full, k) is NONE else None, k) for k in ks]
-    solved = [(g.adj, comps, k) for g, comps, k in instances if comps is not None]
+    instances = []  # (adj, comps, k) in corpus order; comps is None for an excluded shape
+    for adj in chunk:
+        full = (1 << len(adj)) - 1
+        comps = [full]
+        instances += [
+            (adj, comps if exception_kind(adj, full, k) is NONE else None, k) for k in ks
+        ]
+    solved = [(adj, comps, k) for adj, comps, k in instances if comps is not None]
     bests = [solve_mask(adj, comps, k)[0] for adj, comps, k in solved]
     built = []
     for adj, comps, k in solved:
@@ -239,15 +247,14 @@ def _check_chunk(
     outcomes = zip(bests, built, oracle)
     findings = []
     previous = None  # iota of the instance before, None when that one was excluded
-    for g, comps, k in instances:
+    for adj, comps, k in instances:
         if comps is None:
             previous = None
-            findings.append((g, k, None, [], []))
+            findings.append((adj, k, None, [], []))
             continue
         best, (d, trace, failure), oracle_iota = next(outcomes)
-        adj = g.adj
-        full = g.full_mask
-        bound = g.n // (k + 1)
+        full = comps[0]
+        bound = len(adj) // (k + 1)
         problems = []
         iota = best.bit_count()
         if iota > bound:
@@ -266,16 +273,17 @@ def _check_chunk(
                 problems.append(f"constructed set size {d.bit_count()} exceeds bound {bound}")
         if oracle_iota is not None and oracle_iota != iota:
             problems.append(f"solver {iota} disagrees with oracle {oracle_iota}")
-        findings.append((g, k, iota, trace, problems))
+        findings.append((adj, k, iota, trace, problems))
     return findings
 
 
-def _random_graphs(seed: int, count: int, n_max: int) -> Iterator[Graph]:
+def _random_graphs(seed: int, count: int, n_max: int) -> Iterator[tuple[int, ...]]:
+    """The adjacency rows of random mode's ``count`` seeded connected graphs."""
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(1, n_max)
         p = rng.uniform(0.05, 0.95)
-        yield gen_random_connected(n, p, rng.randrange(2**32))
+        yield gen_random_connected(n, p, rng.randrange(2**32)).adj
 
 
 def _throughput(checked: int, start: float) -> str:
@@ -286,18 +294,22 @@ def _throughput(checked: int, start: float) -> str:
 def cmd_check_theorem(args: argparse.Namespace) -> int:
     """Check the theorem on every (graph, k) instance of one corpus.
 
-    The corpus is a list of batches, each a summary-row head and a graph
-    iterator: one batch per n in exhaustive mode, one seeded batch in random
-    mode.  An instance is a violation when the solver's iota exceeds the
-    bound or the iota of the same graph at k - 1, the solver's set does not
-    isolate, the constructed set does not isolate, exceeds the bound or could
-    not be built, or, up to ``--oracle-cap`` vertices, the oracle finds
-    another iota; its record lists every problem found.  A batch is read
-    ``CHUNK`` graphs at a time: ``_check_chunk`` checks each chunk whole and
-    returns one finding per instance, and this verb then tallies the
-    findings and builds and emits the violation records, still in corpus
-    order (graph by graph, then k by k); so an exception from the solver or
-    the oracle ends the sweep before any record of its chunk.  One summary
+    The corpus is a list of batches, each a summary-row head and an iterator
+    over adjacency rows: one batch per n in exhaustive mode, every labeled
+    connected graph on n vertices from ``_connected``, and one seeded batch
+    of ``gen_random_connected`` graphs in random mode.  Both are connected by
+    construction, so the graphs reach ``_check_chunk`` as rows, with no
+    component split, and a ``Graph`` is built only to print a violation
+    record's edge list.  An instance is a violation when the solver's iota
+    exceeds the bound or the iota of the same graph at k - 1, the solver's
+    set does not isolate, the constructed set does not isolate, exceeds the
+    bound or could not be built, or, up to ``--oracle-cap`` vertices, the
+    oracle finds another iota; its record lists every problem found.  A
+    batch is read ``CHUNK`` graphs at a time: ``_check_chunk`` checks each
+    chunk whole and returns one finding per instance, and this verb then
+    tallies the findings and builds and emits the violation records, still
+    in corpus order (graph by graph, then k by k); so an exception from the
+    solver or the oracle ends the sweep before any record of its chunk.  One summary
     row per (batch, k) follows the batch's records; ``violations`` in a
     summary row is the running total over every row so far, not the count
     for that row.
@@ -328,7 +340,7 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
         )
     if args.mode == "exhaustive":
         batches = [
-            ({"mode": "exhaustive", "n": n}, enumerate_connected(n))
+            ({"mode": "exhaustive", "n": n}, _connected(n))
             for n in range(1, args.n_max + 1)
         ]
     else:
@@ -348,7 +360,7 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
         tags = {k: dict.fromkeys((tag.value for tag in BranchTag), 0) for k in ks}
         seen = n_seen = 0
         while chunk := list(islice(graphs, CHUNK)):
-            for g, k, iota, trace, problems in _check_chunk(chunk, ks, args.oracle_cap):
+            for adj, k, iota, trace, problems in _check_chunk(chunk, ks, args.oracle_cap):
                 if iota is None:
                     exceptional[k] += 1
                 elif iota > max_iota[k]:
@@ -361,14 +373,14 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
                 if problems:
                     violations += 1
                     _emit(dict(
-                        command="check-theorem", violation=True, n=g.n, k=k, problems=problems,
-                        graph=format_edge_list(g),
+                        command="check-theorem", violation=True, n=len(adj), k=k,
+                        problems=problems, graph=format_edge_list(Graph(len(adj), adj)),
                     ))
                 checked += 1
                 if k < args.k_max:
                     continue
                 seen += 1  # the graph's last instance is checked
-                n_seen = max(n_seen, g.n)
+                n_seen = max(n_seen, len(adj))
                 if seen % PROGRESS_EVERY == 0:
                     print(f"{label}: {seen} graphs {_throughput(checked, start)}", file=sys.stderr)
         for k in ks:

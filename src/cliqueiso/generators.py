@@ -132,7 +132,7 @@ def enumerate_connected(n: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterat
     """Every labeled connected graph on n vertices, in increasing edge-mask order.
 
     ``n`` is checked against ``cap`` here, at the call, not on the first
-    ``next()``.  Connectivity is tested on the raw adjacency rows, so a
+    ``next()``.  Each graph wraps the rows that ``_connected`` yields, so a
     ``Graph`` is built and validated only for the connected masks.
     """
     if n < 1:
@@ -141,12 +141,14 @@ def enumerate_connected(n: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterat
         raise EnumerationCapError(
             f"enumeration cap is {cap} vertices, got {n}; raise cap= to override"
         )
-    return _connected(n)
+    return (Graph(n, adj) for adj in _connected(n))
 
 
-def _connected(n: int) -> Iterator[Graph]:
-    """The graphs of ``enumerate_connected``.  The rows of mask m are those of
-    m - 1 with the pairs of the bits that differ flipped, about two per mask."""
+def _connected(n: int) -> Iterator[tuple[int, ...]]:
+    """The adjacency rows of every labeled connected graph on n >= 1 vertices,
+    in increasing edge-mask order, unchecked: ``check-theorem`` sweeps these
+    rows without building a ``Graph``.  The rows of mask m are those of m - 1
+    with the pairs of the bits that differ flipped, about two per mask."""
     pairs = pair_order(n)
     full = (1 << n) - 1
     adj = [0] * n
@@ -161,4 +163,4 @@ def _connected(n: int) -> Iterator[Graph]:
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
         if len(component_masks(adj, full)) == 1:
-            yield Graph(n, tuple(adj))
+            yield tuple(adj)

@@ -337,14 +337,21 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
 
     Packing in host labels starts with the low labels, which may be hubs
     whose balls empty the pool.  So a component whose greedy set has at least
-    three vertices, the only kind that ever reaches a slack of three, is
-    relabeled once by ``degree_relabel``, and the bound runs on those rows:
-    ``dcovered`` and ``dforbidden`` are ``covered`` and ``forbidden`` in the
-    new labels, and ``dcode`` and ``dclosed`` hold each host vertex's new bit
-    and new closed row (one list for the whole call, which ``degree_relabel``
-    fills in for each component's vertices).  The search itself stays in host
-    labels, so the tree's order and the reported set do not depend on the
-    relabeling.
+    four vertices is relabeled once by ``degree_relabel``, and the bound runs
+    on those rows: ``dcovered`` and ``dforbidden`` are ``covered`` and
+    ``forbidden`` in the new labels, and ``dcode`` and ``dclosed`` hold each
+    host vertex's new bit and new closed row (one list for the whole call,
+    which ``degree_relabel`` fills in for each component's vertices).  The
+    search itself stays in host labels, so the tree's order and the reported
+    set do not depend on the relabeling.  A component whose greedy set has
+    three vertices is neither relabeled nor packed.  Its root, at slack
+    three, would be its only node to pack, since the root settles every
+    child in place and pushes nothing; so it settles at once.  The packing
+    could only have pruned it when iota is three, and then the settle finds
+    no better set either: the set and the updates are the same, and only the
+    node and prune counts grow.  Over every connected graph with n <= 6 at
+    k = 1, 11,783 components have a greedy set of three and 480 of them an
+    iota of three; the tables cost more than the settles they would spare.
 
     A node that packs without pruning hands its children the packing's
     ``later`` and its count less the branching clique, ``inherited``.  A
@@ -370,8 +377,10 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
                 prunes += 1
             continue
         best_size = best.bit_count()
-        # Only a slack of three or more packs, so only these need the tables.
-        if best_size >= 3:
+        # Only a greedy set of four or more leaves a node below the root
+        # that packs, so only these components need the tables.
+        packs = best_size > 3
+        if packs:
             if not dcode:
                 dcode = [0] * len(adj)
                 dclosed = [0] * len(adj)
@@ -405,39 +414,32 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
                 else:
                     prunes += 1
                 continue
-            pool = dcomp & ~dcovered
-            # The parent's packed cliques but its branching one, ``inherited``
-            # of them, are a packing here too; extend it outside ``later``.
-            if inherited and packing_bound(
-                drows, dball, pool & ~later, k, 0, dforbidden, limit - inherited
-            )[0] >= limit - inherited:
-                prunes += 1
-                continue
-            dclique = 0
-            rest = clique
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                dclique |= dcode[low.bit_length() - 1]
-            count, later = packing_bound(drows, dball, pool, k, dclique, dforbidden, limit)
-            if count >= limit:
-                prunes += 1
-                continue
-            hood = clique
-            dhood = 0
-            rest = clique
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                v = low.bit_length() - 1
-                hood |= adj[v]
-                dhood |= dclosed[v]
-            candidates = hood & ~forbidden
+            if packs:
+                pool = dcomp & ~dcovered
+                # The parent's packed cliques but its branching one,
+                # ``inherited`` of them, are a packing here too; extend it
+                # outside ``later``.
+                if inherited and packing_bound(
+                    drows, dball, pool & ~later, k, 0, dforbidden, limit - inherited
+                )[0] >= limit - inherited:
+                    prunes += 1
+                    continue
+                dclique = 0
+                rest = clique
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    dclique |= dcode[low.bit_length() - 1]
+                count, later = packing_bound(drows, dball, pool, k, dclique, dforbidden, limit)
+                if count >= limit:
+                    prunes += 1
+                    continue
             size += 1
             if limit == 3:
                 # The children, lowest first; ``forbidden`` gains each tried
                 # one, and ``seen`` every clique of the residual found so far,
                 # with its closed neighbourhood.
+                candidates = closed_mask(adj, clique) & ~forbidden
                 seen = []
                 while candidates:
                     low = candidates & -candidates
@@ -478,6 +480,16 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
                             prunes += 1
                     forbidden |= low
                 continue
+            hood = clique
+            dhood = 0
+            rest = clique
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                hood |= adj[v]
+                dhood |= dclosed[v]
+            candidates = hood & ~forbidden
             dcandidates = dhood & ~dforbidden
             while candidates:
                 u = candidates.bit_length() - 1

@@ -137,6 +137,19 @@ def behaviour() -> tuple[bytes, bytes]:
     return b"".join(lines[0]), b"".join(lines[1])
 
 
+def solver_n6() -> bytes:
+    """``iota_solve``'s set and incumbent updates on every labeled connected
+    graph with n = 6 at k <= 3, one JSON line per instance, without the node
+    and prune counts.  These are the first graphs where iota reaches three,
+    the one case where a greedy-3 root settles without packing."""
+    return b"".join(
+        _line([index, k, sorted(rep.optimal_set), rep.incumbent_updates])
+        for index, g in enumerate(enumerate_connected(6))
+        for k in (1, 2, 3)
+        for rep in (iota_solve(g, k),)
+    )
+
+
 def bound_record(g: Graph, k: int, construct=bounded_isolating_set) -> dict:
     """``construct(g, k)`` as the construction's golden corpus records it: the
     set, the bound and the trace, or the kind of exception that refuses g."""
@@ -264,6 +277,8 @@ PINS = (
            "1daf363493fd43ad2b6314ddd51f364da32716c2aba0a36436e6825a2aa184c4"),
     Digest("behaviour-without-tree-counts", lambda: behaviour()[1],
            "bff3cfcabdd09a50d0b8c9cb438a660417e44772cb829e1a5d5bb7a3bbd8f017"),
+    Digest("solver-n6-k3", solver_n6,
+           "380e270d620dca6ac937ca07fe765f934195529c37da33f46efe811d4fd8f1f5"),
     Digest("construction-n6-k4", construction,
            "41fa6145a98c634f0172d77f08d86483ca3e2a41a81478d7113914b3e2860427"),
     # The size of the random graph in perfbench's bound-sparse workload; the

@@ -35,7 +35,7 @@ from cliqueiso.cli import main
 from cliqueiso.isolation import greedy_mask, oracle_scan
 
 from .pins import PINS, TIMING, failures, package_env
-from .support import disjoint_union, run_at_low_recursion_limit
+from .support import disjoint_union, labeled_graphs, naive_components, run_at_low_recursion_limit
 
 # check-theorem's chunk sizes that the record and stats tests run at: one that
 # ends chunks inside a batch at every n >= 4, and the default.
@@ -399,7 +399,7 @@ class TestCheckTheorem:
         def no_enumeration(*args, **kwargs):
             raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(cli, "enumerate_connected", no_enumeration)
+        monkeypatch.setattr(cli, "_connected", no_enumeration)
         code, reports, err = run(capsys, ["check-theorem", "--mode", "exhaustive",
                                           "--n-max", "9", "--k-max", "1"])
         assert code == 2
@@ -443,7 +443,7 @@ class TestCheckTheorem:
             corpus = [g for n in range(1, 6) for g in enumerate_connected(n)]
             ks = (1,)
         else:
-            corpus = list(cli._random_graphs(3, 30, 8))
+            corpus = [Graph(len(adj), adj) for adj in cli._random_graphs(3, 30, 8)]
             ks = (1, 2)
         instances = [
             (format_edge_list(g), k) for g in corpus for k in ks
@@ -641,7 +641,7 @@ class TestCheckTheorem:
             raise AssertionError("enumeration started")
 
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "enumerate_connected", no_enumeration)
+            patch.setattr(cli, "_connected", no_enumeration)
             code, reports, err = run(capsys, ["check-theorem", "--mode", "exhaustive",
                                               "--n-max", "4", "--k-max", "5"])
         assert code == 2
@@ -671,7 +671,8 @@ class TestCheckTheorem:
 
     def test_construction_failure_is_reported(self, capsys, monkeypatch):
         # Random mode fed a disconnected graph: the solver and the oracle
-        # handle it, and the construction's connectivity guard refuses it.
+        # handle it, and the construction, which takes the whole graph as one
+        # piece, finds a residual component out of the pivot's reach.
         g = disjoint_union([build_path(3), build_path(3)])
         monkeypatch.setattr(cli, "gen_random_connected", lambda n, p, seed: g)
         code, reports, _ = run(capsys, ["check-theorem", "--mode", "random", "--count", "2",
@@ -682,9 +683,23 @@ class TestCheckTheorem:
         for rep in records:
             assert rep["graph"] == format_edge_list(g)
             assert rep["problems"] == [
-                "construction failed: graph is disconnected; "
-                "use bounded_sets_per_component or bound --per-component"
+                "construction failed: every residual component touches N(pivot)"
             ]
+
+    def test_a_disconnected_graph_is_never_a_clean_pass(self):
+        # The sweep does not split its graphs, since both corpora are
+        # connected.  Should a disconnected one slip in, the construction
+        # fails on it at k = 1, the first k of every sweep.
+        disconnected = [
+            g.adj for g in labeled_graphs(6) if g.n and len(naive_components(g)) > 1
+        ]
+        assert len(disconnected) == 1 + 4 + 26 + 296 + 6064
+        findings = cli._check_chunk(disconnected, range(1, 4), cli.DEFAULT_ORACLE_CAP)
+        assert [adj for adj, k, *_ in findings if k == 1] == disconnected
+        for adj, k, iota, trace, problems in findings:
+            if k == 1:
+                assert trace == []
+                assert any(p.startswith("construction failed: ") for p in problems), adj
 
     def test_stats_and_progress_go_to_stderr(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "PROGRESS_EVERY", 10)

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 
 from cliqueiso import (
     EnumerationCapError,
+    Graph,
     build_complete,
     build_cycle,
     build_extremal,
@@ -15,7 +16,7 @@ from cliqueiso import (
     gen_random_connected,
     iota_solve,
 )
-from cliqueiso.generators import pair_order
+from cliqueiso.generators import _connected, pair_order
 
 from .support import (
     adjacency_sets,
@@ -191,7 +192,14 @@ class TestEdgeBits:
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", sorted(CONNECTED_COUNTS.items()))
     def test_connected_counts(self, n, count):
-        assert sum(1 for _ in enumerate_connected(n, cap=6)) == count
+        # check-theorem sweeps the rows of ``_connected`` unsplit, each graph
+        # its own one component, so it relies on every one being connected.
+        rows = list(_connected(n))
+        assert len(rows) == count
+        for adj in rows:
+            assert type(adj) is tuple
+            assert len(naive_components(Graph(n, adj))) == 1
+        assert [g.adj for g in enumerate_connected(n, cap=6)] == rows
 
     def test_connectivity_filter_matches_naive_check(self):
         expected = [
