@@ -27,7 +27,7 @@ from collections import Counter
 from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
-from .cliques import find_in_mask
+from .cliques import isolates
 from .construct import (
     BoundResult,
     BranchTag,
@@ -45,7 +45,7 @@ from .generators import (
     build_path,
     gen_random_connected,
 )
-from .graph import NONE, Graph, closed_mask, exception_kind
+from .graph import NONE, Graph, exception_kind
 from .isolation import DEFAULT_ORACLE_CAP, iota_solve, oracle_scan, solve_mask, verify_isolating
 
 _EXIT_OK = 0
@@ -53,6 +53,10 @@ _EXIT_INVALID = 1
 _EXIT_INPUT = 2
 _EXIT_VIOLATION = 3
 _EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that went away
+
+# The ``gen`` kinds that take the vertex count alone; ``extremal`` and
+# ``random`` take more.
+_FAMILIES = {"path": build_path, "cycle": build_cycle, "complete": build_complete}
 
 PROGRESS_EVERY = 100_000  # graphs of a batch between stderr progress lines
 # Graphs that check-theorem checks together, one stage at a time
@@ -170,17 +174,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.n > MAX_VERTICES:
         return _fail(f"gen --n is capped at {MAX_VERTICES} vertices, got {args.n}")
     params: dict = {}
-    if args.kind == "extremal":
+    if args.kind in _FAMILIES:
+        g = _FAMILIES[args.kind](args.n)
+    elif args.kind == "extremal":
         if args.k is None:
             return _fail("gen extremal requires --k")
         g = build_extremal(args.n, args.k)
         params = {"k": args.k}
-    elif args.kind == "path":
-        g = build_path(args.n)
-    elif args.kind == "cycle":
-        g = build_cycle(args.n)
-    elif args.kind == "complete":
-        g = build_complete(args.n)
     else:  # random
         if args.seed is None:
             return _fail("gen random requires an explicit --seed")
@@ -214,10 +214,11 @@ def _check_chunk(
 
     The rows are taken as they come: no ``Graph`` is built and no component
     split is made.  Both corpora are connected by construction, so the whole
-    vertex set is each graph's one component.  A disconnected graph is still
-    never a clean pass: at k = 1 the construction on it always fails (its
-    pivot, or its one chosen vertex, leaves another component untouched),
-    and that failure is one of the instance's problems.
+    vertex set is each graph's root piece, and its one component for
+    ``solve_mask``.  A disconnected graph is still never a clean pass: at
+    k = 1 the construction on it always fails (its pivot, or its one chosen
+    vertex, leaves another component untouched), and that failure is one of
+    the instance's problems.
 
     Each stage runs over every instance of the chunk before the next starts:
     the classification; the kernels behind ``iota_solve``,
@@ -225,19 +226,18 @@ def _check_chunk(
     construction failure is caught, per instance; any other exception ends
     the chunk, and no finding of it is returned.
     """
-    instances = []  # (adj, comps, k) in corpus order; comps is None for an excluded shape
+    instances = []  # (adj, full, k) in corpus order; full is None for an excluded shape
     for adj in chunk:
         full = (1 << len(adj)) - 1
-        comps = [full]
         instances += [
-            (adj, comps if exception_kind(adj, full, k) is NONE else None, k) for k in ks
+            (adj, full if exception_kind(adj, full, k) is NONE else None, k) for k in ks
         ]
-    solved = [(adj, comps, k) for adj, comps, k in instances if comps is not None]
-    bests = [solve_mask(adj, comps, k)[0] for adj, comps, k in solved]
+    solved = [(adj, full, k) for adj, full, k in instances if full is not None]
+    bests = [solve_mask(adj, (full,), k)[0] for adj, full, k in solved]
     built = []
-    for adj, comps, k in solved:
+    for adj, full, k in solved:
         try:
-            d, trace, _ = construct_mask(adj, comps, k)
+            d, trace, _ = construct_mask(adj, full, k)
             built.append((d, trace, None))
         except Exception as exc:  # a construction crash is a finding, not a CLI crash
             built.append((0, [], f"construction failed: {exc}"))
@@ -247,13 +247,12 @@ def _check_chunk(
     outcomes = zip(bests, built, oracle)
     findings = []
     previous = None  # iota of the instance before, None when that one was excluded
-    for adj, comps, k in instances:
-        if comps is None:
+    for adj, full, k in instances:
+        if full is None:
             previous = None
             findings.append((adj, k, None, [], []))
             continue
         best, (d, trace, failure), oracle_iota = next(outcomes)
-        full = comps[0]
         bound = len(adj) // (k + 1)
         problems = []
         iota = best.bit_count()
@@ -262,12 +261,12 @@ def _check_chunk(
         if k > 1 and previous is not None and iota > previous:
             problems.append(f"iota {iota} at k={k} exceeds iota {previous} at k={k - 1}")
         previous = iota
-        if find_in_mask(adj, full & ~closed_mask(adj, best), k) is not None:
+        if not isolates(adj, full, best, k):
             problems.append("solver set does not isolate")
         if failure is not None:
             problems.append(failure)
         else:
-            if find_in_mask(adj, full & ~closed_mask(adj, d), k) is not None:
+            if not isolates(adj, full, d, k):
                 problems.append("constructed set does not isolate")
             if d.bit_count() > bound:
                 problems.append(f"constructed set size {d.bit_count()} exceeds bound {bound}")
@@ -405,30 +404,31 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact and constructive k-clique isolation over edge-list files.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The arguments of the verbs that read a graph file, behind ``_report``'s
+    # shared header.
+    graph_file = argparse.ArgumentParser(add_help=False)
+    graph_file.add_argument("path", help="edge-list file")
+    graph_file.add_argument("--k", type=int, required=True, help="clique size to isolate")
 
-    p_solve = sub.add_parser("solve", help="exact minimum isolating set")
-    p_solve.add_argument("path", help="edge-list file")
-    p_solve.add_argument("--k", type=int, required=True, help="clique size to isolate")
+    p_solve = sub.add_parser("solve", parents=[graph_file], help="exact minimum isolating set")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_bound = sub.add_parser("bound", help="constructive set within floor(n/(k+1))")
-    p_bound.add_argument("path", help="edge-list file")
-    p_bound.add_argument("--k", type=int, required=True)
+    p_bound = sub.add_parser(
+        "bound", parents=[graph_file], help="constructive set within floor(n/(k+1))"
+    )
     p_bound.add_argument(
         "--per-component", action="store_true", help="handle each component separately"
     )
     p_bound.set_defaults(func=cmd_bound)
 
-    p_verify = sub.add_parser("verify", help="check a candidate isolating set")
-    p_verify.add_argument("path", help="edge-list file")
-    p_verify.add_argument("--k", type=int, required=True)
+    p_verify = sub.add_parser(
+        "verify", parents=[graph_file], help="check a candidate isolating set"
+    )
     p_verify.add_argument("set", help="vertex list such as '0 3 5' (may be empty)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="write a graph file")
-    p_gen.add_argument(
-        "kind", choices=["extremal", "path", "cycle", "complete", "random"]
-    )
+    p_gen.add_argument("kind", choices=["extremal", *_FAMILIES, "random"])
     p_gen.add_argument("--n", type=int, required=True, help="vertex count")
     p_gen.add_argument("--k", type=int, help="block size (extremal)")
     p_gen.add_argument("--p", type=float, help="extra-edge probability (random)")

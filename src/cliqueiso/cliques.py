@@ -10,11 +10,15 @@ witness.  It keeps one entry per level on its own stack, not on Python's, so
 any k runs at any recursion limit.  A candidate is descended into only if
 enough mutual neighbours remain to finish a clique, which is the whole of the
 pruning story; the last two vertices come from the same pass as k = 2.
+``isolates``, the paper's test that G - N[D] has no k-clique, is one call of
+the search.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+from .graph import closed_mask
 
 
 def find_in_mask(adj: Sequence[int], pool: int, k: int) -> int | None:
@@ -29,6 +33,18 @@ def find_in_mask(adj: Sequence[int], pool: int, k: int) -> int | None:
     if k == 2:
         return _edge(adj, pool)
     return _descend(adj, pool, k)
+
+
+def isolates(adj: Sequence[int], within: int, d: int, k: int) -> bool:
+    """True iff deleting N[d] leaves no k-clique inside ``within``: the
+    paper's test that ``d`` isolates the k-cliques of the subgraph on
+    ``within``.  ``d`` may reach outside ``within``.
+
+    The one isolation predicate of the construction and of ``check-theorem``;
+    ``verify_isolating`` keeps its own residual, whose witness and size it
+    reports.
+    """
+    return find_in_mask(adj, within & ~closed_mask(adj, d), k) is None
 
 
 def _edge(adj: Sequence[int], cand: int) -> int | None:

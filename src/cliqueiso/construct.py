@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .cliques import find_in_mask
+from .cliques import find_in_mask, isolates
 from .graph import (
     FIVE_CYCLE,
     K_CLIQUE,
@@ -63,7 +63,6 @@ from .graph import (
     VertexSet,
     bits,
     classify_exception,
-    closed_mask,
     component_masks,
     exception_kind,
     require_k,
@@ -160,11 +159,6 @@ def _fact(ok: bool, message: str) -> None:
         raise AssertionError(message)
 
 
-def _isolates(adj: Sequence[int], piece: int, d: int, k: int) -> bool:
-    """True iff deleting N[d] leaves the piece without a k-clique."""
-    return find_in_mask(adj, piece & ~closed_mask(adj, d), k) is None
-
-
 def _far(adj: Sequence[int], mask: int, y: int) -> int:
     """The lowest vertex of ``mask`` outside N[y], as a one-bit mask; on a
     5-cycle through y, the lower of the two vertices at distance two."""
@@ -212,8 +206,9 @@ def bounded_isolating_set(g: Graph, k: int) -> BoundResult:
             f"the floor(n/(k+1)) bound excludes this graph (shape: {kind.value}); "
             f"its forced optimal set is available via {_PER_COMPONENT}",
         )
-    comps = component_masks(g.adj, g.full_mask)
-    return _result(g.n, k, construct_mask(g.adj, comps, k))
+    if len(component_masks(g.adj, g.full_mask)) > 1:
+        raise ValueError(f"graph is disconnected; use {_PER_COMPONENT}")
+    return _result(g.n, k, construct_mask(g.adj, g.full_mask, k))
 
 
 def bounded_sets_per_component(g: Graph, k: int) -> list[ComponentResult]:
@@ -229,7 +224,7 @@ def bounded_sets_per_component(g: Graph, k: int) -> list[ComponentResult]:
     for cm in component_masks(adj, g.full_mask):
         kind = exception_kind(adj, cm, k)
         if kind is NONE:
-            res = _result(cm.bit_count(), k, construct_mask(adj, [cm], k))
+            res = _result(cm.bit_count(), k, construct_mask(adj, cm, k))
             out.append(ComponentResult(set_of(cm), kind, res.set, res))
             continue
         forced = cm & -cm
@@ -245,19 +240,17 @@ def _result(n: int, k: int, built: tuple[int, list[_Record], int]) -> BoundResul
     return BoundResult(set=set_of(d), bound=n // (k + 1), trace=steps, depth=depth)
 
 
-def construct_mask(adj: Sequence[int], comps: list[int], k: int) -> tuple[int, list[_Record], int]:
-    """The work stack behind ``bounded_isolating_set``, on a non-exceptional
-    graph whose components are ``comps``: the verified set as a mask, the
-    trace as (tag, chosen mask) pairs and the depth of the piece tree.
+def construct_mask(adj: Sequence[int], root: int, k: int) -> tuple[int, list[_Record], int]:
+    """The work stack behind ``bounded_isolating_set``, on the root piece
+    ``root``: the verified set as a mask, the trace as (tag, chosen mask)
+    pairs and the depth of the piece tree.
 
-    Raises ``ValueError`` when ``comps`` holds two or more components; an
-    empty list is the 0-vertex graph, whose root piece is empty.  The caller
-    has already ruled out the two excluded shapes.  Raises ``AssertionError``
-    naming the rule and the piece when a step breaks the bound's budget.
+    The caller has already ruled out a disconnected root and the two excluded
+    shapes; the empty root is the 0-vertex graph.  A disconnected root is not
+    refused here, but at k = 1 one of the checks always fails on it.  Raises
+    ``AssertionError`` naming the rule and the piece when a step breaks the
+    bound's budget.
     """
-    if len(comps) > 1:
-        raise ValueError(f"graph is disconnected; use {_PER_COMPONENT}")
-    root = comps[0] if comps else 0
     d = 0
     deepest = 0
     trace: list[_Record] = []
@@ -280,7 +273,7 @@ def construct_mask(adj: Sequence[int], comps: list[int], k: int) -> tuple[int, l
                 "and spend k + 1 of its vertices per chosen vertex"
             )
         d |= chosen
-    if not _isolates(adj, root, d, k):
+    if not isolates(adj, root, d, k):
         raise AssertionError("construction broke its own guarantee; this is a bug")
     return d, trace, deepest
 
@@ -472,7 +465,7 @@ def _case_multi_link(
             _fact(cy_h.bit_count() == 1, "the leftover edge meets the 5-cycle once")
             d = yb | cy_h
 
-        _fact(_isolates(adj, piece, d, k), "terminal pattern must isolate")
+        _fact(isolates(adj, piece, d, k), "terminal pattern must isolate")
         return CASE1_SUB2, d, []
 
     # Subcase 3: k = 2 and the pivot side is a 5-cycle: cut out its three far
@@ -500,7 +493,7 @@ def _case_multi_link(
             "a 5-cycle remainder leaves eight vertices",
         )
         d = vb | v1b
-        _fact(_isolates(adj, piece, d, k), "terminal pattern must isolate")
+        _fact(isolates(adj, piece, d, k), "terminal pattern must isolate")
         return CASE1_SUB3, d, []
 
     return CASE1_SUB3, v3b, [rest_mask]

@@ -37,7 +37,9 @@ def build_cycle(n: int) -> Graph:
 def build_complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("a complete graph needs at least one vertex")
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    # Each row is every vertex but its own: no list of n(n-1)/2 edges.
+    full = (1 << n) - 1
+    return Graph(n, tuple(full ^ 1 << v for v in range(n)))
 
 
 def build_extremal(n: int, k: int) -> Graph:

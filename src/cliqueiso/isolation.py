@@ -292,6 +292,11 @@ def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, i
     minimum isolating set of their union as a mask, plus the node, prune and
     update counts summed over them.
 
+    It takes a list of components, not one, so that one pair of relabel
+    tables (``dcode`` and ``dclosed``, below), each as long as the host
+    graph, is shared by every component: allocating them per component made
+    3,000 disjoint 16-vertex components at k = 1 about 1.5× slower.
+
     Each component starts from ``greedy_mask``'s set as its incumbent.  A node
     branches on the closed neighbourhood N[C] of the first k-clique C of its
     residual in host labels, smallest vertex first; each tried vertex is

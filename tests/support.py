@@ -19,9 +19,9 @@ import hypothesis.strategies as st
 
 import cliqueiso.construct as construct
 from cliqueiso import Graph
-from cliqueiso.cliques import find_in_mask
+from cliqueiso.cliques import isolates
 from cliqueiso.generators import _tree_from_pruefer, pair_order
-from cliqueiso.graph import NONE, closed_mask, component_masks, exception_kind
+from cliqueiso.graph import NONE, component_masks, exception_kind
 
 from .pins import package_env
 
@@ -170,10 +170,7 @@ def piece_checked(entry: Callable[..., T], g: Graph, k: int) -> T:
             not d & ~piece and d.bit_count() <= piece.bit_count() // (k + 1),
             f"the set of {where} must lie inside it, within floor(n/(k+1))",
         )
-        construct._fact(
-            find_in_mask(adj, piece & ~closed_mask(adj, d), k) is None,
-            f"the set of {where} must isolate it",
-        )
+        construct._fact(isolates(adj, piece, d, k), f"the set of {where} must isolate it")
         done.append((piece, d))
     return out
 
@@ -313,6 +310,55 @@ def hubs(draw) -> Graph:
         coins = draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
         edges.update((min(hub, u), max(hub, u)) for u in range(g.n) if coins[u] and u != hub)
     return Graph.from_edges(g.n, sorted(edges))
+
+
+# The seed of ``planted``: the 5-cycle v a b c d (0-4), a vertex x (5) on v
+# and an edge h1 h2 (6, 7) with h1 on x and h2 on a.  At k = 2 it drives the
+# construction into Case1_Sub3 or Case1_Sub2, as its labels fall.
+PLANT_SEED = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 6), (6, 7), (7, 1))
+PLANT_SEED_N = 8
+
+
+def plant(parents: Sequence[int], hangs: Sequence[tuple[int, int]], perm: Sequence[int]) -> Graph:
+    """Copies of ``PLANT_SEED`` hung on a tree, then relabeled.
+
+    The tree has ``len(parents) + 1`` vertices, and vertex i > 0 hangs on
+    ``parents[i - 1]`` < i.  Copy j takes the next 8 labels after the tree
+    and hangs by one edge from tree vertex ``hangs[j][0]`` to its seed vertex
+    ``hangs[j][1]``.  Vertex u is then renamed ``perm[u]``.
+    """
+    host = len(parents) + 1
+    edges = [(p, i) for i, p in enumerate(parents, 1)]
+    for j, (at, seed_vertex) in enumerate(hangs):
+        base = host + PLANT_SEED_N * j
+        edges += [(base + u, base + v) for u, v in PLANT_SEED]
+        edges.append((at, base + seed_vertex))
+    return Graph.from_edges(len(perm), [(perm[u], perm[v]) for u, v in edges])
+
+
+def random_plant(rng: random.Random, host: int, copies: int) -> Graph:
+    """``plant`` with its tree, hangs and labels drawn from ``rng``."""
+    parents = [rng.randrange(i) for i in range(1, host)]
+    hangs = [(rng.randrange(host), rng.randrange(PLANT_SEED_N)) for _ in range(copies)]
+    perm = list(range(host + PLANT_SEED_N * copies))
+    rng.shuffle(perm)
+    return plant(parents, hangs, perm)
+
+
+@st.composite
+def planted(draw, max_host: int = 8, max_copies: int = 5) -> Graph:
+    """``plant`` on a drawn tree of at most ``max_host`` vertices, with one to
+    ``max_copies`` seeds and a drawn permutation of every label."""
+    host = draw(st.integers(min_value=1, max_value=max_host))
+    copies = draw(st.integers(min_value=1, max_value=max_copies))
+    parents = [draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, host)]
+    hang = st.tuples(
+        st.integers(min_value=0, max_value=host - 1),
+        st.integers(min_value=0, max_value=PLANT_SEED_N - 1),
+    )
+    hangs = draw(st.lists(hang, min_size=copies, max_size=copies))
+    perm = draw(st.permutations(range(host + PLANT_SEED_N * copies)))
+    return plant(parents, hangs, perm)
 
 
 def ks() -> st.SearchStrategy[int]:

@@ -1,11 +1,13 @@
 """Command-line front end: verbs, exit statuses, report contents, determinism."""
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -63,7 +65,7 @@ def run(capsys, argv):
     return code, reports, out.err
 
 
-def oversized(adj, comps, k):
+def oversized(adj, root, k):
     """A broken construction: one vertex over the bound, the lowest labels,
     which fail to isolate wherever a k-clique survives outside them."""
     bound = len(adj) // (k + 1)
@@ -820,7 +822,7 @@ class TestProcessLevel:
         assert out.stderr.splitlines()[-1] == "120"
         assert json.loads(out.stdout)["iota"] == 1
 
-    def test_installed_entry_point_round_trip(self, tmp_path):
+    def test_module_entry_point_round_trip(self, tmp_path):
         out = tmp_path / "g.edges"
         args = [sys.executable, "-m", "cliqueiso.cli", "gen", "random", "--n", "9",
                 "--p", "0.25", "--seed", "11", "--out", str(out)]
@@ -833,6 +835,17 @@ class TestProcessLevel:
         assert solve.returncode == 0
         rep = json.loads(solve.stdout)
         assert verify_isolating(read_graph(out), 2, rep["set"]).valid
+
+    def test_console_script_resolves_to_main(self):
+        """The ``cliqueiso`` script that an install would write calls
+        ``cliqueiso.cli.main``; nothing is built or installed here."""
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        if not pyproject.is_file():
+            pytest.skip("no pyproject.toml beside the tests")
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["cliqueiso"]
+        module, _, attr = target.partition(":")
+        assert getattr(importlib.import_module(module), attr) is main
 
     def test_reports_are_byte_identical_across_runs(self, tmp_path):
         out = tmp_path / "g.edges"

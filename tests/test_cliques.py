@@ -1,7 +1,8 @@
-"""Clique detection (``find_in_mask``) against naive combination scans."""
+"""Clique detection (``find_in_mask``) and the isolation test (``isolates``)
+against naive combination scans."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from cliqueiso import (
@@ -10,10 +11,17 @@ from cliqueiso import (
     build_path,
     verify_isolating,
 )
-from cliqueiso.cliques import find_in_mask
-from cliqueiso.graph import mask_of, set_of
+from cliqueiso.cliques import find_in_mask, isolates
+from cliqueiso.graph import bits, mask_of, set_of
 
-from .support import graphs, labeled_graphs, naive_k_cliques
+from .support import (
+    graphs,
+    ks,
+    labeled_graphs,
+    naive_closed_neighborhood,
+    naive_has_clique,
+    naive_k_cliques,
+)
 
 
 SMALL_GRAPHS = st.one_of(graphs(max_n=10), graphs(min_n=7, max_n=10, coin=True))
@@ -103,3 +111,23 @@ class TestFind:
             assert find_in_mask(g.adj, mask_of(range(6 - size, 6), 6), k) is None
         top = mask_of(range(6 - k, 6), 6)
         assert find_in_mask(g.adj, top, k) == top
+
+
+@st.composite
+def masked_graphs(draw):
+    """A G(n, 1/2) graph with two arbitrary vertex masks, ``within`` and ``d``."""
+    g = draw(graphs(coin=True))
+    masks = st.integers(min_value=0, max_value=g.full_mask)
+    return g, draw(masks), draw(masks)
+
+
+class TestIsolates:
+    # ``d`` may reach outside ``within``; its N[d] is removed all the same.
+    @given(masked_graphs(), ks())
+    @example((Graph(0, ()), 0, 0), 1)
+    @example((build_complete(4), 0, 0), 2)
+    def test_matches_the_naive_definition(self, drawn, k):
+        g, within, d = drawn
+        outside = set(range(g.n)) - set(bits(within))
+        removed = outside | naive_closed_neighborhood(g, list(bits(d)))
+        assert isolates(g.adj, within, d, k) is not naive_has_clique(g, k, removed)

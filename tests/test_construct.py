@@ -11,6 +11,7 @@ import json
 import random
 import subprocess
 import sys
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -48,6 +49,8 @@ from .support import (
     naive_components,
     package_env,
     piece_checked,
+    planted,
+    random_plant,
     write_corpus,
 )
 
@@ -227,6 +230,27 @@ class TestSweeps:
                 if classify_exception(g, k) is not ExceptionKind.NONE:
                     continue
                 assert_sound(g, k, piece_checked(bounded_isolating_set, g, k))
+
+
+class TestPlanted:
+    """Copies of an 8-vertex seed that drives the construction into its
+    rarest k = 2 rules, hung on a tree and relabeled (``support.plant``)."""
+
+    @given(planted())
+    @settings(max_examples=60)
+    def test_every_piece_checked(self, g):
+        assert_sound(g, 2, piece_checked(bounded_isolating_set, g, 2))
+
+    def test_fixed_seed_fires_case1_sub2_and_sub3(self):
+        rng = random.Random(30)
+        tags = Counter()
+        for _ in range(200):
+            g = random_plant(rng, host=20, copies=20)
+            res = piece_checked(bounded_isolating_set, g, 2)
+            assert len(res.set) <= res.bound == g.n // 3
+            tags.update(step.tag for step in res.trace)
+        assert tags[BranchTag.CASE1_SUB3] > 0
+        assert tags[BranchTag.CASE1_SUB2] > 0
 
 
 def _members(mask: int) -> set[int]:
