@@ -35,9 +35,9 @@ from .construct import (
     bounded_sets_per_component,
     construct_mask,
 )
-from .edgelist import MAX_VERTICES, format_edge_list, read_graph, write_graph
+from .edgelist import MAX_EDGES, MAX_VERTICES, format_edge_list, read_graph, write_graph
 from .generators import (
-    DEFAULT_ENUMERATION_CAP,
+    ENUMERATION_CAP,
     _connected,
     build_complete,
     build_cycle,
@@ -170,22 +170,45 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _EXIT_OK if cert.valid else _EXIT_INVALID
 
 
+def _gen_edges(args: argparse.Namespace) -> float:
+    """How many edges ``gen`` would write: at most n for a path or a cycle,
+    the expected count for ``random``, the exact count otherwise.  Arguments
+    that the builders refuse are clamped into range, so their count stays
+    small and the builder's own message is the one printed."""
+    n = max(args.n, 0)
+    if args.kind == "complete":
+        return n * (n - 1) / 2
+    if args.kind == "extremal":
+        k = max(args.k, 1)
+        blocks = n // (k + 1)
+        return n - k * blocks - 1 + blocks * k * (k + 1) / 2
+    if args.kind == "random":
+        return min(max(args.p, 0), 1) * (n * (n - 1) / 2 - n + 1) + n - 1
+    return n
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.n > MAX_VERTICES:
         return _fail(f"gen --n is capped at {MAX_VERTICES} vertices, got {args.n}")
-    params: dict = {}
-    if args.kind in _FAMILIES:
-        g = _FAMILIES[args.kind](args.n)
-    elif args.kind == "extremal":
-        if args.k is None:
-            return _fail("gen extremal requires --k")
-        g = build_extremal(args.n, args.k)
-        params = {"k": args.k}
-    else:  # random
+    if args.kind == "extremal" and args.k is None:
+        return _fail("gen extremal requires --k")
+    if args.kind == "random":
         if args.seed is None:
             return _fail("gen random requires an explicit --seed")
         if args.p is None:
             return _fail("gen random requires --p")
+    edges = _gen_edges(args)
+    if edges > MAX_EDGES:
+        return _fail(
+            f"gen {args.kind} would write about {edges:.0f} edges, above the limit of {MAX_EDGES}"
+        )
+    params: dict = {}
+    if args.kind in _FAMILIES:
+        g = _FAMILIES[args.kind](args.n)
+    elif args.kind == "extremal":
+        g = build_extremal(args.n, args.k)
+        params = {"k": args.k}
+    else:  # random
         g = gen_random_connected(args.n, args.p, args.seed)
         params = {"p": args.p, "seed": args.seed}
     write_graph(args.out, g)
@@ -332,7 +355,7 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
         return _fail(
             f"check-theorem --k-max must be at most --n-max {args.n_max}, got {args.k_max}"
         )
-    cap = DEFAULT_ENUMERATION_CAP if args.mode == "exhaustive" else MAX_VERTICES
+    cap = ENUMERATION_CAP if args.mode == "exhaustive" else MAX_VERTICES
     if args.n_max > cap:
         return _fail(
             f"check-theorem --mode {args.mode} caps --n-max at {cap} vertices, got {args.n_max}"
@@ -446,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--n-max",
         type=int,
         default=5,
-        help=f"largest vertex count (at most {DEFAULT_ENUMERATION_CAP} in exhaustive mode, "
+        help=f"largest vertex count (at most {ENUMERATION_CAP} in exhaustive mode, "
         f"{MAX_VERTICES} in random mode)",
     )
     p_check.add_argument("--k-max", type=int, default=3, help="largest clique size")

@@ -13,9 +13,10 @@ import heapq
 import random
 from typing import Iterator, Sequence
 
-from .graph import Graph, component_masks
+from .graph import Graph, bits, component_masks
 
-DEFAULT_ENUMERATION_CAP = 8
+# n = 9 has 36 vertex pairs, so 2^36 edge masks: no higher cap is usable.
+ENUMERATION_CAP = 8
 
 
 class EnumerationCapError(ValueError):
@@ -104,19 +105,17 @@ def gen_random_connected(n: int, p: float, seed: int) -> Graph:
         return Graph(1, (0,))
     tree = _tree_from_pruefer([rng.randrange(n) for _ in range(n - 2)], n)
     adj = [0] * n
-    # later[u]: u's tree neighbours v > u, the pairs (u, v) that take no draw
-    later: list[list[int]] = [[] for _ in range(n)]
     for u, v in tree:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        later[u].append(v)
     draw = rng.random
-    for u, stops in enumerate(later):
+    for u in range(n):
         ub = 1 << u
         start = u + 1
-        stops.sort()
-        stops.append(n)
-        for stop in stops:
+        # Row u's bits above u are still its tree neighbours: a draw for the
+        # pair (w, v), w < v, sets bit v of row w and bit w of row v, so no
+        # earlier row's draw sets a bit above u in row u.
+        for stop in [*bits(adj[u] >> start << start), n]:
             for v in range(start, stop):
                 if draw() < p:
                     adj[u] |= 1 << v
@@ -130,19 +129,17 @@ def pair_order(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def enumerate_connected(n: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Graph]:
+def enumerate_connected(n: int) -> Iterator[Graph]:
     """Every labeled connected graph on n vertices, in increasing edge-mask order.
 
-    ``n`` is checked against ``cap`` here, at the call, not on the first
-    ``next()``.  Each graph wraps the rows that ``_connected`` yields, so a
-    ``Graph`` is built and validated only for the connected masks.
+    ``n`` is checked against ``ENUMERATION_CAP`` here, at the call, not on the
+    first ``next()``.  Each graph wraps the rows that ``_connected`` yields, so
+    a ``Graph`` is built and validated only for the connected masks.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > cap:
-        raise EnumerationCapError(
-            f"enumeration cap is {cap} vertices, got {n}; raise cap= to override"
-        )
+    if n > ENUMERATION_CAP:
+        raise EnumerationCapError(f"enumeration cap is {ENUMERATION_CAP} vertices, got {n}")
     return (Graph(n, adj) for adj in _connected(n))
 
 

@@ -114,6 +114,10 @@ def oracle_scan(adj: Sequence[int], k: int) -> tuple[tuple[int, ...], int]:
     """
     n = len(adj)
     full = (1 << n) - 1
+    # The isolation tests are inline, not cliques.isolates: through it, the
+    # scans of the 82,413 non-excluded n <= 6, k <= 3 instances took 0.204 s
+    # against 0.153 s (process time, median of 9 alternated in-process runs,
+    # 2-core box, Python 3.11.7).
     if find_in_mask(adj, full, k) is None:
         return (), 1
     for v in range(n):

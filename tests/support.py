@@ -8,6 +8,7 @@ checked against straightforward code that shares none of their machinery.
 from __future__ import annotations
 
 import json
+import math
 import random
 import subprocess
 import sys
@@ -21,7 +22,7 @@ import cliqueiso.construct as construct
 from cliqueiso import Graph
 from cliqueiso.cliques import isolates
 from cliqueiso.generators import _tree_from_pruefer, pair_order
-from cliqueiso.graph import NONE, component_masks, exception_kind
+from cliqueiso.graph import NONE, bits, component_masks, exception_kind
 
 from .pins import package_env
 
@@ -103,6 +104,55 @@ def naive_domination(g: Graph) -> int:
             if covered == everyone:
                 return size
     raise AssertionError("unreachable")
+
+
+def tree_iota(adj: Sequence[int]) -> int:
+    """iota(T, 1), the domination number of the tree T with adjacency rows
+    ``adj``, by the three-state dynamic program of Cockayne, Goodman and
+    Hedetniemi (Inf. Process. Lett. 4, 1975), rooted at vertex 0 and run from
+    the leaves up in reverse BFS order, with no recursion.
+
+    For a vertex v and the subtree below it, each state counts the fewest
+    vertices of that subtree that dominate all of it but, in the last state,
+    v itself: ``taken``, v is in the set; ``covered``, v is not, but one of
+    its children is; ``free``, neither v nor any child is, so v's parent
+    must be.  ``covered`` is the sum ``both`` of each child's cheaper of
+    taken and covered, plus the least ``extra`` that makes one child taken.
+    """
+    n = len(adj)
+    if n == 0:
+        return 0
+    parent = [-1] * n
+    order = [0]
+    seen = 1
+    for v in order:
+        for u in bits(adj[v] & ~seen):
+            seen |= 1 << u
+            parent[u] = v
+            order.append(u)
+    if len(order) != n or sum(row.bit_count() for row in adj) != 2 * (n - 1):
+        raise ValueError("the rows are not a tree")
+    taken = [1] * n
+    free = [0] * n
+    both = [0] * n
+    extra = [math.inf] * n  # a leaf has no child to take
+    for v in reversed(order[1:]):
+        covered = both[v] + extra[v]
+        p = parent[v]
+        cheaper = min(taken[v], covered)
+        taken[p] += min(cheaper, free[v])
+        free[p] += covered
+        both[p] += cheaper
+        extra[p] = min(extra[p], taken[v] - cheaper)
+    return min(taken[0], both[0] + extra[0])
+
+
+def random_tree(rng: random.Random, n: int) -> Graph:
+    """A random recursive tree on n >= 1 vertices: vertex i > 0 joins a
+    uniform earlier vertex, and then every label is shuffled."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[rng.randrange(i)], perm[i]) for i in range(1, n)])
 
 
 def naive_components(g: Graph, within: Iterable[int] | None = None) -> list[set[int]]:
@@ -319,21 +369,39 @@ PLANT_SEED = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 6), (6, 7), (7
 PLANT_SEED_N = 8
 
 
+def hang(
+    host_n: int,
+    host_edges: Iterable[tuple[int, int]],
+    piece_n: int,
+    piece_edges: Sequence[tuple[int, int]],
+    links: Sequence[Iterable[tuple[int, int]]],
+    perm: Sequence[int],
+) -> Graph:
+    """Copies of a piece graph hung on a host graph, then relabeled.
+
+    The host has vertices 0..``host_n`` - 1.  Copy j of the piece, whose
+    vertices are 0..``piece_n`` - 1, takes the next ``piece_n`` labels and is
+    joined by the edges (a, b) of ``links[j]``: vertex a, a label below the
+    copy's (in the host or an earlier copy), to the copy's vertex b.  Vertex
+    u is then renamed ``perm[u]``.
+    """
+    edges = list(host_edges)
+    for j, joins in enumerate(links):
+        base = host_n + piece_n * j
+        edges += [(base + u, base + v) for u, v in piece_edges]
+        edges += [(a, base + b) for a, b in joins]
+    return Graph.from_edges(len(perm), [(perm[u], perm[v]) for u, v in edges])
+
+
 def plant(parents: Sequence[int], hangs: Sequence[tuple[int, int]], perm: Sequence[int]) -> Graph:
-    """Copies of ``PLANT_SEED`` hung on a tree, then relabeled.
+    """Copies of ``PLANT_SEED`` hung on a tree, then relabeled (``hang``).
 
     The tree has ``len(parents) + 1`` vertices, and vertex i > 0 hangs on
-    ``parents[i - 1]`` < i.  Copy j takes the next 8 labels after the tree
-    and hangs by one edge from tree vertex ``hangs[j][0]`` to its seed vertex
-    ``hangs[j][1]``.  Vertex u is then renamed ``perm[u]``.
+    ``parents[i - 1]`` < i.  Copy j hangs by one edge, from tree vertex
+    ``hangs[j][0]`` to its seed vertex ``hangs[j][1]``.
     """
-    host = len(parents) + 1
-    edges = [(p, i) for i, p in enumerate(parents, 1)]
-    for j, (at, seed_vertex) in enumerate(hangs):
-        base = host + PLANT_SEED_N * j
-        edges += [(base + u, base + v) for u, v in PLANT_SEED]
-        edges.append((at, base + seed_vertex))
-    return Graph.from_edges(len(perm), [(perm[u], perm[v]) for u, v in edges])
+    tree = [(p, i) for i, p in enumerate(parents, 1)]
+    return hang(len(parents) + 1, tree, PLANT_SEED_N, PLANT_SEED, [[h] for h in hangs], perm)
 
 
 def random_plant(rng: random.Random, host: int, copies: int) -> Graph:
@@ -352,13 +420,38 @@ def planted(draw, max_host: int = 8, max_copies: int = 5) -> Graph:
     host = draw(st.integers(min_value=1, max_value=max_host))
     copies = draw(st.integers(min_value=1, max_value=max_copies))
     parents = [draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, host)]
-    hang = st.tuples(
+    link = st.tuples(
         st.integers(min_value=0, max_value=host - 1),
         st.integers(min_value=0, max_value=PLANT_SEED_N - 1),
     )
-    hangs = draw(st.lists(hang, min_size=copies, max_size=copies))
+    hangs = draw(st.lists(link, min_size=copies, max_size=copies))
     perm = draw(st.permutations(range(host + PLANT_SEED_N * copies)))
     return plant(parents, hangs, perm)
+
+
+def random_gadget(rng: random.Random, k: int) -> Graph:
+    """One to three copies of K_k on a random connected core of one to four
+    vertices, with every label shuffled (``hang``).  Each copy hangs by one
+    to three distinct random edges on the graph before it: the core and the
+    earlier copies.  At k >= 3 these graphs reach Case2 and Case1_Sub2, which
+    the triangle-free ``PLANT_SEED`` cannot; hung on the core alone, the
+    copies never fired Case1_Sub2 at k = 4 in 2,000 graphs."""
+    core = rng.randint(1, 4)
+    edges = [(rng.randrange(i), i) for i in range(1, core)]
+    edges += [pair for pair in combinations(range(core), 2) if rng.random() < 0.5]
+    links = []
+    for j in range(rng.randint(1, 3)):
+        joins = [(a, b) for a in range(core + k * j) for b in range(k)]
+        links.append(rng.sample(joins, rng.randint(1, min(3, len(joins)))))
+    perm = list(range(core + k * len(links)))
+    rng.shuffle(perm)
+    return hang(core, edges, k, list(combinations(range(k), 2)), links, perm)
+
+
+def gadgets(k: int) -> st.SearchStrategy[Graph]:
+    """``random_gadget`` graphs for clique size ``k``, drawn through
+    Hypothesis so that a failure shrinks."""
+    return st.builds(random_gadget, st.randoms(use_true_random=False), st.just(k))
 
 
 def ks() -> st.SearchStrategy[int]:

@@ -84,7 +84,7 @@ def test_criterion_03_exhaustive_theorem_check():
     checked = 0
     for n in range(1, 7):
         seen = 0
-        for g in enumerate_connected(n, cap=6):
+        for g in enumerate_connected(n):
             seen += 1
             for k in (1, 2, 3):
                 if classify_exception(g, k) is not ExceptionKind.NONE:
@@ -97,18 +97,26 @@ def test_criterion_03_exhaustive_theorem_check():
     _banner(3, f"exhaustive n<=6: {checked} oracle checks, zero violations, <5min")
 
 
+def _assert_constructed(g, k) -> None:
+    """The construction on (g, k), every piece checked, returns a verified
+    isolating set within the floor that it reports as its bound, and its
+    trace's chosen vertices make up exactly that set."""
+    res = piece_checked(bounded_isolating_set, g, k)
+    assert verify_isolating(g, k, res.set).valid
+    assert len(res.set) <= res.bound == g.n // (k + 1)
+    assert {u for step in res.trace for u in step.chosen} == res.set
+
+
 def test_criterion_04_constructive_soundness():
     """The constructive routine returns a verified isolating set within the
     floor on the exhaustive corpus and on 1,000 seeded random graphs."""
     checked = 0
     for n in range(1, 7):
-        for g in enumerate_connected(n, cap=6):
+        for g in enumerate_connected(n):
             for k in (1, 2, 3):
                 if classify_exception(g, k) is not ExceptionKind.NONE:
                     continue
-                res = piece_checked(bounded_isolating_set, g, k)
-                assert verify_isolating(g, k, res.set).valid
-                assert len(res.set) * (k + 1) <= g.n
+                _assert_constructed(g, k)
                 checked += 1
     rng = random.Random(140822)
     for _ in range(1000):
@@ -117,9 +125,7 @@ def test_criterion_04_constructive_soundness():
         for k in (1, 2, 3):
             if classify_exception(g, k) is not ExceptionKind.NONE:
                 continue
-            res = piece_checked(bounded_isolating_set, g, k)
-            assert verify_isolating(g, k, res.set).valid
-            assert len(res.set) * (k + 1) <= g.n
+            _assert_constructed(g, k)
             checked += 1
     _banner(4, f"constructive sets verified on {checked} instances, zero failures")
 
@@ -161,7 +167,7 @@ def test_criterion_07_domination_equivalence():
     independent brute force) and stays within n/2 on all connected 2<=n<=6."""
     total = 0
     for n in range(2, 7):
-        for g in enumerate_connected(n, cap=6):
+        for g in enumerate_connected(n):
             gamma = naive_domination(g)
             assert iota_solve(g, 1).iota == gamma, g
             assert 2 * gamma <= g.n, g

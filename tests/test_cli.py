@@ -1,5 +1,6 @@
 """Command-line front end: verbs, exit statuses, report contents, determinism."""
 
+import argparse
 import hashlib
 import importlib
 import json
@@ -34,6 +35,7 @@ from cliqueiso import (
     write_graph,
 )
 from cliqueiso.cli import main
+from cliqueiso.edgelist import MAX_EDGES
 from cliqueiso.isolation import greedy_mask, oracle_scan
 
 from .pins import PINS, TIMING, failures, package_env
@@ -347,18 +349,51 @@ class TestGen:
         run(capsys, ["gen", "cycle", "--n", "9", "--out", out])
         assert read_graph(out).edges() == build_cycle(9).edges()
 
-    def test_vertex_count_above_cap_is_refused(self, capsys, monkeypatch, tmp_path):
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        """Every builder behind ``gen`` fails the test if it is called."""
+        def built(*args):
+            pytest.fail("a graph was built")
+
+        for kind in cli._FAMILIES:
+            monkeypatch.setitem(cli._FAMILIES, kind, built)
+        for name in ("build_extremal", "gen_random_connected"):
+            monkeypatch.setattr(cli, name, built)
+
+    def test_vertex_count_above_cap_is_refused(self, capsys, no_build, tmp_path):
         # gen never writes a file that read_graph would refuse, and refuses
         # before building anything: a graph at the cap is not cheap.
-        for name in ("build_path", "build_cycle", "build_complete", "build_extremal",
-                     "gen_random_connected"):
-            monkeypatch.setattr(cli, name, lambda *a: pytest.fail("a graph was built"))
         out = tmp_path / "p.edges"
         code, reports, err = run(capsys, ["gen", "path", "--n", "50001", "--out", str(out)])
         assert code == 2
         assert not reports
         assert "50000" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["complete", "--n", "2001"],
+        # one block of 49,999 joined to the one path vertex: K_50000
+        ["extremal", "--n", "50000", "--k", "49999"],
+        # at p = 1 the expected count is exact: the 2,001,000 pairs of K_2001
+        ["random", "--n", "2001", "--p", "1", "--seed", "1"],
+    ])
+    def test_edge_count_above_cap_is_refused(self, capsys, no_build, tmp_path, argv):
+        out = tmp_path / "g.edges"
+        code, reports, err = run(capsys, ["gen", *argv, "--out", str(out)])
+        assert code == 2
+        assert not reports
+        assert str(MAX_EDGES) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 30])
+    def test_edge_count_is_the_builders(self, n):
+        def count(kind, **params):
+            return cli._gen_edges(argparse.Namespace(kind=kind, n=n, **params))
+
+        assert count("complete") == build_complete(n).edge_count
+        assert count("random", p=1) == gen_random_connected(n, 1, n).edge_count
+        for k in range(1, n + 2):
+            assert count("extremal", k=k) == build_extremal(n, k).edge_count
 
 
 class TestCheckTheorem:
@@ -846,27 +881,6 @@ class TestProcessLevel:
         target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["cliqueiso"]
         module, _, attr = target.partition(":")
         assert getattr(importlib.import_module(module), attr) is main
-
-    def test_reports_are_byte_identical_across_runs(self, tmp_path):
-        out = tmp_path / "g.edges"
-        gen = [sys.executable, "-m", "cliqueiso.cli", "gen", "random", "--n", "10",
-               "--p", "0.3", "--seed", "3", "--out", str(out)]
-        outputs = set()
-        files = set()
-        for _ in range(2):
-            r = subprocess.run(gen, capture_output=True)
-            s = subprocess.run(
-                [sys.executable, "-m", "cliqueiso.cli", "solve", str(out), "--k", "2"],
-                capture_output=True,
-            )
-            b = subprocess.run(
-                [sys.executable, "-m", "cliqueiso.cli", "bound", str(out), "--k", "2"],
-                capture_output=True,
-            )
-            outputs.add(r.stdout + s.stdout + b.stdout)
-            files.add(out.read_bytes())
-        assert len(outputs) == 1
-        assert len(files) == 1
 
     def test_closed_stdout_exits_as_sigpipe_without_a_message(self, tmp_path):
         read, write = os.pipe()

@@ -46,10 +46,12 @@ from .pins import bound_record, trace_record
 from .support import (
     connected_graphs,
     disjoint_union,
+    gadgets,
     naive_components,
     package_env,
     piece_checked,
     planted,
+    random_gadget,
     random_plant,
     write_corpus,
 )
@@ -195,15 +197,6 @@ class TestBranches:
 
 
 class TestSweeps:
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_exhaustive_small_connected(self, k):
-        for n in range(1, 6):
-            for g in enumerate_connected(n, cap=5):
-                if classify_exception(g, k) is not ExceptionKind.NONE:
-                    continue
-                res = piece_checked(bounded_isolating_set, g, k)
-                assert_sound(g, k, res)
-
     @given(connected_graphs(min_n=1, max_n=9), st.integers(min_value=1, max_value=3))
     @settings(max_examples=80)
     def test_arbitrary_connected_instances(self, g, k):
@@ -250,6 +243,30 @@ class TestPlanted:
             assert len(res.set) <= res.bound == g.n // 3
             tags.update(step.tag for step in res.trace)
         assert tags[BranchTag.CASE1_SUB3] > 0
+        assert tags[BranchTag.CASE1_SUB2] > 0
+
+
+class TestGadgets:
+    """Copies of K_k hung on a small core (``support.random_gadget``), which
+    drive the construction into Case2 and Case1_Sub2 at k = 3 and 4."""
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_every_piece_checked(self, k, data):
+        g = data.draw(gadgets(k))
+        assert_sound(g, k, piece_checked(bounded_isolating_set, g, k))
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_fixed_seed_fires_case2_and_case1_sub2(self, k):
+        rng = random.Random(31)
+        tags = Counter()
+        for _ in range(2000):
+            g = random_gadget(rng, k)
+            res = piece_checked(bounded_isolating_set, g, k)
+            assert len(res.set) <= res.bound == g.n // (k + 1)
+            tags.update(step.tag for step in res.trace)
+        assert tags[BranchTag.CASE2] > 0
         assert tags[BranchTag.CASE1_SUB2] > 0
 
 

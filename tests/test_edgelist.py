@@ -1,11 +1,15 @@
 """Edge-list file format: parsing, canonical output, and error reporting."""
 
+import sys
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
 from cliqueiso import (
     EdgeListError,
     Graph,
+    build_complete,
     build_cycle,
     format_edge_list,
     parse_edge_list,
@@ -79,7 +83,9 @@ class TestFormat:
 
     @given(graphs(max_n=8))
     def test_round_trip(self, g):
-        back = parse_edge_list(format_edge_list(g))
+        text = format_edge_list(g)
+        assert text == f"{g.n} {g.edge_count}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+        back = parse_edge_list(text)
         assert back.n == g.n
         assert back.edges() == g.edges()
 
@@ -90,6 +96,22 @@ class TestFiles:
         g = build_cycle(6)
         write_graph(path, g)
         assert read_graph(path).edges() == g.edges()
+
+    def test_write_holds_one_chunk_of_text_at_a_time(self, tmp_path):
+        # K_300's rows take 19.2 KB and its text 326 KB.  Joining a list of
+        # every edge line peaked at 6.05 MB traced; in chunks of 256 lines,
+        # the peak is one chunk and the file buffer.
+        g = build_complete(300)
+        rows = sum(sys.getsizeof(row) for row in g.adj)
+        path = tmp_path / "k300.edges"
+        tracemalloc.start()
+        try:
+            write_graph(path, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * rows + 64_000
+        assert path.read_text() == format_edge_list(g)
 
     def test_read_accepts_str_paths(self, tmp_path):
         path = tmp_path / "g.edges"

@@ -216,7 +216,7 @@ class TestEnumeration:
         for adj in rows:
             assert type(adj) is tuple
             assert len(naive_components(Graph(n, adj))) == 1
-        assert [g.adj for g in enumerate_connected(n, cap=6)] == rows
+        assert [g.adj for g in enumerate_connected(n)] == rows
 
     def test_connectivity_filter_matches_naive_check(self):
         expected = [
@@ -249,5 +249,5 @@ class TestEnumeration:
             enumerate_connected(0)
 
     def test_cap_refusal_names_the_cap(self):
-        with pytest.raises(EnumerationCapError, match="6"):
-            enumerate_connected(7, cap=6)
+        with pytest.raises(EnumerationCapError, match="^enumeration cap is 8 vertices, got 9$"):
+            enumerate_connected(9)

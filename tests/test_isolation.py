@@ -51,7 +51,10 @@ from .support import (
     naive_iota,
     naive_is_isolating,
     naive_k_cliques,
+    planted,
+    random_tree,
     run_at_low_recursion_limit,
+    tree_iota,
     write_corpus,
 )
 
@@ -232,7 +235,7 @@ class TestSolver:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_exhaustive_small_graphs_match_oracle(self, k):
         for n in range(1, 6):
-            for g in enumerate_connected(n, cap=5):
+            for g in enumerate_connected(n):
                 assert iota_solve(g, k).iota == iota_oracle(g, k).iota, g
 
     @given(SOLVER_GRAPHS, st.integers(min_value=1, max_value=3))
@@ -566,16 +569,25 @@ class TestRelabeling:
     graphs go up to 14 vertices: at 9 a settle that skips its last candidate
     went unseen in 80 draws, and at 14 it failed on every seed tried."""
 
-    @given(connected_graphs(max_n=14), st.integers(min_value=1, max_value=3), st.data())
-    @settings(max_examples=80)
-    def test_iota_and_the_bound_survive_a_relabeling(self, g, k, data):
-        perm = data.draw(st.permutations(range(g.n)))
+    @staticmethod
+    def check(g: Graph, k: int, perm: list[int]) -> None:
         h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
         iota = iota_solve(g, k).iota
         assert iota_solve(h, k).iota == iota
         if classify_exception(g, k) is ExceptionKind.NONE:
             for labeled in (g, h):
                 assert iota <= len(bounded_isolating_set(labeled, k).set) <= g.n // (k + 1)
+
+    @given(connected_graphs(max_n=14), st.integers(min_value=1, max_value=3), st.data())
+    @settings(max_examples=80)
+    def test_iota_and_the_bound_survive_a_relabeling(self, g, k, data):
+        self.check(g, k, data.draw(st.permutations(range(g.n))))
+
+    @given(planted(max_host=4, max_copies=2), st.data())
+    @settings(max_examples=30)
+    def test_planted_graphs_survive_a_relabeling(self, g, data):
+        # planted graphs reach Case1_Sub2 and Case1_Sub3 at k = 2 (TestPlanted)
+        self.check(g, 2, data.draw(st.permutations(range(g.n))))
 
 
 class TestTightGraphsAtK1:
@@ -639,6 +651,40 @@ class TestTreeCensusAtK1:
                 if corona:
                     tight[n] = tight.get(n, 0) + 1
         assert tight == {2: 1, 4: 1, 6: 1, 8: 2, 10: 3, 12: 6, 14: 11}
+
+
+class TestTreeIota:
+    """``support.tree_iota``, the domination dynamic program on trees: an
+    exact iota at k = 1 at sizes that neither the solver nor the oracle
+    reaches, checked against both where they do."""
+
+    @given(st.data())
+    def test_matches_the_subset_scan(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=10))
+        parents = [data.draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, n)]
+        perm = data.draw(st.permutations(range(n)))
+        g = Graph.from_edges(n, [(perm[p], perm[i]) for i, p in enumerate(parents, 1)])
+        assert tree_iota(g.adj) == naive_iota(g, 1)
+
+    def test_matches_the_solver(self):
+        rng = random.Random(10)
+        for _ in range(300):
+            g = random_tree(rng, rng.randint(1, 30))
+            assert tree_iota(g.adj) == iota_solve(g, 1).iota
+
+    def test_paths_need_a_third(self):
+        for n in range(1, 61):
+            assert tree_iota(build_path(n).adj) == -(-n // 3)
+
+    def test_refuses_rows_that_are_no_tree(self):
+        for g in (build_cycle(4), disjoint_union([build_path(2), build_path(1)])):
+            with pytest.raises(ValueError, match="not a tree"):
+                tree_iota(g.adj)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_construction_between_iota_and_the_bound_at_2000(self, seed):
+        g = random_tree(random.Random(seed), 2000)
+        assert tree_iota(g.adj) <= len(bounded_isolating_set(g, 1).set) <= 1000
 
 
 GOLDEN = Path(__file__).with_name("golden_solve.json")
