@@ -8,10 +8,11 @@ with fixed inputs and seeds is byte-identical; the verbs that read a graph
 file share one header (command, input, n, m, k).  Timings are kept out
 of the reports and go to stderr: ``solve`` writes one line of search counters,
 ``bound`` one line with the construction's step count, piece-tree depth and
-branch-tag histogram, and ``check-theorem`` per-row stats, the same histogram
-among them, and progress.  Exit status: 0 success or valid, 1 invalid
-verification, 2 input error, 3 bound violation found, 141 (128 + SIGPIPE)
-when the reader of stdout closed it early.
+branch-tag histogram, both with the seconds spent reading the graph file, and
+``check-theorem`` per-row stats, the same histogram among them, and progress.
+Exit status: 0 success or valid, 1 invalid verification, 2 input error, 3
+bound violation found, 141 (128 + SIGPIPE) when the reader of stdout closed it
+early.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .generators import (
     gen_random_connected,
 )
 from .graph import NONE, Graph, exception_kind
-from .isolation import DEFAULT_ORACLE_CAP, iota_solve, oracle_scan, solve_mask, verify_isolating
+from .isolation import ORACLE_CAP, iota_solve, oracle_scan, solve_mask, verify_isolating
 
 _EXIT_OK = 0
 _EXIT_INVALID = 1
@@ -101,21 +102,30 @@ def _tag_fields(counts: Mapping[str, int]) -> str:
     return " ".join(f"{tag.value}={counts[tag.value]}" for tag in BranchTag)
 
 
-def _bound_stats(results: list[BoundResult], start: float) -> None:
+def _read_timed(path: str) -> tuple[Graph, float]:
+    """``read_graph(path)`` and the seconds it took, parsing and ``Graph``
+    validation included."""
+    start = time.perf_counter()
+    g = read_graph(path)
+    return g, time.perf_counter() - start
+
+
+def _bound_stats(results: list[BoundResult], read_s: float, start: float) -> None:
     """One stderr line: the number of construction steps over ``results``,
-    the deepest piece tree among them, and how many steps each rule produced,
-    in ``BranchTag`` order."""
+    the deepest piece tree among them, how many steps each rule produced, in
+    ``BranchTag`` order, then the seconds spent reading the graph and since
+    ``start``."""
     counts = Counter(st.tag.value for res in results for st in res.trace)
     depth = max((res.depth for res in results), default=0)
     print(
         f"bound: trace_steps={counts.total()} depth={depth} {_tag_fields(counts)} "
-        f"elapsed_s={time.perf_counter() - start:.3f}",
+        f"read_s={read_s:.3f} elapsed_s={time.perf_counter() - start:.3f}",
         file=sys.stderr,
     )
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    g = read_graph(args.path)
+    g, read_s = _read_timed(args.path)
     rep = iota_solve(g, args.k)
     cert = verify_isolating(g, args.k, rep.optimal_set)
     _report(
@@ -124,14 +134,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
     )
     print(
         f"solve: nodes={rep.nodes_expanded} bound_prunes={rep.bound_prunes} "
-        f"incumbent_updates={rep.incumbent_updates} elapsed_s={rep.elapsed:.3f}",
+        f"incumbent_updates={rep.incumbent_updates} read_s={read_s:.3f} "
+        f"elapsed_s={rep.elapsed:.3f}",
         file=sys.stderr,
     )
     return _EXIT_OK
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    g = read_graph(args.path)
+    g, read_s = _read_timed(args.path)
     start = time.perf_counter()
     if args.per_component:
         parts = bounded_sets_per_component(g, args.k)
@@ -147,14 +158,14 @@ def cmd_bound(args: argparse.Namespace) -> int:
             for c in parts
         ]
         _report(args, g, per_component=True, components=components)
-        _bound_stats([c.result for c in parts if c.result], start)
+        _bound_stats([c.result for c in parts if c.result], read_s, start)
         return _EXIT_OK
     res = bounded_isolating_set(g, args.k)
     _report(
         args, g, size=len(res.set), bound=res.bound, set=sorted(res.set), valid=True,
         trace=_trace_json(res.trace),
     )
-    _bound_stats([res], start)
+    _bound_stats([res], read_s, start)
     return _EXIT_OK
 
 
@@ -211,6 +222,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     else:  # random
         g = gen_random_connected(args.n, args.p, args.seed)
         params = {"p": args.p, "seed": args.seed}
+    if g.edge_count > MAX_EDGES:  # a random draw above its expected count
+        return _fail(f"gen {args.kind} drew {g.edge_count} edges, above the limit of {MAX_EDGES}")
     write_graph(args.out, g)
     _emit(
         {
@@ -226,7 +239,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _check_chunk(
-    chunk: list[tuple[int, ...]], ks: range, oracle_cap: int
+    chunk: list[tuple[int, ...]], ks: range
 ) -> list[tuple[tuple[int, ...], int, int | None, list, list[str]]]:
     """Check every instance (adj, k) for the adjacency rows adj of each graph
     in ``chunk`` and k in ``ks``, in corpus order (graph by graph, then k by
@@ -245,7 +258,8 @@ def _check_chunk(
 
     Each stage runs over every instance of the chunk before the next starts:
     the classification; the kernels behind ``iota_solve``,
-    ``bounded_isolating_set`` and ``iota_oracle``; then the checks.  Only a
+    ``bounded_isolating_set`` and ``iota_oracle``, the last only for graphs
+    of at most ``ORACLE_CAP`` vertices; then the checks.  Only a
     construction failure is caught, per instance; any other exception ends
     the chunk, and no finding of it is returned.
     """
@@ -265,7 +279,7 @@ def _check_chunk(
         except Exception as exc:  # a construction crash is a finding, not a CLI crash
             built.append((0, [], f"construction failed: {exc}"))
     oracle = [
-        len(oracle_scan(adj, k)[0]) if len(adj) <= oracle_cap else None for adj, _, k in solved
+        len(oracle_scan(adj, k)[0]) if len(adj) <= ORACLE_CAP else None for adj, _, k in solved
     ]
     outcomes = zip(bests, built, oracle)
     findings = []
@@ -325,7 +339,7 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
     record's edge list.  An instance is a violation when the solver's iota
     exceeds the bound or the iota of the same graph at k - 1, the solver's
     set does not isolate, the constructed set does not isolate, exceeds the
-    bound or could not be built, or, up to ``--oracle-cap`` vertices, the
+    bound or could not be built, or, up to ``ORACLE_CAP`` vertices, the
     oracle finds another iota; its record lists every problem found.  A
     batch is read ``CHUNK`` graphs at a time: ``_check_chunk`` checks each
     chunk whole and returns one finding per instance, and this verb then
@@ -345,7 +359,6 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
         ("--n-max", args.n_max, 1),
         ("--k-max", args.k_max, 1),
         ("--count", args.count, 0),
-        ("--oracle-cap", args.oracle_cap, 0),
     ):
         if value is not None and value < low:
             return _fail(f"check-theorem {flag} must be at least {low}, got {value}")
@@ -382,7 +395,7 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
         tags = {k: dict.fromkeys((tag.value for tag in BranchTag), 0) for k in ks}
         seen = n_seen = 0
         while chunk := list(islice(graphs, CHUNK)):
-            for adj, k, iota, trace, problems in _check_chunk(chunk, ks, args.oracle_cap):
+            for adj, k, iota, trace, problems in _check_chunk(chunk, ks):
                 if iota is None:
                     exceptional[k] += 1
                 elif iota > max_iota[k]:
@@ -475,13 +488,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--k-max", type=int, default=3, help="largest clique size")
     p_check.add_argument("--count", type=int, help="instances (random mode)")
     p_check.add_argument("--seed", type=int, help="RNG seed (random mode; required)")
-    p_check.add_argument(
-        "--oracle-cap",
-        type=int,
-        default=DEFAULT_ORACLE_CAP,
-        help="cross-check the solver against the subset oracle up to this size "
-        f"(default {DEFAULT_ORACLE_CAP})",
-    )
     p_check.set_defaults(func=cmd_check_theorem)
     return parser
 

@@ -1,16 +1,17 @@
 """The plain-text edge-list format the CLI reads and writes.
 
 A file is a header line ``n m`` followed by exactly m lines ``u v`` with
-0 <= u < v < n, where n is at most ``MAX_VERTICES``.  Blank lines and ``#``
-comments are ignored.  Writing is canonical (edges sorted ascending), so
-parse/write round-trips are bit-exact on canonical files.
+0 <= u < v < n, where n is at most ``MAX_VERTICES`` and m at most
+``MAX_EDGES``.  Blank lines and ``#`` comments are ignored.  Writing is
+canonical (edges sorted ascending), so parse/write round-trips are bit-exact
+on canonical files.
 """
 
 from __future__ import annotations
 
 from itertools import islice
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .graph import Graph, bits
 
@@ -20,11 +21,11 @@ from .graph import Graph, bits
 # centred on the last vertex about n^2/8 (310 MB).  Without the cap a short
 # file could ask for any amount of memory.
 MAX_VERTICES = 50_000
-# Most edges ``gen`` may write, so that ``read_graph`` can read the file back:
-# parsing holds the text and its split lines at once, about 80 bytes per edge
-# line.  K_2000's 1,999,000 edges read back in 2.7 s, the process peaking at
-# 174 MB RSS, about what the rows of a path at MAX_VERTICES take (2-core box,
-# Python 3.11.7).  ``gen complete --n 50000`` would ask for 1,249,975,000.
+# Most edges a header may declare and ``gen`` may write.  ``read_graph`` holds
+# the rows and one line at a time, but spends about 1.4 us per edge line:
+# K_2000's 1,999,000 edge lines read in 2.7-3.0 s, the process peaking at
+# 16 MB RSS (170 MB while the whole text and its split lines were held; 2-core
+# box, Python 3.11.7).  ``gen complete --n 50000`` would ask for 1,249,975,000.
 MAX_EDGES = 2_000_000
 
 
@@ -37,11 +38,17 @@ class EdgeListError(ValueError):
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse edge-list text into a graph, rejecting malformed input loudly.
+    """Parse edge-list text into a graph, rejecting malformed input loudly."""
+    return _parse(text.splitlines())
 
-    The adjacency rows are built as the lines are read; ``Graph`` still
-    validates them."""
-    lines = enumerate(text.splitlines(), start=1)
+
+def _parse(source: Iterable[str]) -> Graph:
+    """The graph of the edge-list lines ``source``, read once, in order.
+
+    The adjacency rows are built as the lines are read and no line is kept,
+    so beside the rows only the current line is held; ``Graph`` still
+    validates the rows."""
+    lines = enumerate(source, start=1)
     for lineno, raw in lines:
         fields = raw.split("#", 1)[0].split()
         if fields:
@@ -60,6 +67,8 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListError(
             f"header declares {n} vertices, above the limit of {MAX_VERTICES}", lineno
         )
+    if m > MAX_EDGES:
+        raise EdgeListError(f"header declares {m} edges, above the limit of {MAX_EDGES}", lineno)
     adj = [0] * n
     count = 0
     for lineno, raw in lines:
@@ -103,7 +112,12 @@ def format_edge_list(g: Graph) -> str:
 
 
 def read_graph(path: str | Path) -> Graph:
-    return parse_edge_list(Path(path).read_text())
+    """``parse_edge_list`` of the file at ``path``, read line by line.  A line
+    ends at a line feed, a carriage return or the two together (universal
+    newlines), not at the other breaks ``str.splitlines`` knows, such as a
+    form feed."""
+    with open(path) as f:
+        return _parse(f)
 
 
 def write_graph(path: str | Path, g: Graph) -> None:

@@ -25,7 +25,7 @@ from .graph import (
     set_of,
 )
 
-DEFAULT_ORACLE_CAP = 20
+ORACLE_CAP = 20
 
 
 class OracleCapError(ValueError):
@@ -83,18 +83,17 @@ def verify_isolating(g: Graph, k: int, candidate: Iterable[int]) -> IsolationCer
     )
 
 
-def iota_oracle(g: Graph, k: int, *, cap: int = DEFAULT_ORACLE_CAP) -> SolveReport:
+def iota_oracle(g: Graph, k: int) -> SolveReport:
     """Exact isolation number by scanning subsets in increasing size.
 
     Within each size, subsets are tried in lexicographic order and the first
     that verifies is returned, so the reported set is canonical.  Refuses
-    graphs larger than ``cap`` vertices.
+    graphs of more than ``ORACLE_CAP`` vertices, a fixed limit: the scan may
+    test all 2^n subsets.
     """
     require_k(k)
-    if g.n > cap:
-        raise OracleCapError(
-            f"oracle cap is {cap} vertices, got {g.n}; raise cap= to override"
-        )
+    if g.n > ORACLE_CAP:
+        raise OracleCapError(f"oracle cap is {ORACLE_CAP} vertices, got {g.n}")
     start = time.perf_counter()
     combo, tested = oracle_scan(g.adj, k)
     return SolveReport(

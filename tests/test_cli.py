@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -39,7 +40,10 @@ from cliqueiso.edgelist import MAX_EDGES
 from cliqueiso.isolation import greedy_mask, oracle_scan
 
 from .pins import PINS, TIMING, failures, package_env
-from .support import disjoint_union, labeled_graphs, naive_components, run_at_low_recursion_limit
+from .support import (
+    disjoint_union, labeled_graphs, naive_components, random_gadget, random_plant,
+    run_at_low_recursion_limit,
+)
 
 # check-theorem's chunk sizes that the record and stats tests run at: one that
 # ends chunks inside a batch at every n >= 4, and the default.
@@ -121,7 +125,7 @@ class TestSolve:
         assert hashlib.sha256(out.out.encode()).hexdigest() == pin.sha256
         fields = stats_line(out.err, "solve")
         assert [key for key, _ in fields] == [
-            "nodes", "bound_prunes", "incumbent_updates", "elapsed_s",
+            "nodes", "bound_prunes", "incumbent_updates", "read_s", "elapsed_s",
         ]
         stats = {key: float(value) for key, value in fields}
         rep = json.loads(out.out)
@@ -185,7 +189,7 @@ class TestBound:
         assert code == 0
         fields = stats_line(err, "bound")
         assert [key for key, _ in fields] == (
-            ["trace_steps", "depth"] + [tag.value for tag in BranchTag] + ["elapsed_s"]
+            ["trace_steps", "depth"] + [tag.value for tag in BranchTag] + ["read_s", "elapsed_s"]
         )
         stats = dict(fields)
         trace = reports[0]["trace"]
@@ -314,7 +318,7 @@ class TestGen:
         assert reports[0]["m"] == 8
         g = read_graph(out)
         assert g.n == 7 and g.edge_count == 8
-        text = open(out).read()
+        text = Path(out).read_text()
         body = [ln for ln in text.splitlines()[1:] if ln and not ln.startswith("#")]
         assert body == sorted(body, key=lambda ln: tuple(map(int, ln.split())))
 
@@ -322,7 +326,7 @@ class TestGen:
         out = str(tmp_path / "k1.edges")
         code, reports, _ = run(capsys, ["gen", "complete", "--n", "1", "--out", out])
         assert code == 0
-        assert open(out).read() == "1 0\n"
+        assert Path(out).read_text() == "1 0\n"
 
     def test_random_requires_seed_and_p(self, capsys, tmp_path):
         out = str(tmp_path / "r.edges")
@@ -337,7 +341,7 @@ class TestGen:
             code, _, _ = run(capsys, ["gen", "random", "--n", "8", "--p", "0.2",
                                       "--seed", "42", "--out", out])
             assert code == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_extremal_requires_k(self, capsys, tmp_path):
         code, _, err = run(capsys, ["gen", "extremal", "--n", "7",
@@ -384,6 +388,22 @@ class TestGen:
         assert not reports
         assert str(MAX_EDGES) in err
         assert not out.exists()
+
+    def test_random_draw_above_cap_is_refused(self, capsys, monkeypatch, tmp_path):
+        # The check before building reads the expected count; a draw above it
+        # must still not write a file that read_graph would refuse.  At n = 8
+        # and p = 0.14 the expected count is 9.94, and seed 0 draws 12 edges.
+        monkeypatch.setattr(cli, "MAX_EDGES", 10)
+        out = tmp_path / "r.edges"
+        argv = ["gen", "random", "--n", "8", "--p", "0.14", "--out", str(out)]
+        code, reports, err = run(capsys, [*argv, "--seed", "0"])
+        assert code == 2
+        assert not reports
+        assert "drew 12 edges, above the limit of 10" in err
+        assert not out.exists()
+        code, reports, _ = run(capsys, [*argv, "--seed", "1"])
+        assert code == 0
+        assert reports[0]["m"] == 10
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 30])
     def test_edge_count_is_the_builders(self, n):
@@ -461,7 +481,6 @@ class TestCheckTheorem:
         (["--mode", "random", "--seed", "1", "--count", "5", "--n-max", "0"], "--n-max"),
         (["--mode", "random", "--seed", "1", "--count", "5", "--k-max", "-1"], "--k-max"),
         (["--mode", "random", "--seed", "1", "--count", "-1"], "--count"),
-        (["--oracle-cap", "-1"], "--oracle-cap"),
     ])
     def test_out_of_range_counts_name_the_flag(self, capsys, argv, flag):
         code, reports, err = run(capsys, ["check-theorem", *argv])
@@ -580,10 +599,11 @@ class TestCheckTheorem:
             return best | (best + 1) & ~best, *counts
 
         monkeypatch.setattr(cli, "solve_mask", grows_at_two)
+        monkeypatch.setattr(cli, "ORACLE_CAP", 0)
         for chunk in CHUNKS:
             monkeypatch.setattr(cli, "CHUNK", chunk)
             code, reports, _ = run(capsys, ["check-theorem", "--mode", "exhaustive",
-                                            "--n-max", "4", "--k-max", "3", "--oracle-cap", "0"])
+                                            "--n-max", "4", "--k-max", "3"])
             assert code == 3
             records = [rep for rep in reports if rep.get("violation")]
             # Every instance at k = 2 with a solved k = 1 instance beside it:
@@ -613,6 +633,7 @@ class TestCheckTheorem:
             return best | (best + 1) & ~best, *counts
 
         monkeypatch.setattr(cli, "solve_mask", grows_at_three)
+        monkeypatch.setattr(cli, "ORACLE_CAP", 0)
         expected = {}
         for g in (g for n in range(2, 6) for g in enumerate_connected(n)):
             if classify_exception(g, 3) is not ExceptionKind.NONE:
@@ -627,7 +648,7 @@ class TestCheckTheorem:
         for chunk in CHUNKS:
             monkeypatch.setattr(cli, "CHUNK", chunk)
             code, reports, _ = run(capsys, ["check-theorem", "--mode", "exhaustive",
-                                            "--n-max", "5", "--k-max", "3", "--oracle-cap", "0"])
+                                            "--n-max", "5", "--k-max", "3"])
             assert code == 3
             records = [rep for rep in reports if rep.get("violation")]
             assert {rep["k"] for rep in records} == {3}
@@ -731,12 +752,30 @@ class TestCheckTheorem:
             g.adj for g in labeled_graphs(6) if g.n and len(naive_components(g)) > 1
         ]
         assert len(disconnected) == 1 + 4 + 26 + 296 + 6064
-        findings = cli._check_chunk(disconnected, range(1, 4), cli.DEFAULT_ORACLE_CAP)
+        findings = cli._check_chunk(disconnected, range(1, 4))
         assert [adj for adj, k, *_ in findings if k == 1] == disconnected
         for adj, k, iota, trace, problems in findings:
             if k == 1:
                 assert trace == []
                 assert any(p.startswith("construction failed: ") for p in problems), adj
+
+    def test_planted_corpus_agrees_on_every_route(self):
+        # The proof's rare rules, checked by the solver, the construction and
+        # the oracle together: fixed-seed planted graphs (support.plant) fire
+        # Case1_Sub3 and Case1_Sub2 at k = 2, and K_k gadgets fire Case1_Sub2
+        # at k = 3 and 4.  Every graph is small enough for the oracle.
+        rng = random.Random(32)
+        planted = [random_plant(rng, rng.randint(1, 4), rng.randint(1, 2)).adj for _ in range(100)]
+        gadgets = [random_gadget(rng, k).adj for k in (3, 4) for _ in range(100)]
+        assert max(len(adj) for adj in planted + gadgets) <= cli.ORACLE_CAP
+        fired = Counter()
+        for name, corpus in (("planted", planted), ("gadget", gadgets)):
+            for adj, k, iota, trace, problems in cli._check_chunk(corpus, range(1, 5)):
+                assert problems == [], (name, adj, k)
+                fired.update((name, k, tag) for tag, _ in trace)
+        for rule in [("planted", 2, BranchTag.CASE1_SUB3), ("planted", 2, BranchTag.CASE1_SUB2),
+                     ("gadget", 3, BranchTag.CASE1_SUB2), ("gadget", 4, BranchTag.CASE1_SUB2)]:
+            assert fired[rule] > 0, rule
 
     def test_stats_and_progress_go_to_stderr(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "PROGRESS_EVERY", 10)

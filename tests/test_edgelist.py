@@ -17,7 +17,7 @@ from cliqueiso import (
     write_graph,
 )
 
-from cliqueiso.edgelist import MAX_VERTICES
+from cliqueiso.edgelist import MAX_EDGES, MAX_VERTICES
 
 from .support import graphs
 
@@ -27,6 +27,9 @@ PARSE_ERRORS = [
     ("x y\n", 1, "header must be two integers 'n m'"),
     ("3 1 2\n", 1, "header must be two integers 'n m'"),  # three header fields
     ("-1 0\n", 1, "header counts must be non-negative"),
+    # Refused at the header, before the malformed edge line after it.
+    (f"3 {MAX_EDGES + 1}\n0 a\n", 1,
+     f"header declares {MAX_EDGES + 1} edges, above the limit of {MAX_EDGES}"),
     ("2 1\n", None, "declared 1 edge but found 0"),
     ("2 0\n0 1\n", 2, "more than the declared 0 edge lines"),
     ("3 1\n0 1\n1 2\n", 3, "more than the declared 1 edge line"),
@@ -112,6 +115,34 @@ class TestFiles:
             tracemalloc.stop()
         assert peak < 2 * rows + 64_000
         assert path.read_text() == format_edge_list(g)
+
+    def test_read_holds_the_rows_and_one_line(self, tmp_path):
+        # K_300's rows take 19.2 KB and its text 326 KB.  Reading the whole
+        # text and its split lines peaked at 3.22 MB traced; line by line it
+        # is 0.04 MB: the rows, one line and the file buffer.
+        g = build_complete(300)
+        path = tmp_path / "k300.edges"
+        write_graph(path, g)
+        tracemalloc.start()
+        try:
+            back = read_graph(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
+        assert back == g
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("text,line,message", PARSE_ERRORS,
+                             ids=[f"{text}-{line}" for text, line, _ in PARSE_ERRORS])
+    def test_read_errors_match_parse_errors(self, tmp_path, end, text, line, message):
+        # The same message and line number from a file, whatever its line ends.
+        path = tmp_path / "bad.edges"
+        path.write_bytes(text.replace("\n", end).encode())
+        with pytest.raises(EdgeListError) as info:
+            read_graph(path)
+        assert info.value.line == line
+        assert str(info.value) == (message if line is None else f"line {line}: {message}")
 
     def test_read_accepts_str_paths(self, tmp_path):
         path = tmp_path / "g.edges"
