@@ -49,9 +49,8 @@ still run under ``python -O``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cliques import find_in_mask, isolates
 from .graph import (
@@ -105,8 +104,7 @@ _Record = tuple[BranchTag, int]
 _Fired = tuple[BranchTag, int, list[int]]
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One fired rule and the vertices it added to the set directly.
 
     The union of ``chosen`` over a result's whole trace equals the result set.
@@ -116,8 +114,7 @@ class TraceStep:
     chosen: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     """A verified isolating set together with its size guarantee and trace.
 
     ``depth`` is the depth of the piece tree the work stack walked: the most
@@ -130,8 +127,7 @@ class BoundResult:
     depth: int
 
 
-@dataclass(frozen=True)
-class ComponentResult:
+class ComponentResult(NamedTuple):
     """Per-component outcome: a forced optimal set for the two exceptional
     shapes, or a constructed bounded set for everything else.  All labels are
     the host graph's."""

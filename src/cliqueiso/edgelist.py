@@ -9,6 +9,7 @@ on canonical files.
 
 from __future__ import annotations
 
+import io
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -38,8 +39,14 @@ class EdgeListError(ValueError):
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse edge-list text into a graph, rejecting malformed input loudly."""
-    return _parse(text.splitlines())
+    """Parse edge-list text into a graph, rejecting malformed input loudly.
+
+    A line ends at a line feed, a carriage return or the two together
+    (universal newlines), as in a file ``read_graph`` reads, and not at the
+    other breaks ``str.splitlines`` knows: a form feed, ``\\x1c``-``\\x1e``,
+    NEL or a Unicode line or paragraph separator is whitespace inside a
+    line."""
+    return _parse(io.StringIO(text, newline=None))
 
 
 def _parse(source: Iterable[str]) -> Graph:
@@ -112,10 +119,8 @@ def format_edge_list(g: Graph) -> str:
 
 
 def read_graph(path: str | Path) -> Graph:
-    """``parse_edge_list`` of the file at ``path``, read line by line.  A line
-    ends at a line feed, a carriage return or the two together (universal
-    newlines), not at the other breaks ``str.splitlines`` knows, such as a
-    form feed."""
+    """``parse_edge_list`` of the file at ``path``, read line by line, with
+    the same line ends."""
     with open(path) as f:
         return _parse(f)
 

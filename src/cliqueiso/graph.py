@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 VertexSet = frozenset[int]
 
@@ -122,8 +122,7 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()!r})"
 
 
-@dataclass(frozen=True)
-class Subgraph:
+class Subgraph(NamedTuple):
     """A graph derived from a host graph plus the relabeling back to it.
 
     ``to_parent[i]`` is the host vertex that became vertex i, so witnesses and

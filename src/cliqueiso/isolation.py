@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cliques import find_in_mask
 from .graph import (
@@ -32,8 +31,7 @@ class OracleCapError(ValueError):
     """Raised when the subset oracle is asked for more vertices than its cap."""
 
 
-@dataclass(frozen=True)
-class IsolationCertificate:
+class IsolationCertificate(NamedTuple):
     """Outcome of checking one candidate set.
 
     ``witness`` is a k-clique untouched by the candidate's closed
@@ -48,8 +46,7 @@ class IsolationCertificate:
     residual_size: int
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     """An exact answer plus how much work it took.
 
     ``nodes_expanded`` counts search nodes (subsets tested, for the oracle).

@@ -106,19 +106,11 @@ def naive_domination(g: Graph) -> int:
     raise AssertionError("unreachable")
 
 
-def tree_iota(adj: Sequence[int]) -> int:
-    """iota(T, 1), the domination number of the tree T with adjacency rows
-    ``adj``, by the three-state dynamic program of Cockayne, Goodman and
-    Hedetniemi (Inf. Process. Lett. 4, 1975), rooted at vertex 0 and run from
-    the leaves up in reverse BFS order, with no recursion.
-
-    For a vertex v and the subtree below it, each state counts the fewest
-    vertices of that subtree that dominate all of it but, in the last state,
-    v itself: ``taken``, v is in the set; ``covered``, v is not, but one of
-    its children is; ``free``, neither v nor any child is, so v's parent
-    must be.  ``covered`` is the sum ``both`` of each child's cheaper of
-    taken and covered, plus the least ``extra`` that makes one child taken.
-    """
+def tree_iota(adj: Sequence[int], k: int) -> int:
+    """iota(T, k) of the tree T with adjacency rows ``adj``, for k >= 1, by a
+    dynamic program rooted at vertex 0 and run from the leaves up in reverse
+    BFS order, with no recursion.  A tree has no k-clique for k >= 3, so its
+    iota there is 0."""
     n = len(adj)
     if n == 0:
         return 0
@@ -132,6 +124,23 @@ def tree_iota(adj: Sequence[int]) -> int:
             order.append(u)
     if len(order) != n or sum(row.bit_count() for row in adj) != 2 * (n - 1):
         raise ValueError("the rows are not a tree")
+    if k >= 3:
+        return 0
+    return (_tree_domination if k == 1 else _tree_edge_isolation)(parent, order)
+
+
+def _tree_domination(parent: list[int], order: list[int]) -> int:
+    """iota(T, 1), the domination number, by the three-state dynamic program
+    of Cockayne, Goodman and Hedetniemi (Inf. Process. Lett. 4, 1975).
+
+    For a vertex v and the subtree below it, each state counts the fewest
+    vertices of that subtree that dominate all of it but, in the last state,
+    v itself: ``taken``, v is in the set; ``covered``, v is not, but one of
+    its children is; ``free``, neither v nor any child is, so v's parent
+    must be.  ``covered`` is the sum ``both`` of each child's cheaper of
+    taken and covered, plus the least ``extra`` that makes one child taken.
+    """
+    n = len(parent)
     taken = [1] * n
     free = [0] * n
     both = [0] * n
@@ -145,6 +154,41 @@ def tree_iota(adj: Sequence[int]) -> int:
         both[p] += cheaper
         extra[p] = min(extra[p], taken[v] - cheaper)
     return min(taken[0], both[0] + extra[0])
+
+
+def _tree_edge_isolation(parent: list[int], order: list[int]) -> int:
+    """iota(T, 2): the fewest vertices D such that every edge has an end in
+    N[D], so that T - N[D] has no edge.
+
+    For a vertex v and the subtree below it, each state counts the fewest
+    vertices of that subtree in D such that N[D] meets every edge of the
+    subtree, given what the state asks of v's parent: ``taken``, v is in D;
+    ``covered``, v is not, but one of its children is; ``leaning``, neither
+    v nor any child is, and v's parent must be, since an edge down from v
+    may have no end in N[D] but v; ``bare``, neither v nor any child is, and
+    every child is covered, so only the edge up from v needs its parent in
+    N[D].  Under a taken v a child may be in any state; under a covered v
+    in any but leaning, since v is not in D; under a leaning v covered or
+    bare, since v is then in N[D]; under a bare v only covered.
+    ``covered`` is the sum ``met`` of each child's cheapest of taken, covered
+    and bare, plus the least ``extra`` that makes one child taken.
+    """
+    n = len(parent)
+    taken = [1] * n
+    met = [0] * n
+    extra = [math.inf] * n  # a leaf has no child to take
+    leaning = [0] * n
+    bare = [0] * n
+    for v in reversed(order[1:]):
+        covered = met[v] + extra[v]
+        p = parent[v]
+        cheapest = min(taken[v], covered, bare[v])
+        taken[p] += min(cheapest, leaning[v])
+        met[p] += cheapest
+        extra[p] = min(extra[p], taken[v] - cheapest)
+        leaning[p] += min(covered, bare[v])
+        bare[p] += covered
+    return min(taken[0], met[0] + extra[0], bare[0])
 
 
 def random_tree(rng: random.Random, n: int) -> Graph:

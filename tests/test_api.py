@@ -1,10 +1,24 @@
 """The package's public surface: the names it exports and the README's tour."""
 
 import ast
+import copy
 import re
 from pathlib import Path
 
+import pytest
+
 import cliqueiso
+from cliqueiso import (
+    BoundResult,
+    BranchTag,
+    ComponentResult,
+    ExceptionKind,
+    Graph,
+    IsolationCertificate,
+    SolveReport,
+    TraceStep,
+)
+from cliqueiso.graph import Subgraph
 
 PUBLIC_NAMES = [
     "BoundResult",
@@ -38,6 +52,33 @@ PUBLIC_NAMES = [
 ]
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(cliqueiso.__file__).resolve().parent
+
+# One instance of each result record, built by keyword, and its repr as it
+# read when the records were frozen dataclasses.
+RECORDS = [
+    (TraceStep, dict(tag=BranchTag.CASE2, chosen=(1, 4)),
+     "TraceStep(tag=<BranchTag.CASE2: 'Case2'>, chosen=(1, 4))"),
+    (BoundResult,
+     dict(set=frozenset({1, 4}), bound=2, trace=(TraceStep(BranchTag.CASE2, (1, 4)),), depth=1),
+     "BoundResult(set=frozenset({1, 4}), bound=2, "
+     "trace=(TraceStep(tag=<BranchTag.CASE2: 'Case2'>, chosen=(1, 4)),), depth=1)"),
+    (ComponentResult,
+     dict(vertices=frozenset({0, 1}), exception=ExceptionKind.NONE, set=frozenset({1}), result=None),
+     "ComponentResult(vertices=frozenset({0, 1}), exception=<ExceptionKind.NONE: 'none'>, "
+     "set=frozenset({1}), result=None)"),
+    (IsolationCertificate,
+     dict(candidate=frozenset({2}), valid=False, witness=frozenset({0, 1}), residual_size=2),
+     "IsolationCertificate(candidate=frozenset({2}), valid=False, witness=frozenset({0, 1}), "
+     "residual_size=2)"),
+    (SolveReport,
+     dict(iota=1, optimal_set=frozenset({3}), nodes_expanded=5, bound_prunes=2,
+          incumbent_updates=1, elapsed=0.25),
+     "SolveReport(iota=1, optimal_set=frozenset({3}), nodes_expanded=5, bound_prunes=2, "
+     "incumbent_updates=1, elapsed=0.25)"),
+    (Subgraph, dict(graph=Graph.from_edges(3, [(0, 1), (1, 2)]), to_parent=(4, 7, 9)),
+     "Subgraph(graph=Graph(n=3, edges=[(0, 1), (1, 2)]), to_parent=(4, 7, 9))"),
+]
 
 
 def test_all_is_the_reviewed_surface():
@@ -57,11 +98,44 @@ def test_readme_library_tour_runs():
 def test_package_holds_no_assert_statement():
     # python -O strips assert statements, and the -O test run cannot see a
     # check that vanished with them, so the package must hold none.
-    package = Path(cliqueiso.__file__).resolve().parent
     found = [
         f"{path}:{node.lineno}"
-        for path in sorted(package.rglob("*.py"))
+        for path in sorted(PACKAGE.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+@pytest.mark.parametrize("cls,fields,text", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_result_records_keep_their_contract(cls, fields, text):
+    record = cls(**fields)
+    assert repr(record) == text
+    twin = cls(**copy.deepcopy(fields))
+    assert twin == record and hash(twin) == hash(record)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert [getattr(record, name) for name in fields] == list(fields.values())
+    # Records are named tuples: a record is the tuple of its fields, in order.
+    assert record == tuple(fields.values())
+
+
+def test_only_graph_is_a_dataclass():
+    """Each ``@dataclass`` execs about six generated methods when the package
+    is imported, a cost every CLI process pays, so the result records are
+    named tuples.  ``Graph`` stays a dataclass, because its ``__post_init__``
+    validates rows that come from outside the program."""
+
+    def named(decorator: ast.expr) -> str | None:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+
+    found = [
+        f"{path.name}:{node.name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(named(d) == "dataclass" for d in node.decorator_list)
+    ]
+    assert found == ["graph.py:Graph"]

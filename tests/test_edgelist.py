@@ -144,6 +144,29 @@ class TestFiles:
         assert info.value.line == line
         assert str(info.value) == (message if line is None else f"line {line}: {message}")
 
+    @pytest.mark.parametrize("text,expected", [
+        # A form feed, \x1c, NEL or a Unicode line break is whitespace in a line.
+        ("2 1\n0\x0c1\n", [(0, 1)]),
+        ("3 1\n\u2028\n0 1\n", [(0, 1)]),
+        ("3 2\n0 1\x1c\n1\u20292\n", [(0, 1), (1, 2)]),
+        ("3 2\n0 1\x0c1 2\n", (2, "edge line must be two integers 'u v'")),
+        ("3 2\n0 1\u2028\n0\x851\n", (3, "duplicate edge (0, 1)")),
+        ("3 1\r\n\u2029\r0 1\r\n1 2\n", (4, "more than the declared 1 edge line")),
+    ], ids=["ff-joins", "ls-blank", "fs-ps", "ff-four-fields", "ls-nel-duplicate", "ps-mixed-ends"])
+    def test_text_and_file_share_one_line_rule(self, tmp_path, text, expected):
+        # parse_edge_list and read_graph end lines at the same characters, so
+        # the same bytes give the same graph, or the same error at the same line.
+        def outcome(read, source):
+            try:
+                return read(source).edges()
+            except EdgeListError as err:
+                return err.line, str(err).split(": ", 1)[1]
+
+        path = tmp_path / "g.edges"
+        path.write_bytes(text.encode())
+        assert outcome(parse_edge_list, text) == expected
+        assert outcome(read_graph, path) == expected
+
     def test_read_accepts_str_paths(self, tmp_path):
         path = tmp_path / "g.edges"
         write_graph(str(path), build_cycle(3))

@@ -655,9 +655,9 @@ class TestTreeCensusAtK1:
 
 
 class TestTreeIota:
-    """``support.tree_iota``, the domination dynamic program on trees: an
-    exact iota at k = 1 at sizes that neither the solver nor the oracle
-    reaches, checked against both where they do."""
+    """``support.tree_iota``, dynamic programs on trees: an exact iota at
+    k = 1 and 2 at sizes that neither the solver nor the oracle reaches,
+    checked against both where they do."""
 
     @given(st.data())
     def test_matches_the_subset_scan(self, data):
@@ -665,27 +665,36 @@ class TestTreeIota:
         parents = [data.draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, n)]
         perm = data.draw(st.permutations(range(n)))
         g = Graph.from_edges(n, [(perm[p], perm[i]) for i, p in enumerate(parents, 1)])
-        assert tree_iota(g.adj) == naive_iota(g, 1)
+        for k in (1, 2, 3):
+            assert tree_iota(g.adj, k) == naive_iota(g, k)
 
     def test_matches_the_solver(self):
         rng = random.Random(10)
         for _ in range(300):
             g = random_tree(rng, rng.randint(1, 30))
-            assert tree_iota(g.adj) == iota_solve(g, 1).iota
+            assert tree_iota(g.adj, 1) == iota_solve(g, 1).iota
+
+    def test_matches_the_solver_on_every_tree_to_14_at_k2(self):
+        nx = pytest.importorskip("networkx")
+        for n in range(2, 15):
+            for h in nx.nonisomorphic_trees(n):
+                g = Graph.from_edges(n, list(h.edges()))
+                assert tree_iota(g.adj, 2) == iota_solve(g, 2).iota, sorted(h.edges())
 
     def test_paths_need_a_third(self):
         for n in range(1, 61):
-            assert tree_iota(build_path(n).adj) == -(-n // 3)
+            assert tree_iota(build_path(n).adj, 1) == -(-n // 3)
 
     def test_refuses_rows_that_are_no_tree(self):
         for g in (build_cycle(4), disjoint_union([build_path(2), build_path(1)])):
             with pytest.raises(ValueError, match="not a tree"):
-                tree_iota(g.adj)
+                tree_iota(g.adj, 1)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_construction_between_iota_and_the_bound_at_2000(self, seed):
         g = random_tree(random.Random(seed), 2000)
-        assert tree_iota(g.adj) <= len(bounded_isolating_set(g, 1).set) <= 1000
+        for k in (1, 2):
+            assert tree_iota(g.adj, k) <= len(bounded_isolating_set(g, k).set) <= 2000 // (k + 1)
 
 
 GOLDEN = Path(__file__).with_name("golden_solve.json")
