@@ -36,7 +36,7 @@ from .construct import (
     bounded_sets_per_component,
     construct_mask,
 )
-from .edgelist import MAX_EDGES, MAX_VERTICES, format_edge_list, read_graph, write_graph
+from .edgelist import MAX_EDGES, MAX_VERTICES, _decimal, format_edge_list, read_graph, write_graph
 from .generators import (
     ENUMERATION_CAP,
     _connected,
@@ -54,10 +54,6 @@ _EXIT_INVALID = 1
 _EXIT_INPUT = 2
 _EXIT_VIOLATION = 3
 _EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that went away
-
-# The ``gen`` kinds that take the vertex count alone; ``extremal`` and
-# ``random`` take more.
-_FAMILIES = {"path": build_path, "cycle": build_cycle, "complete": build_complete}
 
 PROGRESS_EVERY = 100_000  # graphs of a batch between stderr progress lines
 # Graphs that check-theorem checks together, one stage at a time
@@ -87,7 +83,7 @@ def _fail(message: str) -> int:
 def _parse_set_literal(text: str) -> frozenset[int]:
     fields = text.replace(",", " ").split()
     try:
-        return frozenset(int(f) for f in fields)
+        return frozenset(_decimal(f) for f in fields)
     except ValueError:
         raise ValueError(f"malformed set literal {text!r}: members must be integers") from None
 
@@ -142,9 +138,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    """Report the constructed set of the whole graph or, when
+    ``bounded_isolating_set`` refuses the graph as disconnected or as an
+    excluded shape, a set for each component: iota adds up over components,
+    and an excluded component gets its forced optimal set."""
     g, read_s = _read_timed(args.path)
     start = time.perf_counter()
-    if args.per_component:
+    try:
+        res = bounded_isolating_set(g, args.k)
+    except ValueError:  # ExceptionalGraphError included; a bad k is refused again below
         parts = bounded_sets_per_component(g, args.k)
         components = [
             {
@@ -158,14 +160,14 @@ def cmd_bound(args: argparse.Namespace) -> int:
             for c in parts
         ]
         _report(args, g, per_component=True, components=components)
-        _bound_stats([c.result for c in parts if c.result], read_s, start)
-        return _EXIT_OK
-    res = bounded_isolating_set(g, args.k)
-    _report(
-        args, g, size=len(res.set), bound=res.bound, set=sorted(res.set), valid=True,
-        trace=_trace_json(res.trace),
-    )
-    _bound_stats([res], read_s, start)
+        results = [c.result for c in parts if c.result]
+    else:
+        _report(
+            args, g, size=len(res.set), bound=res.bound, set=sorted(res.set), valid=True,
+            trace=_trace_json(res.trace),
+        )
+        results = [res]
+    _bound_stats(results, read_s, start)
     return _EXIT_OK
 
 
@@ -181,47 +183,54 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _EXIT_OK if cert.valid else _EXIT_INVALID
 
 
-def _gen_edges(args: argparse.Namespace) -> float:
-    """How many edges ``gen`` would write: at most n for a path or a cycle,
-    the expected count for ``random``, the exact count otherwise.  Arguments
-    that the builders refuse are clamped into range, so their count stays
-    small and the builder's own message is the one printed."""
-    n = max(args.n, 0)
-    if args.kind == "complete":
-        return n * (n - 1) / 2
-    if args.kind == "extremal":
-        k = max(args.k, 1)
-        blocks = n // (k + 1)
-        return n - k * blocks - 1 + blocks * k * (k + 1) / 2
-    if args.kind == "random":
-        return min(max(args.p, 0), 1) * (n * (n - 1) / 2 - n + 1) + n - 1
-    return n
+def _extremal_edges(n: int, k: int) -> int:
+    """``build_extremal(n, k)``'s edge count: the spine's path_len - 1, and
+    k(k+1)/2 per block, its own k(k-1)/2 and the k that join it to the
+    spine.  A k below 1 is counted as 1."""
+    k = max(k, 1)
+    blocks = n // (k + 1)
+    return n - k * blocks - 1 + blocks * k * (k + 1) // 2
+
+
+# Each ``gen`` kind: its builder, the arguments it takes after --n, and how
+# many edges it would write, from n and those arguments, for the MAX_EDGES
+# check before building.  The count is the expected one for ``random`` and
+# exact otherwise; ``cmd_gen`` clamps n at 0 and the counts clamp the other
+# arguments into range, so that a call the builder refuses is counted small
+# and the builder's own message is the one printed.
+_GEN = {
+    "extremal": (build_extremal, ("k",), _extremal_edges),
+    "path": (build_path, (), lambda n: n - 1),
+    "cycle": (build_cycle, (), lambda n: n),
+    "complete": (build_complete, (), lambda n: n * (n - 1) // 2),
+    "random": (gen_random_connected, ("p", "seed"),
+               lambda n, p, seed: min(max(p, 0), 1) * (n * (n - 1) / 2 - n + 1) + n - 1),
+}
+
+
+def _require(verb: str, args: argparse.Namespace, reads: tuple, names: tuple) -> None:
+    """Refuse ``verb`` unless, of the optional arguments ``names``, every one
+    it ``reads`` is given and no other is."""
+    for name in names:
+        given = getattr(args, name) is not None
+        if name in reads and not given:
+            raise ValueError(f"{verb} requires an explicit --{name}")
+        if given and name not in reads:
+            raise ValueError(f"{verb} does not read --{name}")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    build, reads, count = _GEN[args.kind]
+    _require(f"gen {args.kind}", args, reads, ("k", "p", "seed"))
     if args.n > MAX_VERTICES:
         return _fail(f"gen --n is capped at {MAX_VERTICES} vertices, got {args.n}")
-    if args.kind == "extremal" and args.k is None:
-        return _fail("gen extremal requires --k")
-    if args.kind == "random":
-        if args.seed is None:
-            return _fail("gen random requires an explicit --seed")
-        if args.p is None:
-            return _fail("gen random requires --p")
-    edges = _gen_edges(args)
+    params = {name: getattr(args, name) for name in reads}
+    edges = count(max(args.n, 0), *params.values())
     if edges > MAX_EDGES:
         return _fail(
             f"gen {args.kind} would write about {edges:.0f} edges, above the limit of {MAX_EDGES}"
         )
-    params: dict = {}
-    if args.kind in _FAMILIES:
-        g = _FAMILIES[args.kind](args.n)
-    elif args.kind == "extremal":
-        g = build_extremal(args.n, args.k)
-        params = {"k": args.k}
-    else:  # random
-        g = gen_random_connected(args.n, args.p, args.seed)
-        params = {"p": args.p, "seed": args.seed}
+    g = build(args.n, *params.values())
     if g.edge_count > MAX_EDGES:  # a random draw above its expected count
         return _fail(f"gen {args.kind} drew {g.edge_count} edges, above the limit of {MAX_EDGES}")
     write_graph(args.out, g)
@@ -355,6 +364,10 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
     elapsed seconds and the instances per second, plus a progress line every
     ``PROGRESS_EVERY`` graphs of a batch.
     """
+    _require(
+        f"check-theorem --mode {args.mode}", args,
+        ("count", "seed") if args.mode == "random" else (), ("count", "seed"),
+    )
     for flag, value, low in (
         ("--n-max", args.n_max, 1),
         ("--k-max", args.k_max, 1),
@@ -379,10 +392,6 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
             for n in range(1, args.n_max + 1)
         ]
     else:
-        if args.seed is None:
-            return _fail("check-theorem --mode random requires an explicit --seed")
-        if args.count is None:
-            return _fail("check-theorem --mode random requires --count")
         head = {"mode": "random", "count": args.count, "seed": args.seed, "n_max": args.n_max}
         batches = [(head, _random_graphs(args.seed, args.count, args.n_max))]
     ks = range(1, args.k_max + 1)
@@ -452,9 +461,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound = sub.add_parser(
         "bound", parents=[graph_file], help="constructive set within floor(n/(k+1))"
     )
-    p_bound.add_argument(
-        "--per-component", action="store_true", help="handle each component separately"
-    )
     p_bound.set_defaults(func=cmd_bound)
 
     p_verify = sub.add_parser(
@@ -464,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="write a graph file")
-    p_gen.add_argument("kind", choices=["extremal", *_FAMILIES, "random"])
+    p_gen.add_argument("kind", choices=_GEN)
     p_gen.add_argument("--n", type=int, required=True, help="vertex count")
     p_gen.add_argument("--k", type=int, help="block size (extremal)")
     p_gen.add_argument("--p", type=float, help="extra-edge probability (random)")

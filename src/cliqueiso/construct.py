@@ -138,9 +138,6 @@ class ComponentResult(NamedTuple):
     result: BoundResult | None
 
 
-_PER_COMPONENT = "bounded_sets_per_component or bound --per-component"
-
-
 class ExceptionalGraphError(ValueError):
     """The input is one of the two shapes the bound excludes."""
 
@@ -200,10 +197,10 @@ def bounded_isolating_set(g: Graph, k: int) -> BoundResult:
         raise ExceptionalGraphError(
             kind,
             f"the floor(n/(k+1)) bound excludes this graph (shape: {kind.value}); "
-            f"its forced optimal set is available via {_PER_COMPONENT}",
+            "its forced optimal set is available via bounded_sets_per_component",
         )
     if len(component_masks(g.adj, g.full_mask)) > 1:
-        raise ValueError(f"graph is disconnected; use {_PER_COMPONENT}")
+        raise ValueError("graph is disconnected; use bounded_sets_per_component")
     return _result(g.n, k, construct_mask(g.adj, g.full_mask, k))
 
 

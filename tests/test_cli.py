@@ -1,8 +1,8 @@
 """Command-line front end: verbs, exit statuses, report contents, determinism."""
 
-import argparse
 import hashlib
 import importlib
+import itertools
 import json
 import os
 import random
@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import cliqueiso.cli as cli
+import cliqueiso.construct as construct
 from cliqueiso import (
     BranchTag,
     ExceptionKind,
@@ -219,18 +220,50 @@ class TestBound:
         assert [step["tag"] for step in rep["trace"]] == ["NoClique"]
 
     def test_exceptional_graph_diagnosed(self, capsys, c5_file):
+        # The 5-cycle at k = 2 is one excluded component: its forced set.
         code, reports, err = run(capsys, ["bound", c5_file, "--k", "2"])
-        assert code == 2
-        assert not reports
-        assert "5-cycle-at-k2" in err
-        assert "--per-component" in err
+        assert code == 0
+        (rep,) = reports
+        assert rep["per_component"] is True
+        assert rep["components"] == [{
+            "vertices": [0, 1, 2, 3, 4], "exception": "5-cycle-at-k2", "set": [0, 2],
+            "size": 2, "bound": 1, "trace": None,
+        }]
+        assert dict(stats_line(err, "bound"))["trace_steps"] == "0"
 
-    def test_disconnected_suggests_per_component(self, capsys, tmp_path):
+    def test_disconnected_graph_gets_a_set_per_component(self, capsys, tmp_path):
+        # Two K_2s: constructed at k = 1, each excluded (K_k) at k = 2.
         path = tmp_path / "two.edges"
         path.write_text("4 2\n0 1\n2 3\n")
-        code, _, err = run(capsys, ["bound", str(path), "--k", "2"])
-        assert code == 2
-        assert "--per-component" in err
+        for k in (1, 2):
+            code, (rep,), _ = run(capsys, ["bound", str(path), "--k", str(k)])
+            assert code == 0
+            comps = rep["components"]
+            assert [c["vertices"] for c in comps] == [[0, 1], [2, 3]]
+            assert [c["set"] for c in comps] == [[0], [2]]
+            assert [c["trace"] is None for c in comps] == [k == 2, k == 2]
+            assert verify_isolating(read_graph(path), k, [0, 2]).valid
+
+    def test_refusals_keep_their_kind(self, capsys, monkeypatch, c5_file, tmp_path):
+        # The flag is gone, a bad k is still an input error on either route,
+        # and a construction that breaks its own checks still ends the run.
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", c5_file, "--k", "2", "--per-component"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        two = tmp_path / "two.edges"
+        two.write_text("4 2\n0 1\n2 3\n")
+        for path in (c5_file, str(two)):
+            code, reports, err = run(capsys, ["bound", path, "--k", "0"])
+            assert (code, reports, err) == (2, [], "error: k must be a positive integer, got 0\n")
+
+        def broken(adj, root, k):
+            raise AssertionError("a broken step")
+
+        monkeypatch.setattr(construct, "construct_mask", broken)
+        for path in (c5_file, str(two)):
+            with pytest.raises(AssertionError, match="a broken step"):
+                main(["bound", path, "--k", "1"])
 
     def test_empty_graph_is_accepted_by_every_verb(self, capsys, tmp_path):
         # No component at all is not two or more: bound builds the empty set
@@ -243,15 +276,13 @@ class TestBound:
         assert (code, rep["size"], rep["bound"], rep["set"], rep["valid"]) == (0, 0, 0, [], True)
         assert rep["trace"] == [{"chosen": [], "tag": "BaseSmall"}]
         assert dict(stats_line(err, "bound"))["depth"] == "0"
-        code, (rep,), _ = run(capsys, ["bound", path, "--k", "1", "--per-component"])
-        assert (code, rep["components"]) == (0, [])
         code, (rep,), _ = run(capsys, ["verify", path, "--k", "1", ""])
         assert (code, rep["valid"], rep["witness"]) == (0, True, None)
 
     def test_per_component_covers_exceptional_parts(self, capsys, tmp_path):
         path = tmp_path / "mixed.edges"
         path.write_text("7 6\n0 1\n1 2\n2 3\n4 5\n4 6\n5 6\n")
-        code, reports, err = run(capsys, ["bound", str(path), "--k", "3", "--per-component"])
+        code, reports, err = run(capsys, ["bound", str(path), "--k", "3"])
         assert code == 0
         comps = reports[0]["components"]
         # The K_3 part is forced, not constructed, so only the path's steps count.
@@ -304,6 +335,16 @@ class TestVerify:
         code, _, err = run(capsys, ["verify", c5_file, "--k", "2", "0 q"])
         assert code == 2
         assert "set literal" in err
+
+    def test_set_members_are_ascii_decimal(self, capsys, c5_file):
+        # int() alone would read each of these as vertex 1 or 10.
+        for literal in ("1_0", "\u0661", "\uff11", "0 \uff11\uff10"):
+            code, reports, err = run(capsys, ["verify", c5_file, "--k", "2", literal])
+            assert (code, reports) == (2, [])
+            assert "set literal" in err
+        # Signs and leading zeros are still decimal.
+        code, (rep,), _ = run(capsys, ["verify", c5_file, "--k", "2", "+0 -0 002"])
+        assert (code, rep["set"]) == (0, [0, 2])
 
     def test_out_of_range_member_is_input_error(self, capsys, c5_file):
         code, _, err = run(capsys, ["verify", c5_file, "--k", "2", "9"])
@@ -359,10 +400,8 @@ class TestGen:
         def built(*args):
             pytest.fail("a graph was built")
 
-        for kind in cli._FAMILIES:
-            monkeypatch.setitem(cli._FAMILIES, kind, built)
-        for name in ("build_extremal", "gen_random_connected"):
-            monkeypatch.setattr(cli, name, built)
+        for kind, (_, names, edges) in cli._GEN.items():
+            monkeypatch.setitem(cli._GEN, kind, (built, names, edges))
 
     def test_vertex_count_above_cap_is_refused(self, capsys, no_build, tmp_path):
         # gen never writes a file that read_graph would refuse, and refuses
@@ -407,13 +446,34 @@ class TestGen:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 30])
     def test_edge_count_is_the_builders(self, n):
-        def count(kind, **params):
-            return cli._gen_edges(argparse.Namespace(kind=kind, n=n, **params))
+        # Every kind's count is its builder's, random's at p = 1, where no
+        # edge is left to chance.
+        values = {"k": range(1, n + 2), "p": (1,), "seed": (n,)}
+        checked = set()
+        for kind, (build, names, edges) in cli._GEN.items():
+            for params in itertools.product(*(values[name] for name in names)):
+                try:
+                    g = build(n, *params)
+                except ValueError:  # a cycle below three vertices
+                    continue
+                assert edges(n, *params) == g.edge_count, (kind, params)
+                checked.add(kind)
+        assert checked == set(cli._GEN) - ({"cycle"} if n < 3 else set())
 
-        assert count("complete") == build_complete(n).edge_count
-        assert count("random", p=1) == gen_random_connected(n, 1, n).edge_count
-        for k in range(1, n + 2):
-            assert count("extremal", k=k) == build_extremal(n, k).edge_count
+    @pytest.mark.parametrize("kind", ["extremal", "path", "cycle", "complete", "random"])
+    def test_arguments_the_kind_does_not_read_are_refused(self, capsys, tmp_path, kind):
+        out = tmp_path / "g.edges"
+        values = {"k": "2", "p": "0.5", "seed": "1"}
+        names = cli._GEN[kind][1]
+        argv = ["gen", kind, "--n", "6", "--out", str(out)]
+        argv += [f"--{name}={values[name]}" for name in names]
+        for name in values.keys() - names:
+            code, reports, err = run(capsys, [*argv, f"--{name}={values[name]}"])
+            assert (code, reports) == (2, [])
+            assert err == f"error: gen {kind} does not read --{name}\n"
+            assert not out.exists()
+        code, reports, _ = run(capsys, argv)
+        assert code == 0 and out.exists()
 
 
 class TestCheckTheorem:
@@ -451,6 +511,18 @@ class TestCheckTheorem:
         assert code == 2 and "--seed" in err
         code, _, err = run(capsys, ["check-theorem", "--mode", "random", "--seed", "5"])
         assert code == 2 and "--count" in err
+
+    @pytest.mark.parametrize("mode,unread", [("exhaustive", ["count", "seed"]), ("random", [])])
+    def test_arguments_the_mode_does_not_read_are_refused(self, capsys, mode, unread):
+        # Random mode reads every argument; exhaustive mode neither of these.
+        argv = ["check-theorem", "--mode", mode, "--n-max", "3", "--k-max", "1"]
+        reads = [] if unread else ["--count", "5", "--seed", "3"]
+        for name in unread:
+            code, reports, err = run(capsys, [*argv, *reads, f"--{name}", "5"])
+            assert (code, reports) == (2, [])
+            assert err == f"error: check-theorem --mode {mode} does not read --{name}\n"
+        code, reports, _ = run(capsys, [*argv, *reads])
+        assert code == 0 and reports
 
     def test_exhaustive_n_max_above_cap_is_refused(self, capsys, monkeypatch):
         def no_enumeration(*args, **kwargs):

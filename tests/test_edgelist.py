@@ -39,6 +39,13 @@ PARSE_ERRORS = [
     ("3 2\n0 1\n0 1\n", 3, "duplicate edge (0, 1)"),
     ("3 1\n0 a\n", 2, "edge line must be two integers 'u v'"),  # non-integer endpoint
     ("3 1\n0 1 2\n", 2, "edge line must be two integers 'u v'"),  # three edge fields
+    # int() alone reads each of these: an underscore between digits, an
+    # Arabic-Indic or a full-width digit, also after a NEL between fields.
+    ("1_1 1\n0 1_0\n", 1, "header must be two integers 'n m'"),
+    ("\uff13 0\n", 1, "header must be two integers 'n m'"),
+    ("11 1\n0 1_0\n", 2, "edge line must be two integers 'u v'"),
+    ("3 1\n0 \u0661\n", 2, "edge line must be two integers 'u v'"),
+    ("3 1\n0\x85\uff11\n", 2, "edge line must be two integers 'u v'"),
 ]
 
 
@@ -59,6 +66,12 @@ class TestParse:
     def test_isolated_vertices_survive(self):
         g = parse_edge_list("4 1\n1 2\n")
         assert g.n == 4 and g.adj[0] == g.adj[3] == 0
+
+    def test_signs_and_leading_zeros_are_decimal(self):
+        # Only ASCII decimal is read, but a sign and leading zeros still are;
+        # a comment may hold any text.
+        g = parse_edge_list("+3 01 # n_1 \uff11\n-0 +002\n")
+        assert (g.n, g.edges()) == (3, [(0, 2)])
 
     @pytest.mark.parametrize("text,line,message", PARSE_ERRORS,
                              ids=[f"{text}-{line}" for text, line, _ in PARSE_ERRORS])
