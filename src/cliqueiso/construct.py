@@ -159,13 +159,11 @@ def _far(adj: Sequence[int], mask: int, y: int) -> int:
     return far & -far
 
 
-def _linkage(adj: Sequence[int], piece: int, k: int, v: int) -> tuple[list[_Entry], bool]:
+def _linkage(adj: Sequence[int], piece: int, k: int, v: int) -> list[_Entry]:
     """(component mask, excluded shape, link mask over N(v)) per residual
-    component, after checking that each touches N(v), and whether any
-    component is exceptional."""
+    component, after checking that each touches N(v)."""
     nv = adj[v] & piece
     out = []
-    special = False
     for cm in component_masks(adj, piece & ~(nv | (1 << v))):
         links = 0
         rest = nv
@@ -175,10 +173,8 @@ def _linkage(adj: Sequence[int], piece: int, k: int, v: int) -> tuple[list[_Entr
             if adj[low.bit_length() - 1] & cm:
                 links |= low
         _fact(links != 0, "every residual component touches N(pivot)")
-        kind = exception_kind(adj, cm, k)
-        special = special or kind is not NONE
-        out.append((cm, kind, links))
-    return out, special
+        out.append((cm, exception_kind(adj, cm, k), links))
+    return out
 
 
 def bounded_isolating_set(g: Graph, k: int) -> BoundResult:
@@ -304,11 +300,10 @@ def _step(adj: Sequence[int], piece: int, k: int) -> _Fired:
     if (adj[pivot] & piece) | vb == piece:
         return DOMINATING_VERTEX, vb, []
 
-    entries, special = _linkage(adj, piece, k, pivot)
-    if not special:
-        return NO_EXCEPTIONAL, vb, [cm for cm, _, _ in entries]
-
+    entries = _linkage(adj, piece, k, pivot)
     exceptional = [entry for entry in entries if entry[1] is not NONE]
+    if not exceptional:
+        return NO_EXCEPTIONAL, vb, [cm for cm, _, _ in entries]
     for _, _, lk in exceptional:
         if lk.bit_count() == 1:
             return _case_single_link(adj, piece, k, pivot, entries, lk.bit_length() - 1)

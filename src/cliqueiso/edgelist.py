@@ -3,8 +3,9 @@
 A file is a header line ``n m`` followed by exactly m lines ``u v`` with
 0 <= u < v < n, where n is at most ``MAX_VERTICES`` and m at most
 ``MAX_EDGES``, each number in ASCII decimal digits.  Blank lines and ``#``
-comments are ignored.  Writing is canonical (edges sorted ascending), so
-parse/write round-trips are bit-exact on canonical files.
+comments are ignored.  Files are UTF-8 whatever the locale.  Writing is
+canonical (edges sorted ascending), so parse/write round-trips are bit-exact
+on canonical files.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def _parse(source: Iterable[str]) -> Graph:
     if count != m:
         edges_word = "edge" if m == 1 else "edges"
         raise EdgeListError(f"declared {m} {edges_word} but found {count}")
-    return Graph(n, tuple(adj))
+    return Graph(tuple(adj))
 
 
 def _lines(g: Graph) -> Iterator[str]:
@@ -138,8 +139,10 @@ def format_edge_list(g: Graph) -> str:
 
 def read_graph(path: str | Path) -> Graph:
     """``parse_edge_list`` of the file at ``path``, read line by line, with
-    the same line ends."""
-    with open(path) as f:
+    the same line ends.  The file is decoded as UTF-8 whatever the locale; a
+    byte that is not UTF-8 reads as U+FFFD, which a comment may hold and an
+    edge field refuses at its line."""
+    with open(path, encoding="utf-8", errors="replace") as f:
         return _parse(f)
 
 
@@ -147,6 +150,6 @@ def write_graph(path: str | Path, g: Graph) -> None:
     """Write ``format_edge_list(g)`` 256 lines at a time, so that beside the
     rows only one such chunk of text is held, whatever the edge count."""
     lines = _lines(g)
-    with Path(path).open("w") as f:
+    with Path(path).open("w", encoding="utf-8") as f:
         while chunk := "".join(islice(lines, 256)):
             f.write(chunk)

@@ -40,7 +40,7 @@ def build_complete(n: int) -> Graph:
         raise ValueError("a complete graph needs at least one vertex")
     # Each row is every vertex but its own: no list of n(n-1)/2 edges.
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ 1 << v for v in range(n)))
+    return Graph(tuple(full ^ 1 << v for v in range(n)))
 
 
 def build_extremal(n: int, k: int) -> Graph:
@@ -57,13 +57,19 @@ def build_extremal(n: int, k: int) -> Graph:
         raise ValueError("n and k must be at least 1")
     blocks = n // (k + 1)
     path_len = n - k * blocks
-    edges = [(i, i + 1) for i in range(path_len - 1)]
+    # The rows directly, as in build_complete: no list of the edges.  A block
+    # vertex's row is its block but itself, plus its spine vertex.
+    adj = [0] * n
+    for i in range(path_len - 1):
+        adj[i] |= 1 << i + 1
+        adj[i + 1] |= 1 << i
     for i in range(blocks):
         base = path_len + i * k
-        block = range(base, base + k)
-        edges.extend((u, v) for u in block for v in block if u < v)
-        edges.extend((i, u) for u in block)
-    return Graph.from_edges(n, edges)
+        block = ((1 << k) - 1) << base
+        adj[i] |= block
+        for u in range(base, base + k):
+            adj[u] = block ^ 1 << u | 1 << i
+    return Graph(tuple(adj))
 
 
 def _tree_from_pruefer(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
@@ -102,7 +108,7 @@ def gen_random_connected(n: int, p: float, seed: int) -> Graph:
         raise ValueError("p must be in (0, 1]")
     rng = random.Random(seed)
     if n == 1:
-        return Graph(1, (0,))
+        return Graph((0,))
     tree = _tree_from_pruefer([rng.randrange(n) for _ in range(n - 2)], n)
     adj = [0] * n
     for u, v in tree:
@@ -121,7 +127,7 @@ def gen_random_connected(n: int, p: float, seed: int) -> Graph:
                     adj[u] |= 1 << v
                     adj[v] |= ub
             start = stop + 1
-    return Graph(n, tuple(adj))
+    return Graph(tuple(adj))
 
 
 def pair_order(n: int) -> list[tuple[int, int]]:
@@ -140,7 +146,7 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
         raise ValueError("n must be at least 1")
     if n > ENUMERATION_CAP:
         raise EnumerationCapError(f"enumeration cap is {ENUMERATION_CAP} vertices, got {n}")
-    return (Graph(n, adj) for adj in _connected(n))
+    return map(Graph, _connected(n))
 
 
 def _connected(n: int) -> Iterator[tuple[int, ...]]:

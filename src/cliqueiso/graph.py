@@ -61,22 +61,18 @@ FIVE_CYCLE = ExceptionKind.FIVE_CYCLE_AT_K2
 
 @dataclass(frozen=True, repr=False)
 class Graph:
-    """A simple undirected graph on vertices 0..n-1.
+    """A simple undirected graph on vertices 0..n-1, given by its rows.
 
-    ``adj[v]`` is the open-neighbourhood bitmask of v.  Construction validates
-    that the adjacency is symmetric, irreflexive and in range.
+    ``adj[v]`` is the open-neighbourhood bitmask of v, and n is ``len(adj)``.
+    Construction validates that the adjacency is symmetric, irreflexive and
+    in range.
     """
 
-    n: int
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("vertex count must be non-negative")
-        if len(self.adj) != self.n:
-            raise ValueError("adjacency length must equal the vertex count")
-        n = self.n
         adj = self.adj
+        n = len(adj)
         for v, m in enumerate(adj):
             # The range test comes first: it makes every neighbour a valid index.
             if m >> n:
@@ -93,13 +89,19 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for a graph on {n} vertices")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, tuple(adj))
+        return cls(tuple(adj))
+
+    @property
+    def n(self) -> int:
+        return len(self.adj)
 
     @property
     def full_mask(self) -> int:
@@ -205,7 +207,7 @@ def induced(g: Graph, s: Iterable[int]) -> Subgraph:
         for u in bits(g.adj[old] & keep):
             m |= 1 << index[u]
         adj.append(m)
-    return Subgraph(Graph(len(order), tuple(adj)), tuple(order))
+    return Subgraph(Graph(tuple(adj)), tuple(order))
 
 
 def exception_kind(adj: Sequence[int], mask: int, k: int) -> ExceptionKind:

@@ -9,7 +9,6 @@ branch-and-bound solver that is exact at every size it can finish.
 from __future__ import annotations
 
 import itertools
-import time
 from typing import Iterable, NamedTuple, Sequence
 
 from .cliques import find_in_mask
@@ -55,7 +54,8 @@ class SolveReport(NamedTuple):
     of the best set, no single candidate isolates the rest; and
     ``incumbent_updates`` the times the search beat its best set so far,
     starting from the greedy set; both are 0 for the oracle.  The counters
-    and ``elapsed`` are informative only; correctness never depends on them.
+    are informative only; correctness never depends on them.  The report
+    depends only on the graph and k, so equal calls give equal reports.
     """
 
     iota: int
@@ -63,7 +63,6 @@ class SolveReport(NamedTuple):
     nodes_expanded: int
     bound_prunes: int
     incumbent_updates: int
-    elapsed: float
 
 
 def verify_isolating(g: Graph, k: int, candidate: Iterable[int]) -> IsolationCertificate:
@@ -91,11 +90,8 @@ def iota_oracle(g: Graph, k: int) -> SolveReport:
     require_k(k)
     if g.n > ORACLE_CAP:
         raise OracleCapError(f"oracle cap is {ORACLE_CAP} vertices, got {g.n}")
-    start = time.perf_counter()
     combo, tested = oracle_scan(g.adj, k)
-    return SolveReport(
-        len(combo), frozenset(combo), tested, 0, 0, time.perf_counter() - start
-    )
+    return SolveReport(len(combo), frozenset(combo), tested, 0, 0)
 
 
 def oracle_scan(adj: Sequence[int], k: int) -> tuple[tuple[int, ...], int]:
@@ -280,11 +276,8 @@ def iota_solve(g: Graph, k: int) -> SolveReport:
     per chosen vertex, never meets Python's recursion limit.
     """
     require_k(k)
-    start = time.perf_counter()
     best, nodes, prunes, updates = solve_mask(g.adj, component_masks(g.adj, g.full_mask), k)
-    return SolveReport(
-        best.bit_count(), set_of(best), nodes, prunes, updates, time.perf_counter() - start
-    )
+    return SolveReport(best.bit_count(), set_of(best), nodes, prunes, updates)
 
 
 def solve_mask(adj: Sequence[int], comps: Iterable[int], k: int) -> tuple[int, int, int, int]:

@@ -275,7 +275,7 @@ def write_corpus(path: Path, corpus: dict[str, list]) -> None:
     rows = {key: ",\n".join("    " + json.dumps(item, separators=(",", ":")) for item in items)
             for key, items in corpus.items()}
     lists = ",\n".join(f"  {json.dumps(key)}: [\n{text}\n  ]" for key, text in rows.items())
-    path.write_text("{\n" + lists + "\n}\n")
+    path.write_text("{\n" + lists + "\n}\n", encoding="utf-8")
 
 
 def run_at_low_recursion_limit(code: str) -> subprocess.CompletedProcess:
@@ -296,7 +296,7 @@ def graph_from_edge_bits(
         pairs = pair_order(n)
     if edge_bits < 0 or edge_bits >> len(pairs):
         raise ValueError("edge bits out of range for this vertex count")
-    return Graph(n, tuple(_adjacency(n, edge_bits, pairs)))
+    return Graph(tuple(_adjacency(n, edge_bits, pairs)))
 
 
 def _adjacency(n: int, edge_bits: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
@@ -329,7 +329,7 @@ def naive_random_connected(n: int, p: float, seed: int) -> Graph:
         raise ValueError("p must be in (0, 1]")
     rng = random.Random(seed)
     if n == 1:
-        return Graph(1, (0,))
+        return Graph((0,))
     if n == 2:
         tree = [(0, 1)]
     else:

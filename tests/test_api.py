@@ -21,6 +21,12 @@ from cliqueiso import (
     IsolationCertificate,
     SolveReport,
     TraceStep,
+    bounded_isolating_set,
+    bounded_sets_per_component,
+    build_path,
+    iota_oracle,
+    iota_solve,
+    verify_isolating,
 )
 from cliqueiso.graph import Subgraph
 
@@ -79,9 +85,9 @@ RECORDS = [
      "residual_size=2)"),
     (SolveReport,
      dict(iota=1, optimal_set=frozenset({3}), nodes_expanded=5, bound_prunes=2,
-          incumbent_updates=1, elapsed=0.25),
+          incumbent_updates=1),
      "SolveReport(iota=1, optimal_set=frozenset({3}), nodes_expanded=5, bound_prunes=2, "
-     "incumbent_updates=1, elapsed=0.25)"),
+     "incumbent_updates=1)"),
     (Subgraph, dict(graph=Graph.from_edges(3, [(0, 1), (1, 2)]), to_parent=(4, 7, 9)),
      "Subgraph(graph=Graph(n=3, edges=[(0, 1), (1, 2)]), to_parent=(4, 7, 9))"),
 ]
@@ -94,7 +100,7 @@ def test_all_is_the_reviewed_surface():
 
 
 def test_readme_library_tour_runs():
-    text = README.read_text()
+    text = README.read_text(encoding="utf-8")
     tour = text[text.index("## Library tour") :]
     block = re.search(r"```python\n(.*?)```", tour, re.S)
     assert block is not None, "the Library tour has no python block"
@@ -104,10 +110,10 @@ def test_readme_library_tour_runs():
 def test_readme_cli_block_runs(tmp_path):
     # Every command of the CLI section's shell block, in order in one
     # directory, after the edge-list files that the section shows.
-    text = README.read_text()
+    text = README.read_text(encoding="utf-8")
     section = text[text.index("## CLI") : text.index("## Tests")]
     for body, name in re.findall(r"```text\n(# (\S+\.edges).*?)```", section, re.S):
-        (tmp_path / name).write_text(body)
+        (tmp_path / name).write_text(body, encoding="utf-8")
     block = re.search(r"```sh\n(.*?)```", section, re.S)
     assert block is not None, "the CLI section has no shell block"
     commands = [shlex.split(line, comments=True) for line in block.group(1).splitlines()]
@@ -125,10 +131,40 @@ def test_package_holds_no_assert_statement():
     found = [
         f"{path}:{node.lineno}"
         for path in sorted(PACKAGE.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_only_the_cli_reads_the_clock():
+    # A result record depends only on the call's inputs; the CLI times what
+    # it runs, and no other module of the package imports ``time``.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if (isinstance(node, ast.Import) and any(a.name == "time" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "time")
+    ]
+    assert found == []
+
+
+# Each public call that returns a record, and its arguments after the graph.
+CALLS = [
+    (iota_solve, (1,)),
+    (iota_oracle, (1,)),
+    (verify_isolating, (1, [1, 4])),
+    (bounded_isolating_set, (1,)),
+    (bounded_sets_per_component, (1,)),
+]
+
+
+@pytest.mark.parametrize("call,args", CALLS, ids=[call.__name__ for call, _ in CALLS])
+def test_equal_calls_give_equal_records(call, args):
+    g = build_path(10)
+    assert call(g, *args) == call(build_path(10), *args)
 
 
 @pytest.mark.parametrize("cls,fields,text", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS])
@@ -158,7 +194,7 @@ def test_only_graph_is_a_dataclass():
     found = [
         f"{path.name}:{node.name}"
         for path in sorted(PACKAGE.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         if isinstance(node, ast.ClassDef)
         and any(named(d) == "dataclass" for d in node.decorator_list)
     ]

@@ -110,7 +110,7 @@ class TestSolve:
 
     def test_header_mismatch_names_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.edges"
-        bad.write_text("3 2\n0 1\n")
+        bad.write_text("3 2\n0 1\n", encoding="utf-8")
         code, _, err = run(capsys, ["solve", str(bad), "--k", "2"])
         assert code == 2
         assert "error:" in err
@@ -163,7 +163,7 @@ class TestSolve:
         # Rejected from the header alone, before any memory is spent on n.
         huge = tmp_path / "huge.edges"
         for header in ("50001 0\n", "100000000 0\n"):
-            huge.write_text(header)
+            huge.write_text(header, encoding="utf-8")
             for verb in ("solve", "bound"):
                 code, reports, err = run(capsys, [verb, str(huge), "--k", "2"])
                 assert code == 2
@@ -234,7 +234,7 @@ class TestBound:
     def test_disconnected_graph_gets_a_set_per_component(self, capsys, tmp_path):
         # Two K_2s: constructed at k = 1, each excluded (K_k) at k = 2.
         path = tmp_path / "two.edges"
-        path.write_text("4 2\n0 1\n2 3\n")
+        path.write_text("4 2\n0 1\n2 3\n", encoding="utf-8")
         for k in (1, 2):
             code, (rep,), _ = run(capsys, ["bound", str(path), "--k", str(k)])
             assert code == 0
@@ -252,7 +252,7 @@ class TestBound:
         assert exc.value.code == 2
         capsys.readouterr()
         two = tmp_path / "two.edges"
-        two.write_text("4 2\n0 1\n2 3\n")
+        two.write_text("4 2\n0 1\n2 3\n", encoding="utf-8")
         for path in (c5_file, str(two)):
             code, reports, err = run(capsys, ["bound", path, "--k", "0"])
             assert (code, reports, err) == (2, [], "error: k must be a positive integer, got 0\n")
@@ -281,7 +281,7 @@ class TestBound:
 
     def test_per_component_covers_exceptional_parts(self, capsys, tmp_path):
         path = tmp_path / "mixed.edges"
-        path.write_text("7 6\n0 1\n1 2\n2 3\n4 5\n4 6\n5 6\n")
+        path.write_text("7 6\n0 1\n1 2\n2 3\n4 5\n4 6\n5 6\n", encoding="utf-8")
         code, reports, err = run(capsys, ["bound", str(path), "--k", "3"])
         assert code == 0
         comps = reports[0]["components"]
@@ -350,6 +350,12 @@ class TestVerify:
         code, _, err = run(capsys, ["verify", c5_file, "--k", "2", "9"])
         assert code == 2
 
+    def test_malformed_set_is_refused_before_the_read(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.edges")
+        code, reports, err = run(capsys, ["verify", missing, "--k", "1", "1_0"])
+        assert (code, reports) == (2, [])
+        assert "malformed set literal '1_0'" in err
+
 
 class TestGen:
     def test_extremal_writes_canonical_file(self, capsys, tmp_path):
@@ -359,7 +365,7 @@ class TestGen:
         assert reports[0]["m"] == 8
         g = read_graph(out)
         assert g.n == 7 and g.edge_count == 8
-        text = Path(out).read_text()
+        text = Path(out).read_text(encoding="utf-8")
         body = [ln for ln in text.splitlines()[1:] if ln and not ln.startswith("#")]
         assert body == sorted(body, key=lambda ln: tuple(map(int, ln.split())))
 
@@ -367,7 +373,7 @@ class TestGen:
         out = str(tmp_path / "k1.edges")
         code, reports, _ = run(capsys, ["gen", "complete", "--n", "1", "--out", out])
         assert code == 0
-        assert Path(out).read_text() == "1 0\n"
+        assert Path(out).read_text(encoding="utf-8") == "1 0\n"
 
     def test_random_requires_seed_and_p(self, capsys, tmp_path):
         out = str(tmp_path / "r.edges")
@@ -571,7 +577,7 @@ class TestCheckTheorem:
             corpus = [g for n in range(1, 6) for g in enumerate_connected(n)]
             ks = (1,)
         else:
-            corpus = [Graph(len(adj), adj) for adj in cli._random_graphs(3, 30, 8)]
+            corpus = [Graph(adj) for adj in cli._random_graphs(3, 30, 8)]
             ks = (1, 2)
         instances = [
             (format_edge_list(g), k) for g in corpus for k in ks
@@ -989,7 +995,8 @@ class TestProcessLevel:
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         if not pyproject.is_file():
             pytest.skip("no pyproject.toml beside the tests")
-        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["cliqueiso"]
+        project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+        target = project["scripts"]["cliqueiso"]
         module, _, attr = target.partition(":")
         assert getattr(importlib.import_module(module), attr) is main
 

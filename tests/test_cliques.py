@@ -124,7 +124,7 @@ def masked_graphs(draw):
 class TestIsolates:
     # ``d`` may reach outside ``within``; its N[d] is removed all the same.
     @given(masked_graphs(), ks())
-    @example((Graph(0, ()), 0, 0), 1)
+    @example((Graph(()), 0, 0), 1)
     @example((build_complete(4), 0, 0), 2)
     def test_matches_the_naive_definition(self, drawn, k):
         g, within, d = drawn

@@ -541,7 +541,7 @@ class TestGolden:
 
     @pytest.fixture(scope="class")
     def golden(self):
-        return json.loads(GOLDEN.read_text())
+        return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
     def test_corpus_covers_every_branch(self, golden):
         tags = {

@@ -1,5 +1,6 @@
 """Edge-list file format: parsing, canonical output, and error reporting."""
 
+import subprocess
 import sys
 import tracemalloc
 
@@ -19,6 +20,7 @@ from cliqueiso import (
 
 from cliqueiso.edgelist import MAX_EDGES, MAX_VERTICES
 
+from .pins import package_env
 from .support import graphs
 
 # Malformed text, the line its error names and the message after "line N: ".
@@ -127,7 +129,7 @@ class TestFiles:
         finally:
             tracemalloc.stop()
         assert peak < 2 * rows + 64_000
-        assert path.read_text() == format_edge_list(g)
+        assert path.read_text(encoding="utf-8") == format_edge_list(g)
 
     def test_read_holds_the_rows_and_one_line(self, tmp_path):
         # K_300's rows take 19.2 KB and its text 326 KB.  Reading the whole
@@ -179,6 +181,34 @@ class TestFiles:
         path.write_bytes(text.encode())
         assert outcome(parse_edge_list, text) == expected
         assert outcome(read_graph, path) == expected
+
+    @pytest.mark.parametrize("data,expected", [
+        (b"3 2\n0 1\n1 \xff2\n", (3, "edge line must be two integers 'u v'")),
+        (b"# \xff\n3 1\n0 1 # \xfe\n", [(0, 1)]),
+    ], ids=["edge-field", "comment"])
+    def test_bytes_that_are_not_utf8(self, tmp_path, data, expected):
+        # Such a byte reads as U+FFFD: refused at its line in an edge field,
+        # ignored in a comment.
+        path = tmp_path / "g.edges"
+        path.write_bytes(data)
+        try:
+            got = read_graph(path).edges()
+        except EdgeListError as err:
+            got = err.line, str(err).split(": ", 1)[1]
+        assert got == expected
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        path = tmp_path / "cafe.edges"
+        path.write_bytes("# café\n3 2\n0 1\n1 2\n".encode())
+        argv = [sys.executable, "-m", "cliqueiso.cli", "solve", str(path), "--k", "2"]
+        outs = []
+        for locale in ({"PYTHONUTF8": "1"},
+                       {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}):
+            out = subprocess.run(argv, capture_output=True, env={**package_env(), **locale},
+                                 timeout=300)
+            assert out.returncode == 0, out.stderr
+            outs.append(out.stdout)
+        assert outs[0] == outs[1]
 
     def test_read_accepts_str_paths(self, tmp_path):
         path = tmp_path / "g.edges"

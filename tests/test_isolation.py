@@ -226,7 +226,6 @@ class TestSolver:
         assert rep.iota == 2
         assert len(rep.optimal_set) == 2
         assert rep.nodes_expanded >= 1
-        assert rep.elapsed >= 0.0
 
     def test_empty_and_trivial_graphs(self):
         assert iota_solve(Graph.from_edges(0, []), 1).iota == 0
@@ -749,7 +748,7 @@ class TestHittingSetILP:
     k-cliques, which reaches sizes the oracle refuses."""
 
     def test_golden_corpus(self):
-        for inst in json.loads(GOLDEN.read_text())["instances"]:
+        for inst in json.loads(GOLDEN.read_text(encoding="utf-8"))["instances"]:
             g = Graph.from_edges(inst["n"], [tuple(e) for e in inst["edges"]])
             for k in GOLDEN_KS:
                 chosen = ilp_isolator(g, k)
@@ -779,7 +778,7 @@ class TestGolden:
 
     @pytest.fixture(scope="class")
     def golden(self):
-        return json.loads(GOLDEN.read_text())
+        return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
     def test_corpus_is_the_generated_one(self, golden):
         names = [inst["name"] for inst in golden["instances"]]
@@ -827,5 +826,5 @@ def _corpus_changes(old: dict, new: dict) -> str:
 
 if __name__ == "__main__":
     corpus = _golden_corpus()
-    print(_corpus_changes(json.loads(GOLDEN.read_text()), corpus))
+    print(_corpus_changes(json.loads(GOLDEN.read_text(encoding="utf-8")), corpus))
     write_corpus(GOLDEN, corpus)

@@ -91,11 +91,12 @@ def test_entry_names_are_unique():
 
 
 def test_no_pin_lives_in_the_workflow():
-    text = WORKFLOW.read_text()
+    text = WORKFLOW.read_text(encoding="utf-8")
     assert HEX64.search(text) is None
     assert "sha256sum" not in text
     # Nor in another test file or a golden corpus.
     others = [path for path in TESTS.glob("*.py") if path.name != "pins.py"]
-    assert [path.name for path in others if HEX64.search(path.read_text())] == []
+    assert [p.name for p in others if HEX64.search(p.read_text(encoding="utf-8"))] == []
     corpora = TESTS.rglob("*.json")
-    assert [path.name for path in corpora if re.search(r'"sha256"\s*:', path.read_text())] == []
+    sha_key = re.compile(r'"sha256"\s*:')
+    assert [p.name for p in corpora if sha_key.search(p.read_text(encoding="utf-8"))] == []
