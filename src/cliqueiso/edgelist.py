@@ -3,9 +3,10 @@
 A file is a header line ``n m`` followed by exactly m lines ``u v`` with
 0 <= u < v < n, where n is at most ``MAX_VERTICES`` and m at most
 ``MAX_EDGES``, each number in ASCII decimal digits.  Blank lines and ``#``
-comments are ignored.  Files are UTF-8 whatever the locale.  Writing is
-canonical (edges sorted ascending), so parse/write round-trips are bit-exact
-on canonical files.
+comments are ignored.  Files are UTF-8 whatever the locale, and one
+byte-order mark (U+FEFF) at the very start is skipped.  Writing is canonical
+(edges sorted ascending), so parse/write round-trips are bit-exact on
+canonical files.
 """
 
 from __future__ import annotations
@@ -46,8 +47,10 @@ def parse_edge_list(text: str) -> Graph:
     (universal newlines), as in a file ``read_graph`` reads, and not at the
     other breaks ``str.splitlines`` knows: a form feed, ``\\x1c``-``\\x1e``,
     NEL or a Unicode line or paragraph separator is whitespace inside a
-    line."""
-    return _parse(io.StringIO(text, newline=None))
+    line.  One U+FEFF byte-order mark at the start of ``text`` is skipped; a
+    U+FEFF anywhere else is not whitespace, so a field that holds one is
+    refused at its line."""
+    return _parse(io.StringIO(text.removeprefix("\ufeff"), newline=None))
 
 
 def _decimal(field: str) -> int:
@@ -139,10 +142,10 @@ def format_edge_list(g: Graph) -> str:
 
 def read_graph(path: str | Path) -> Graph:
     """``parse_edge_list`` of the file at ``path``, read line by line, with
-    the same line ends.  The file is decoded as UTF-8 whatever the locale; a
-    byte that is not UTF-8 reads as U+FFFD, which a comment may hold and an
-    edge field refuses at its line."""
-    with open(path, encoding="utf-8", errors="replace") as f:
+    the same line ends and the same skipped byte-order mark.  The file is
+    decoded as UTF-8 whatever the locale; a byte that is not UTF-8 reads as
+    U+FFFD, which a comment may hold and an edge field refuses at its line."""
+    with open(path, encoding="utf-8-sig", errors="replace") as f:
         return _parse(f)
 
 

@@ -232,6 +232,14 @@ EXHAUSTIVE_N6 = ("-O check-theorem --mode exhaustive --n-max 6 --k-max 3",)
 RANDOM_40K = ("-O check-theorem --mode random --count 40000 --n-max 10 --k-max 2 --seed 1",)
 
 
+# Probabilities at which deciding a pair from its two stream words is easiest
+# to get wrong: p = j/256, whose threshold 2**53 * p has top byte j and low
+# bits zero; p just above and below 37/256; p * 2**53 not an integer; a
+# threshold below 2**45, whose top byte is 0; and p = 1, every pair an edge.
+BOUNDARY_P = (1 / 512, 1 / 256, 37 / 256, 255 / 256, 0.5, (37 * 2**45 + 1) / 2**53,
+              (37 * 2**45 - 1) / 2**53, 0.1, 2 / 3, 1e-9, 1.0)
+
+
 def _bound(gen: str, graph: str, k: int) -> tuple[str, ...]:
     return (f"gen {gen} --out {graph}", f"-O bound {graph} --k {k}")
 
@@ -286,6 +294,13 @@ PINS = (
     Digest("gen-random-1600",
            lambda: format_edge_list(gen_random_connected(1600, 0.003125, 0)).encode(),
            "aae14f24703ad33e43682dd46a50b6e68792e40ec9a57dd2d2b8335977dd5dfb"),
+    # Seeded graphs of 300 vertices, spanning several blocks of pair draws,
+    # at the probabilities of BOUNDARY_P; the digest was taken from the
+    # pair-by-pair generator of tests/support.py.
+    Digest("gen-random-boundaries", lambda: b"".join(
+        format_edge_list(gen_random_connected(300, p, seed)).encode()
+        for p in BOUNDARY_P for seed in (1, 2**32 - 1)
+    ), "16e0dff50a954382fa6ce902c0d485f1ef5ace5e6c35f264bd9d4f3d1591d5fc"),
     # Short reports of each verb.  The verify pair is one valid set, then one
     # invalid set; the per-component graph is K_2 on 0-1, the 5-cycle on 2..6
     # and the path on 7..13.

@@ -7,6 +7,7 @@ checked against straightforward code that shares none of their machinery.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import random
@@ -21,7 +22,7 @@ import hypothesis.strategies as st
 import cliqueiso.construct as construct
 from cliqueiso import Graph
 from cliqueiso.cliques import isolates
-from cliqueiso.generators import _tree_from_pruefer, pair_order
+from cliqueiso.generators import pair_order
 from cliqueiso.graph import NONE, bits, component_masks, exception_kind
 
 from .pins import package_env
@@ -319,10 +320,32 @@ def labeled_graphs(n_max: int) -> Iterator[Graph]:
             yield graph_from_edge_bits(n, edge_bits, pairs)
 
 
+def _tree_from_pruefer(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """The edges of the tree with Pruefer sequence ``seq``, decoded with a heap
+    of the leaves: each entry is joined to the smallest leaf left."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((min(leaf, x), max(leaf, x)))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    u = heapq.heappop(leaves)
+    v = heapq.heappop(leaves)
+    edges.append((min(u, v), max(u, v)))
+    return edges
+
+
 def naive_random_connected(n: int, p: float, seed: int) -> Graph:
-    """``gen_random_connected`` as first written: a set of edge tuples, one
-    membership test per vertex pair and one ``rng.random()`` per non-tree
-    pair.  It pins the random stream the fast generator must reproduce."""
+    """``gen_random_connected`` as first written: ``randrange`` for the Pruefer
+    sequence, a heap to decode it, a set of edge tuples, one membership test
+    per vertex pair and one ``rng.random()`` per non-tree pair.  It pins the
+    random stream the fast generator must reproduce."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0 < p <= 1:

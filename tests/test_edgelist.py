@@ -1,5 +1,6 @@
 """Edge-list file format: parsing, canonical output, and error reporting."""
 
+import json
 import subprocess
 import sys
 import tracemalloc
@@ -17,7 +18,7 @@ from cliqueiso import (
     read_graph,
     write_graph,
 )
-
+from cliqueiso.cli import main
 from cliqueiso.edgelist import MAX_EDGES, MAX_VERTICES
 
 from .pins import package_env
@@ -167,7 +168,15 @@ class TestFiles:
         ("3 2\n0 1\x0c1 2\n", (2, "edge line must be two integers 'u v'")),
         ("3 2\n0 1\u2028\n0\x851\n", (3, "duplicate edge (0, 1)")),
         ("3 1\r\n\u2029\r0 1\r\n1 2\n", (4, "more than the declared 1 edge line")),
-    ], ids=["ff-joins", "ls-blank", "fs-ps", "ff-four-fields", "ls-nel-duplicate", "ps-mixed-ends"])
+        # One byte-order mark at the start is skipped; any other U+FEFF is
+        # not whitespace, so a field that holds one is refused at its line.
+        ("\ufeff3 2\n0 1\n1 2\n", [(0, 1), (1, 2)]),
+        ("\ufeff# two edges\r\n3 2\r\n0 1 # \ufeff\r\n1 2\r\n", [(0, 1), (1, 2)]),
+        ("\ufeff\ufeff3 0\n", (1, "header must be two integers 'n m'")),
+        ("3\ufeff 0\n", (1, "header must be two integers 'n m'")),
+        ("3 1\n\ufeff0 1\n", (2, "edge line must be two integers 'u v'")),
+    ], ids=["ff-joins", "ls-blank", "fs-ps", "ff-four-fields", "ls-nel-duplicate", "ps-mixed-ends",
+            "bom", "bom-comments", "second-bom", "bom-in-header", "bom-in-line-2"])
     def test_text_and_file_share_one_line_rule(self, tmp_path, text, expected):
         # parse_edge_list and read_graph end lines at the same characters, so
         # the same bytes give the same graph, or the same error at the same line.
@@ -209,6 +218,20 @@ class TestFiles:
             assert out.returncode == 0, out.stderr
             outs.append(out.stdout)
         assert outs[0] == outs[1]
+
+    def test_solve_skips_a_leading_byte_order_mark(self, tmp_path, monkeypatch, capsys):
+        # The same file with and without the mark, under the same name, so
+        # that the reports' "input" fields match too.
+        data = b"# a triangle with a tail\n4 4\n0 1\n0 2\n1 2\n2 3\n"
+        outs = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "g.edges").write_bytes(prefix + data)
+            monkeypatch.chdir(tmp_path / name)
+            assert main(["solve", "g.edges", "--k", "2"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["iota"] == 1
 
     def test_read_accepts_str_paths(self, tmp_path):
         path = tmp_path / "g.edges"

@@ -21,6 +21,7 @@ from cliqueiso import (
 )
 from cliqueiso.generators import _connected, pair_order
 
+from .pins import BOUNDARY_P
 from .support import (
     adjacency_sets,
     graph_from_edge_bits,
@@ -184,17 +185,19 @@ class TestRandomConnected:
 class TestRandomStream:
     """Every seeded graph is a pure function of (n, p, seed): the Pruefer
     draws, then one ``random()`` per non-tree pair in lexicographic order.
-    ``naive_random_connected`` spends the stream the same way, pair by pair."""
+    ``naive_random_connected`` spends the stream the same way, pair by pair;
+    the generator reads it in blocks of 8,192 pair draws, so every graph
+    from n = 130 on (8,256 draws) takes more than one."""
 
-    @pytest.mark.parametrize("p", [1.0, 0.5, 0.05, 1e-9])
+    @pytest.mark.parametrize("p", [0.05, *BOUNDARY_P])
     def test_matches_pair_by_pair_generator(self, p):
-        for n in range(1, 41):
+        for n in [*range(1, 41), 150]:
             for seed in (0, 1, 7, 2**32 - 1):
                 want = naive_random_connected(n, p, seed).adj
                 assert gen_random_connected(n, p, seed).adj == want, (n, p, seed)
 
     @given(
-        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=1, max_value=200),
         st.floats(min_value=0, max_value=1, exclude_min=True),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
