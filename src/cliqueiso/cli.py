@@ -12,7 +12,9 @@ branch-tag histogram, both with the seconds spent reading the graph file, and
 ``check-theorem`` per-row stats, the same histogram among them, and progress.
 Exit status: 0 success or valid, 1 invalid verification, 2 input error, 3
 bound violation found, 141 (128 + SIGPIPE) when the reader of stdout closed it
-early.
+early.  A stderr that is closed or whose reader went away loses its lines and
+changes nothing else: stdout and the exit status are those of a run whose
+stderr took every line.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .edgelist import MAX_EDGES, MAX_VERTICES, _decimal, format_edge_list, read_
 from .generators import (
     ENUMERATION_CAP,
     _connected,
+    _random_rows,
     build_complete,
     build_cycle,
     build_extremal,
@@ -75,8 +78,21 @@ def _report(args: argparse.Namespace, g: Graph, **fields) -> None:
     _emit(dict(command=args.command, input=args.path, n=g.n, m=g.edge_count, k=args.k, **fields))
 
 
+def _to_stderr(line: str) -> None:
+    """Write ``line`` to stderr: the CLI's one stderr writer.  When stderr
+    cannot take it, closed or with its reader gone, point stderr at devnull
+    and drop the line, so that stdout and the exit status stay those of a
+    run whose stderr took every line."""
+    if sys.stderr is None:  # fd 2 was closed when the interpreter started
+        return
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+
+
 def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
+    _to_stderr(f"error: {message}")
     return _EXIT_INPUT
 
 
@@ -113,10 +129,9 @@ def _bound_stats(results: list[BoundResult], read_s: float, start: float) -> Non
     ``start``."""
     counts = Counter(st.tag.value for res in results for st in res.trace)
     depth = max((res.depth for res in results), default=0)
-    print(
+    _to_stderr(
         f"bound: trace_steps={counts.total()} depth={depth} {_tag_fields(counts)} "
-        f"read_s={read_s:.3f} elapsed_s={time.perf_counter() - start:.3f}",
-        file=sys.stderr,
+        f"read_s={read_s:.3f} elapsed_s={time.perf_counter() - start:.3f}"
     )
 
 
@@ -130,11 +145,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         args, g, iota=rep.iota, set=sorted(rep.optimal_set), valid=cert.valid,
         nodes=rep.nodes_expanded,
     )
-    print(
+    _to_stderr(
         f"solve: nodes={rep.nodes_expanded} bound_prunes={rep.bound_prunes} "
         f"incumbent_updates={rep.incumbent_updates} read_s={read_s:.3f} "
-        f"elapsed_s={elapsed:.3f}",
-        file=sys.stderr,
+        f"elapsed_s={elapsed:.3f}"
     )
     return _EXIT_OK
 
@@ -325,12 +339,13 @@ def _check_chunk(
 
 
 def _random_graphs(seed: int, count: int, n_max: int) -> Iterator[tuple[int, ...]]:
-    """The adjacency rows of random mode's ``count`` seeded connected graphs."""
+    """The adjacency rows of random mode's ``count`` seeded connected graphs,
+    those of ``gen_random_connected`` with no ``Graph`` built."""
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(1, n_max)
         p = rng.uniform(0.05, 0.95)
-        yield gen_random_connected(n, p, rng.randrange(2**32)).adj
+        yield _random_rows(n, p, rng.randrange(2**32))
 
 
 def _throughput(checked: int, start: float) -> str:
@@ -428,16 +443,15 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
                 seen += 1  # the graph's last instance is checked
                 n_seen = max(n_seen, len(adj))
                 if seen % PROGRESS_EVERY == 0:
-                    print(f"{label}: {seen} graphs {_throughput(checked, start)}", file=sys.stderr)
+                    _to_stderr(f"{label}: {seen} graphs {_throughput(checked, start)}")
         for k in ks:
             _emit({
                 "command": "check-theorem", **head, "k": k, "graphs": seen,
                 "exceptional": exceptional[k], "violations": violations,
             })
-            print(
+            _to_stderr(
                 f"{label} k={k}: max_iota={max_iota[k]} floor={n_seen // (k + 1)} "
-                f"{_tag_fields(tags[k])} {_throughput(checked, start)}",
-                file=sys.stderr,
+                f"{_tag_fields(tags[k])} {_throughput(checked, start)}"
             )
     return _EXIT_VIOLATION if violations else _EXIT_OK
 
@@ -508,9 +522,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # Not an input error: stdout's reader closed it, as ``| head`` does.
-        # Point stdout at devnull, as the Python docs advise, so that the
-        # flush at exit does not fail again, and print nothing.
+        # Not an input error: stdout's reader closed it, as ``| head`` does
+        # (``_to_stderr`` catches stderr's own).  Point stdout at devnull, as
+        # the Python docs advise, so that the flush at exit does not fail
+        # again, and print nothing.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:  # EdgeListError and ExceptionalGraphError included

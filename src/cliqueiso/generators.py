@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations
 from typing import Iterator
 
 from .graph import Graph, bits, component_masks
@@ -145,22 +146,31 @@ def gen_random_connected(n: int, p: float, seed: int) -> Graph:
     from ``random.Random(seed)`` is fixed: first the n - 2 ``randrange(n)``
     draws of the Pruefer sequence, then exactly one ``random()`` per non-tree
     pair (u, v), u < v, in lexicographic order, the pair becoming an edge
-    when the draw is below ``p``.  ``_edge_draws`` reads those draws off the
-    stream in blocks, with the same words deciding each pair as ``random()``
-    would, and row u takes its draws in one slice, a ``0`` put in for each
-    tree neighbour above u.  That is still one draw per vertex pair, so the
+    when the draw is below ``p``.  That is one draw per vertex pair, so the
     cost is quadratic in n, however small ``p`` is: about 0.05 s at
     n = 1600, 0.27 s at n = 4000 and 1.1 s at n = 8000 (2-core box, Python
     3.11.7), against 0.07, 0.43 and 1.75 s drawing ``random()`` pair by
-    pair.
+    pair.  Each graph wraps the rows that ``_random_rows`` builds.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0 < p <= 1:
         raise ValueError("p must be in (0, 1]")
+    return Graph(_random_rows(n, p, seed))
+
+
+def _random_rows(n: int, p: float, seed: int) -> tuple[int, ...]:
+    """The adjacency rows of ``gen_random_connected(n, p, seed)`` for n >= 1
+    and 0 < p <= 1, unchecked: ``check-theorem`` sweeps these rows without
+    building a ``Graph``.
+
+    ``_edge_draws`` reads the pair draws off the stream in blocks, with the
+    same words deciding each pair as ``random()`` would, and row u takes its
+    draws in one slice, a ``0`` put in for each tree neighbour above u.
+    """
     rng = random.Random(seed)
     if n == 1:
-        return Graph((0,))
+        return (0,)
     adj = _tree_rows(rng, n)
     draws = _edge_draws(rng, (n - 1) * (n - 2) // 2, p)
     pending = bytearray()
@@ -183,12 +193,7 @@ def gen_random_connected(n: int, p: float, seed: int) -> Graph:
         ub = 1 << u
         for v in bits(drawn):
             adj[v] |= ub
-    return Graph(tuple(adj))
-
-
-def pair_order(n: int) -> list[tuple[int, int]]:
-    """The fixed pair ordering that gives edge masks their meaning."""
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return tuple(adj)
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:
@@ -209,8 +214,9 @@ def _connected(n: int) -> Iterator[tuple[int, ...]]:
     """The adjacency rows of every labeled connected graph on n >= 1 vertices,
     in increasing edge-mask order, unchecked: ``check-theorem`` sweeps these
     rows without building a ``Graph``.  The rows of mask m are those of m - 1
-    with the pairs of the bits that differ flipped, about two per mask."""
-    pairs = pair_order(n)
+    with the pairs of the bits that differ flipped, about two per mask.  Bit i
+    of a mask is the i-th vertex pair in lexicographic order."""
+    pairs = list(combinations(range(n), 2))
     full = (1 << n) - 1
     adj = [0] * n
     prev = 0

@@ -125,17 +125,11 @@ class Graph:
 
 
 class Subgraph(NamedTuple):
-    """A graph derived from a host graph plus the relabeling back to it.
-
-    ``to_parent[i]`` is the host vertex that became vertex i, so witnesses and
-    certificates found in the derived graph can be lifted back to host labels.
-    """
+    """A graph derived from a host graph plus the relabeling back to it:
+    ``to_parent[i]`` is the host vertex that became vertex i."""
 
     graph: Graph
     to_parent: tuple[int, ...]
-
-    def lift(self, vertices: Iterable[int]) -> VertexSet:
-        return frozenset(self.to_parent[v] for v in vertices)
 
 
 def closed_mask(adj: Sequence[int], mask: int) -> int:

@@ -14,7 +14,6 @@ import random
 import subprocess
 import sys
 from itertools import combinations
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import hypothesis.strategies as st
@@ -22,7 +21,6 @@ import hypothesis.strategies as st
 import cliqueiso.construct as construct
 from cliqueiso import Graph
 from cliqueiso.cliques import isolates
-from cliqueiso.generators import pair_order
 from cliqueiso.graph import NONE, bits, component_masks, exception_kind
 
 from .pins import package_env
@@ -270,13 +268,13 @@ def piece_checked(entry: Callable[..., T], g: Graph, k: int) -> T:
     return out
 
 
-def write_corpus(path: Path, corpus: dict[str, list]) -> None:
-    """Write a golden corpus as the committed files lay it out: each list
-    under its key, one compact JSON record per line."""
+def corpus_text(corpus: dict[str, list]) -> str:
+    """A golden corpus as the committed files lay it out: each list under its
+    key, one compact JSON record per line."""
     rows = {key: ",\n".join("    " + json.dumps(item, separators=(",", ":")) for item in items)
             for key, items in corpus.items()}
     lists = ",\n".join(f"  {json.dumps(key)}: [\n{text}\n  ]" for key, text in rows.items())
-    path.write_text("{\n" + lists + "\n}\n", encoding="utf-8")
+    return "{\n" + lists + "\n}\n"
 
 
 def run_at_low_recursion_limit(code: str) -> subprocess.CompletedProcess:
@@ -292,9 +290,10 @@ def run_at_low_recursion_limit(code: str) -> subprocess.CompletedProcess:
 def graph_from_edge_bits(
     n: int, edge_bits: int, pairs: Sequence[tuple[int, int]] | None = None
 ) -> Graph:
-    """Decode an edge mask over ``pair_order(n)`` into a graph."""
+    """Decode an edge mask into a graph: bit i is the i-th vertex pair in
+    lexicographic order, unless ``pairs`` gives the order."""
     if pairs is None:
-        pairs = pair_order(n)
+        pairs = list(combinations(range(n), 2))
     if edge_bits < 0 or edge_bits >> len(pairs):
         raise ValueError("edge bits out of range for this vertex count")
     return Graph(tuple(_adjacency(n, edge_bits, pairs)))
@@ -315,7 +314,7 @@ def _adjacency(n: int, edge_bits: int, pairs: Sequence[tuple[int, int]]) -> list
 def labeled_graphs(n_max: int) -> Iterator[Graph]:
     """Every labeled graph, connected or not, with at most ``n_max`` vertices."""
     for n in range(n_max + 1):
-        pairs = pair_order(n)
+        pairs = list(combinations(range(n), 2))
         for edge_bits in range(1 << len(pairs)):
             yield graph_from_edge_bits(n, edge_bits, pairs)
 

@@ -151,6 +151,33 @@ def test_only_the_cli_reads_the_clock():
     assert found == []
 
 
+def test_only_the_clis_writer_names_stderr():
+    # One stderr path: a stderr that is closed or whose reader went away is
+    # handled in ``cli._to_stderr``, so every stderr line goes through it.
+    def named(tree: ast.AST) -> list[int]:
+        return [
+            node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "stderr"
+                and isinstance(node.value, ast.Name) and node.value.id == "sys")
+            or (isinstance(node, ast.ImportFrom) and node.module == "sys"
+                and any(a.name == "stderr" for a in node.names))
+        ]
+
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        lines = set(named(tree))
+        if path.name == "cli.py":
+            (writer,) = [
+                node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_to_stderr"
+            ]
+            assert named(writer)
+            lines -= set(named(writer))
+        found += [f"{path.name}:{line}" for line in sorted(lines)]
+    assert found == []
+
+
 # Each public call that returns a record, and its arguments after the graph.
 CALLS = [
     (iota_solve, (1,)),

@@ -512,6 +512,17 @@ class TestCheckTheorem:
         assert code1 == code2 == 0
         assert reports1 == reports2
 
+    def test_random_graphs_are_the_generators_rows(self):
+        # Random mode sweeps the rows of the gen_random_connected calls its
+        # seed stands for, with no Graph built.
+        rng = random.Random(5)
+        want = []
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            p = rng.uniform(0.05, 0.95)
+            want.append(gen_random_connected(n, p, rng.randrange(2**32)).adj)
+        assert list(cli._random_graphs(5, 200, 12)) == want
+
     def test_random_mode_requires_seed_and_count(self, capsys):
         code, _, err = run(capsys, ["check-theorem", "--mode", "random", "--count", "5"])
         assert code == 2 and "--seed" in err
@@ -545,7 +556,7 @@ class TestCheckTheorem:
         # Random mode draws n up to --n-max, so it shares the edge-list cap
         # and refuses before a single graph is built.
         monkeypatch.setattr(
-            cli, "gen_random_connected", lambda *a: pytest.fail("a graph was built")
+            cli, "_random_rows", lambda *a: pytest.fail("a graph was built")
         )
         code, reports, err = run(capsys, ["check-theorem", "--mode", "random", "--seed", "1",
                                           "--count", "5", "--n-max", "50001", "--k-max", "1"])
@@ -810,7 +821,7 @@ class TestCheckTheorem:
         # handle it, and the construction, which takes the whole graph as one
         # piece, finds a residual component out of the pivot's reach.
         g = disjoint_union([build_path(3), build_path(3)])
-        monkeypatch.setattr(cli, "gen_random_connected", lambda n, p, seed: g)
+        monkeypatch.setattr(cli, "_random_rows", lambda n, p, seed: g.adj)
         code, reports, _ = run(capsys, ["check-theorem", "--mode", "random", "--count", "2",
                                         "--n-max", "6", "--k-max", "1", "--seed", "1"])
         assert code == 3
@@ -1012,6 +1023,41 @@ class TestProcessLevel:
         finally:
             os.close(write)
         assert (out.returncode, out.stderr) == (141, b"")
+
+    # A closed fd 2 leaves sys.stderr None; behind a launcher script, ``2>&-``
+    # can leave fd 2 open on a file for reading, where every write fails.
+    @pytest.mark.parametrize("stderr", ["reader gone", "closed", "read-only"])
+    def test_a_lost_stderr_changes_neither_stdout_nor_the_exit_status(self, tmp_path, stderr):
+        path = tmp_path / "k4.edges"
+        write_graph(path, build_complete(4))
+        # A stderr line after the report, stderr lines between reports, and
+        # an error message.
+        for argv, code in [
+            (["solve", str(path), "--k", "1"], 0),
+            (["check-theorem", "--mode", "exhaustive", "--n-max", "5", "--k-max", "3"], 0),
+            (["solve", str(tmp_path / "missing.edges"), "--k", "1"], 2),
+        ]:
+            args = [sys.executable, "-m", "cliqueiso.cli", *argv]
+            normal = subprocess.run(args, capture_output=True, env=package_env(), timeout=300)
+            assert normal.returncode == code and normal.stderr, argv
+            if stderr == "closed":
+                lost = subprocess.run(
+                    args, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2),
+                    env=package_env(), timeout=300,
+                )
+            else:
+                if stderr == "read-only":
+                    fd = os.open(os.devnull, os.O_RDONLY)
+                else:
+                    read, fd = os.pipe()
+                    os.close(read)  # the reader is gone before the command writes anything
+                try:
+                    lost = subprocess.run(
+                        args, stdout=subprocess.PIPE, stderr=fd, env=package_env(), timeout=300,
+                    )
+                finally:
+                    os.close(fd)
+            assert (lost.returncode, lost.stdout) == (code, normal.stdout), argv
 
     def test_check_theorem_bytes_are_pinned(self):
         (pin,) = [pin for pin in PINS if pin.name == "exhaustive-n5-k3"]

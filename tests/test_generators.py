@@ -19,7 +19,7 @@ from cliqueiso import (
     gen_random_connected,
     iota_solve,
 )
-from cliqueiso.generators import _connected, pair_order
+from cliqueiso.generators import _connected
 
 from .pins import BOUNDARY_P
 from .support import (
@@ -206,13 +206,13 @@ class TestRandomStream:
 
 
 class TestEdgeBits:
-    def test_pair_order_is_lexicographic(self):
-        assert pair_order(4) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    def test_bit_i_is_the_ith_pair_in_lexicographic_order(self):
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        assert [graph_from_edge_bits(4, 1 << i).edges() for i in range(6)] == [[e] for e in pairs]
 
     def test_round_trip(self):
-        pairs = pair_order(4)
         bits = (1 << 0) | (1 << 5)
-        g = graph_from_edge_bits(4, bits, pairs)
+        g = graph_from_edge_bits(4, bits)
         assert g.edges() == [(0, 1), (2, 3)]
 
     @given(st.integers(min_value=0, max_value=2**10 - 1))
@@ -245,7 +245,8 @@ class TestEnumeration:
         assert [g.adj for g in got] == [graph_from_edge_bits(4, m).adj for m in expected]
 
     def test_deterministic_ascending_edge_masks(self):
-        # Connected masks on 3 vertices are 3, 5, 6 and 7 over pair_order(3).
+        # Connected masks on 3 vertices are 3, 5, 6 and 7 over the pairs
+        # (0, 1), (0, 2), (1, 2).
         sizes = [g.edge_count for g in enumerate_connected(3)]
         assert sizes == [2, 2, 2, 3]
         assert next(enumerate_connected(3)).edges() == [(0, 1), (0, 2)]
@@ -253,7 +254,7 @@ class TestEnumeration:
     def test_edge_masks_ascend_at_six(self):
         # The connectivity filter runs on raw rows; the graphs that pass keep
         # the edge-mask order, starting from the star at vertex 0.
-        index = {pair: i for i, pair in enumerate(pair_order(6))}
+        index = {pair: i for i, pair in enumerate(combinations(range(6), 2))}
         graphs = list(enumerate_connected(6))
         assert graphs[0].edges() == [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]
         masks = [sum(1 << index[e] for e in g.edges()) for g in graphs]

@@ -138,7 +138,6 @@ class TestNeighborhoodsAndSubgraphs:
         assert sub.graph.n == 3
         assert sub.graph.edges() == [(0, 1)]
         assert sub.to_parent == (1, 2, 4)
-        assert sub.lift(frozenset({0, 2})) == frozenset({1, 4})
 
     def test_components_ordered_by_smallest_member(self):
         g = Graph.from_edges(6, [(3, 4), (0, 5)])

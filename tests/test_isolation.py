@@ -2,11 +2,12 @@
 a hitting-set ILP cross-check, and a golden corpus that pins the solver's sets
 and every search counter.
 
-Regenerate the corpus only when a solver output is meant to change:
-``PYTHONPATH=src python -m tests.test_isolation``.  It prints how many entries
-changed iota or set and how many changed their incumbent updates, the total
-node and prune counts before and after, and how many entries grew, before it
-writes.
+``TestGolden`` checks the committed file byte for byte against the corpus
+regenerated from the code.  When a solver output is meant to change, rewrite
+the file with ``PYTHONPATH=src python -m tests.test_isolation`` and commit the
+diff.  It prints how many entries changed iota or set and how many changed
+their incumbent updates, the total node and prune counts before and after, and
+how many entries grew, before it writes.
 """
 
 import json
@@ -42,6 +43,7 @@ from cliqueiso.isolation import degree_relabel, greedy_mask, packing_bound
 from .support import (
     adjacency_sets,
     connected_graphs,
+    corpus_text,
     disjoint_union,
     graphs,
     labeled_graphs,
@@ -55,7 +57,6 @@ from .support import (
     random_tree,
     run_at_low_recursion_limit,
     tree_iota,
-    write_corpus,
 )
 
 
@@ -776,20 +777,13 @@ class TestGolden:
     node, prune and update counts on the same inputs mean the search visited
     the same tree."""
 
-    @pytest.fixture(scope="class")
-    def golden(self):
-        return json.loads(GOLDEN.read_text(encoding="utf-8"))
-
-    def test_corpus_is_the_generated_one(self, golden):
-        names = [inst["name"] for inst in golden["instances"]]
-        assert names == [name for name, _ in _golden_graphs()]
-        assert len(names) * len(GOLDEN_KS) >= 100
-
-    def test_instances_match(self, golden):
-        for inst in golden["instances"]:
-            g = Graph.from_edges(inst["n"], [tuple(e) for e in inst["edges"]])
-            for k in GOLDEN_KS:
-                assert _solve_record(g, k) == inst["results"][str(k)], (inst["name"], k)
+    def test_committed_file_is_the_regenerated_corpus(self):
+        # Byte for byte: which graphs the corpus holds, their edges, every
+        # record and the layout.  Compared as lists of lines, which join to
+        # the two texts, so that a failure quotes the first record that differs.
+        assert len(_golden_graphs()) * len(GOLDEN_KS) >= 100
+        want = GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert corpus_text(_golden_corpus()).splitlines(keepends=True) == want
 
 
 def _records(corpus: dict) -> dict[tuple[str, str], dict]:
@@ -827,4 +821,4 @@ def _corpus_changes(old: dict, new: dict) -> str:
 if __name__ == "__main__":
     corpus = _golden_corpus()
     print(_corpus_changes(json.loads(GOLDEN.read_text(encoding="utf-8")), corpus))
-    write_corpus(GOLDEN, corpus)
+    GOLDEN.write_text(corpus_text(corpus), encoding="utf-8")
