@@ -562,12 +562,32 @@ class TestGolden:
         }
         assert kinds == {kind.value for kind in ExceptionKind}
 
-    def test_committed_file_is_the_regenerated_corpus(self):
+    @pytest.fixture(scope="class")
+    def regenerated(self):
+        return _golden_corpus()
+
+    def test_instances_match(self, golden, regenerated):
+        _assert_records_match(golden, regenerated, "instances")
+
+    def test_per_component_match(self, golden, regenerated):
+        _assert_records_match(golden, regenerated, "per_component")
+
+    def test_committed_file_is_the_regenerated_corpus(self, regenerated):
         # Byte for byte: which graphs the corpus holds, their edges, every
         # record and the layout.  Compared as lists of lines, which join to
         # the two texts, so that a failure quotes the first record that differs.
         want = GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True)
-        assert corpus_text(_golden_corpus()).splitlines(keepends=True) == want
+        assert corpus_text(regenerated).splitlines(keepends=True) == want
+
+
+def _assert_records_match(golden: dict, regenerated: dict, key: str) -> None:
+    """Each committed record under ``key`` equals the one regenerated for the
+    graph of the same name; a failure names the graph and k."""
+    made = {inst["name"]: inst["results"] for inst in regenerated[key]}
+    for inst in golden[key]:
+        assert inst["name"] in made, inst["name"]
+        for k in GOLDEN_KS:
+            assert made[inst["name"]][str(k)] == inst["results"][str(k)], (inst["name"], k)
 
 
 if __name__ == "__main__":

@@ -777,13 +777,33 @@ class TestGolden:
     node, prune and update counts on the same inputs mean the search visited
     the same tree."""
 
-    def test_committed_file_is_the_regenerated_corpus(self):
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+    @pytest.fixture(scope="class")
+    def regenerated(self):
+        return _golden_corpus()
+
+    def test_corpus_is_the_generated_one(self, golden):
+        names = [inst["name"] for inst in golden["instances"]]
+        assert names == [name for name, _ in _golden_graphs()]
+        assert len(names) * len(GOLDEN_KS) >= 100
+
+    def test_instances_match(self, golden, regenerated):
+        # Record by record, so that a failure names the graph and k.
+        made = {inst["name"]: inst["results"] for inst in regenerated["instances"]}
+        for inst in golden["instances"]:
+            assert inst["name"] in made, inst["name"]
+            for k in GOLDEN_KS:
+                assert made[inst["name"]][str(k)] == inst["results"][str(k)], (inst["name"], k)
+
+    def test_committed_file_is_the_regenerated_corpus(self, regenerated):
         # Byte for byte: which graphs the corpus holds, their edges, every
         # record and the layout.  Compared as lists of lines, which join to
         # the two texts, so that a failure quotes the first record that differs.
-        assert len(_golden_graphs()) * len(GOLDEN_KS) >= 100
         want = GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True)
-        assert corpus_text(_golden_corpus()).splitlines(keepends=True) == want
+        assert corpus_text(regenerated).splitlines(keepends=True) == want
 
 
 def _records(corpus: dict) -> dict[tuple[str, str], dict]:
